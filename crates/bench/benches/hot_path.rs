@@ -1,6 +1,7 @@
 //! Hot-path benchmarks: event-driven fast path vs forced per-cycle
-//! stepping for the throughput scenarios tracked in
-//! `results/bench_throughput.json` (see `fsmc bench-throughput`).
+//! stepping on four representative scenarios (idle-heavy FS-NP, FS-RP
+//! and TP-BP on the mixed workloads, and saturated FR-FCFS). End-to-end
+//! performance is measured by `fsmc-perf` (`bash fsmc-perf/run.sh`).
 //!
 //! Each scenario runs twice — once with the fast path armed and once
 //! with [`System::disable_fastpath`] — so a Criterion report shows the
@@ -12,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fsmc_core::sched::SchedulerKind as K;
 use fsmc_dram::geometry::{BankId, ColId, RankId, RowId};
 use fsmc_dram::{Command, DramDevice, Geometry, TimingParams};
-use fsmc_sim::{Engine, ExperimentJob, ExperimentPlan, System, SystemConfig};
+use fsmc_sim::{System, SystemConfig};
 use fsmc_workload::{BenchProfile, WorkloadMix};
 
 const CYCLES: u64 = 5_000;
@@ -121,28 +122,5 @@ fn bench_soa_device(c: &mut Criterion) {
     });
 }
 
-/// Eight same-tape jobs run back to back versus interleaved as one
-/// K=8 batch on a single worker: identical simulation work, so the
-/// report shows the cost (or win) of the batching machinery itself.
-fn bench_batched_replay(c: &mut Criterion) {
-    let mut plan = ExperimentPlan::new();
-    for _ in 0..8 {
-        plan.push(ExperimentJob::new(WorkloadMix::mix1(), K::FsRankPartitioned, CYCLES, 42));
-    }
-    for (label, engine) in
-        [("k1", Engine::with_threads(1)), ("k8", Engine::with_threads(1).with_batch(8))]
-    {
-        c.bench_function(&format!("batched_replay/{label}"), |b| {
-            b.iter(|| black_box(engine.run(&plan)))
-        });
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_fast_vs_percycle,
-    bench_next_event,
-    bench_soa_device,
-    bench_batched_replay
-);
+criterion_group!(benches, bench_fast_vs_percycle, bench_next_event, bench_soa_device);
 criterion_main!(benches);

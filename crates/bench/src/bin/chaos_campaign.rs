@@ -24,7 +24,7 @@ use fsmc_bench::{save_result_or_warn, seed};
 use fsmc_core::sched::SchedulerKind;
 use fsmc_dram::DeviceGeneration;
 use fsmc_security::check_noninterference_faulted;
-use fsmc_sim::engine::{env_flag, env_u64};
+use fsmc_sim::env::{env_flag, env_u64};
 use fsmc_sim::{run_campaign, CampaignConfig, Engine, Outcome};
 use std::process::ExitCode;
 

@@ -5,14 +5,13 @@
 
 use fsmc_core::sched::SchedulerKind as K;
 use fsmc_security::noninterference::{execution_profile, CoRunners};
+use fsmc_sim::env::env_u64;
 use fsmc_sim::Engine;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let bucket =
-        std::env::var("FSMC_BUCKET").ok().and_then(|v| v.parse().ok()).unwrap_or(10_000u64);
-    let buckets =
-        std::env::var("FSMC_BUCKETS").ok().and_then(|v| v.parse().ok()).unwrap_or(20usize);
+    let bucket = env_u64("FSMC_BUCKET", 10_000);
+    let buckets = env_u64("FSMC_BUCKETS", 20) as usize;
     println!("Figure 4: time (CPU cycles) to complete each {bucket}-instruction block for mcf\n");
     let cases = [
         (K::Baseline, CoRunners::Idle),

@@ -22,8 +22,6 @@ use fsmc_workload::WorkloadMix;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-pub mod throughput;
-
 /// Runs a plan on the in-process engine — or, when `FSMC_SERVE` names a
 /// live experiment-service socket, through the daemon's worker-process
 /// pool and content-addressed result cache

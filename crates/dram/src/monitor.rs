@@ -496,7 +496,7 @@ mod tests {
     /// The online monitor and the batch checker agree on *legality* for
     /// arbitrary streams: one flags a violation iff the other does.
     #[test]
-    fn differential_agreement_with_batch_checker() {
+    fn differential_agreement_with_timing_checker() {
         let chk = checker();
         let mut rng = Lcg(0x5EED_CAFE);
         let mut illegal = 0usize;

@@ -16,12 +16,7 @@
 //!   in its own slot; the other slots complete normally.
 //! * **Work sharing** — jobs replaying the same `(profile, seed)`
 //!   stream share one memoized [`TraceCache`] tape instead of
-//!   re-synthesizing identical traces per policy run. With a batch
-//!   width above 1 (`FSMC_BATCH` / [`Engine::with_batch`]), jobs that
-//!   also share a `(mix, seed, cycles)` replay tuple run as one
-//!   interleaved work item — K systems advanced in round-robin spans
-//!   over the tape — so the decoded stream stays cache-hot across the
-//!   whole group instead of being re-walked K times.
+//!   re-synthesizing identical traces per policy run.
 
 use crate::config::SystemConfig;
 use crate::error::FsmcError;
@@ -132,18 +127,6 @@ impl ExperimentJob {
     }
 
     fn run_inner(&self, cache: &TraceCache) -> Result<RunResult, FsmcError> {
-        let mut run = self.prepare(cache)?;
-        run.advance(self.cycles)?;
-        Ok(run.finish())
-    }
-
-    /// Builds the fully-armed [`System`] for this job — everything
-    /// [`ExperimentJob::run_with`] does before the first cycle. Batched
-    /// execution prepares K jobs, interleaves [`PreparedRun::advance`]
-    /// spans across them, then [`PreparedRun::finish`]es each; because
-    /// a system's evolution is a pure function of its construction, the
-    /// chunked schedule is byte-identical to the one-shot run.
-    fn prepare(&self, cache: &TraceCache) -> Result<PreparedRun, FsmcError> {
         let mut cfg = self
             .config
             .unwrap_or_else(|| SystemConfig::with_cores(self.scheduler, self.mix.cores() as u8));
@@ -192,43 +175,16 @@ impl ExperimentJob {
         if let Some(t) = self.faults.device_timing(&cfg.timing) {
             sys.controller_mut().set_device_timing(t);
         }
-        Ok(PreparedRun {
-            sys,
+        sys.try_run_cycles(self.cycles)?;
+        let stats = sys.stats();
+        let metrics = if self.metrics { sys.metrics_report() } else { None };
+        Ok(RunResult {
             mix_name: self.mix.name,
-            scheduler: self.scheduler,
-            metrics: self.metrics,
-        })
-    }
-}
-
-/// A constructed, fully-armed system mid-run: the unit batched
-/// execution interleaves. See [`ExperimentJob::prepare`].
-struct PreparedRun {
-    sys: System,
-    mix_name: &'static str,
-    scheduler: SchedulerKind,
-    metrics: bool,
-}
-
-impl PreparedRun {
-    /// Advances the system by `cycles` DRAM cycles with health checks.
-    /// `advance(a)` then `advance(b)` is byte-identical to
-    /// `advance(a + b)`: chunk boundaries only clamp how far the fast
-    /// path may *elide* in one jump, never which commands issue.
-    fn advance(&mut self, cycles: u64) -> Result<(), FsmcError> {
-        self.sys.try_run_cycles(cycles).map(|_| ())
-    }
-
-    fn finish(mut self) -> RunResult {
-        let stats = self.sys.stats();
-        let metrics = if self.metrics { self.sys.metrics_report() } else { None };
-        RunResult {
-            mix_name: self.mix_name,
             scheduler: self.scheduler,
             ipcs: stats.ipcs(),
             stats,
             metrics,
-        }
+        })
     }
 }
 
@@ -266,40 +222,6 @@ impl ExperimentPlan {
         plan
     }
 
-    /// Partitions the job indices into work items of at most `width`
-    /// jobs that share a replay tuple — same workload mix (name and
-    /// per-core profiles), seed, and cycle budget — so one worker can
-    /// decode the tape once and interleave the group's systems over it.
-    /// Jobs may differ in scheduler, faults, or configuration: each
-    /// system still evolves exactly as its independent run would.
-    ///
-    /// The partition is computed serially from declaration order, so it
-    /// (and therefore every downstream result) is independent of
-    /// `FSMC_THREADS`. Every index appears in exactly one group.
-    pub fn batches(&self, width: usize) -> Vec<Vec<usize>> {
-        use std::collections::HashMap;
-        let width = width.max(1);
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        // Key → index of that key's currently-open (not yet full) group.
-        let mut open: HashMap<(&str, u64, u64, Vec<&str>), usize> = HashMap::new();
-        for (i, job) in self.jobs.iter().enumerate() {
-            let key = (
-                job.mix.name,
-                job.seed,
-                job.cycles,
-                job.mix.profiles.iter().map(|p| p.name).collect::<Vec<_>>(),
-            );
-            match open.get(&key) {
-                Some(&g) if groups[g].len() < width => groups[g].push(i),
-                _ => {
-                    groups.push(vec![i]);
-                    open.insert(key, groups.len() - 1);
-                }
-            }
-        }
-        groups
-    }
-
     pub fn jobs(&self) -> &[ExperimentJob] {
         &self.jobs
     }
@@ -313,11 +235,6 @@ impl ExperimentPlan {
     }
 }
 
-// Environment parsing lives in [`crate::env`]; re-exported here because
-// the helpers were born in this module and callers still import them
-// from it.
-pub use crate::env::{env_flag, env_u64};
-
 /// The deterministic parallel executor.
 ///
 /// Worker count comes from `FSMC_THREADS` ([`Engine::from_env`]) or an
@@ -326,7 +243,6 @@ pub use crate::env::{env_flag, env_u64};
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     threads: usize,
-    batch: usize,
 }
 
 impl Default for Engine {
@@ -337,32 +253,18 @@ impl Default for Engine {
 
 impl Engine {
     /// Sized by `FSMC_THREADS` ([`crate::env::threads`]), defaulting to
-    /// the machine's available parallelism, with batch width from
-    /// `FSMC_BATCH` ([`crate::env::batch`], default 1). A malformed or
-    /// zero value is reported and replaced by the default.
+    /// the machine's available parallelism. A malformed or zero value is
+    /// reported and replaced by the default.
     pub fn from_env() -> Self {
-        Engine { threads: crate::env::threads(), batch: crate::env::batch() }
+        Engine { threads: crate::env::threads() }
     }
 
     pub fn with_threads(threads: usize) -> Self {
-        Engine { threads: threads.max(1), batch: 1 }
-    }
-
-    /// Sets the batch width: up to `width` jobs sharing a `(mix, seed,
-    /// cycles)` replay tuple run as one interleaved work item (see
-    /// [`ExperimentPlan::batches`]). Results are byte-identical at any
-    /// width; only wall-clock time and cache behaviour change.
-    pub fn with_batch(mut self, width: usize) -> Self {
-        self.batch = width.max(1);
-        self
+        Engine { threads: threads.max(1) }
     }
 
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// Applies `f` to every item on the worker pool, returning results
@@ -425,82 +327,13 @@ impl Engine {
 
     /// [`Engine::run`] against a caller-owned [`TraceCache`], letting
     /// several plans share memoized traces.
-    ///
-    /// With a batch width above 1 ([`Engine::with_batch`] /
-    /// `FSMC_BATCH`), jobs sharing a replay tuple are grouped
-    /// ([`ExperimentPlan::batches`]) and each group runs as one work
-    /// item: every member system is prepared up front, then advanced in
-    /// round-robin spans over the shared tape. Output slots, values and
-    /// per-slot failures are byte-identical to the unbatched run.
     pub fn run_with_cache(
         &self,
         plan: &ExperimentPlan,
         cache: &TraceCache,
     ) -> Vec<Result<RunResult, FsmcError>> {
-        if self.batch <= 1 {
-            return self.map(plan.jobs(), |_, job| job.run_with(cache));
-        }
-        let groups = plan.batches(self.batch);
-        let grouped = self.map(&groups, |_, group| run_group(plan, group, cache));
-        let mut slots: Vec<Option<Result<RunResult, FsmcError>>> =
-            std::iter::repeat_with(|| None).take(plan.len()).collect();
-        for (group, results) in groups.iter().zip(grouped) {
-            for (&slot, result) in group.iter().zip(results) {
-                slots[slot] = Some(result);
-            }
-        }
-        slots.into_iter().map(|slot| slot.expect("every job batched exactly once")).collect()
+        self.map(plan.jobs(), |_, job| job.run_with(cache))
     }
-}
-
-/// DRAM cycles each batched system advances per round-robin turn: long
-/// enough to amortise the switch, short enough that the group's working
-/// set walks the shared tape roughly in lockstep.
-const BATCH_SPAN: u64 = 8192;
-
-/// Executes one batch group in an interleaved pass; result `i` belongs
-/// to `group[i]`. A member that fails (at preparation or mid-run) keeps
-/// its error in its own slot and drops out of the rotation; the rest
-/// complete normally.
-fn run_group(
-    plan: &ExperimentPlan,
-    group: &[usize],
-    cache: &TraceCache,
-) -> Vec<Result<RunResult, FsmcError>> {
-    if let [slot] = group {
-        return vec![plan.jobs()[*slot].run_with(cache)];
-    }
-    let mut out: Vec<Option<Result<RunResult, FsmcError>>> =
-        std::iter::repeat_with(|| None).take(group.len()).collect();
-    let mut live: Vec<(usize, u64, PreparedRun)> = Vec::new();
-    for (i, &slot) in group.iter().enumerate() {
-        let job = &plan.jobs()[slot];
-        match job.prepare(cache) {
-            Ok(run) => live.push((i, job.cycles, run)),
-            Err(e) => out[i] = Some(Err(e.with_provenance(&job.faults))),
-        }
-    }
-    while !live.is_empty() {
-        let mut still = Vec::with_capacity(live.len());
-        for (i, remaining, mut run) in live {
-            let span = BATCH_SPAN.min(remaining);
-            match run.advance(span) {
-                Err(e) => {
-                    let job = &plan.jobs()[group[i]];
-                    out[i] = Some(Err(e.with_provenance(&job.faults)));
-                }
-                Ok(()) => {
-                    if remaining == span {
-                        out[i] = Some(Ok(run.finish()));
-                    } else {
-                        still.push((i, remaining - span, run));
-                    }
-                }
-            }
-        }
-        live = still;
-    }
-    out.into_iter().map(|slot| slot.expect("every group member resolved")).collect()
 }
 
 #[cfg(test)]
@@ -535,15 +368,5 @@ mod tests {
         assert_eq!(plan.jobs()[0].mix.name, "mcf");
         assert_eq!(plan.jobs()[1].scheduler, SchedulerKind::FsRankPartitioned);
         assert_eq!(plan.jobs()[2].mix.name, "milc");
-    }
-
-    #[test]
-    fn env_u64_rejects_garbage_with_default() {
-        std::env::set_var("FSMC_ENGINE_TEST_KNOB", "not-a-number");
-        assert_eq!(env_u64("FSMC_ENGINE_TEST_KNOB", 17), 17);
-        std::env::set_var("FSMC_ENGINE_TEST_KNOB", " 23 ");
-        assert_eq!(env_u64("FSMC_ENGINE_TEST_KNOB", 17), 23);
-        std::env::remove_var("FSMC_ENGINE_TEST_KNOB");
-        assert_eq!(env_u64("FSMC_ENGINE_TEST_KNOB", 17), 17);
     }
 }

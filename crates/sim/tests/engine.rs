@@ -4,8 +4,8 @@
 
 use fsmc_core::sched::SchedulerKind as K;
 use fsmc_sim::faults::{FaultKind, FaultPlan, TimingField};
-use fsmc_sim::{Engine, ExperimentJob, ExperimentPlan, FsmcError};
-use fsmc_workload::WorkloadMix;
+use fsmc_sim::{Engine, ExperimentJob, ExperimentPlan, FsmcError, SystemConfig};
+use fsmc_workload::{BenchProfile, WorkloadMix};
 
 const CYCLES: u64 = 4_000;
 
@@ -61,6 +61,16 @@ fn one_infeasible_job_does_not_poison_the_plan() {
         ExperimentJob::new(WorkloadMix::mix1(), K::FsRankPartitioned, CYCLES, 7)
             .with_faults(infeasible()),
     );
+    // A config demanding more cores than the mix supplies traces for.
+    plan.push(
+        ExperimentJob::new(
+            WorkloadMix::rate(BenchProfile::mcf(), 4),
+            K::FsRankPartitioned,
+            CYCLES,
+            7,
+        )
+        .with_config(SystemConfig::with_cores(K::FsRankPartitioned, 6)),
+    );
     plan.push(ExperimentJob::new(WorkloadMix::mix2(), K::Baseline, CYCLES, 7));
     let runs = Engine::with_threads(2).run(&plan);
     assert!(runs[0].is_ok(), "healthy job failed: {:?}", runs[0].as_ref().err());
@@ -69,7 +79,12 @@ fn one_infeasible_job_does_not_poison_the_plan() {
         "infeasible job should fail with a solve error, got {:?}",
         runs[1].as_ref().map(|_| ())
     );
-    assert!(runs[2].is_ok(), "healthy job failed: {:?}", runs[2].as_ref().err());
+    assert!(
+        matches!(runs[2], Err(FsmcError::Config(_))),
+        "core/trace mismatch should fail with a config error, got {:?}",
+        runs[2].as_ref().map(|_| ())
+    );
+    assert!(runs[3].is_ok(), "healthy job failed: {:?}", runs[3].as_ref().err());
 }
 
 #[test]

@@ -12,7 +12,6 @@
 //! fsmc record --workload NAME --ops N --out FILE
 //! ```
 
-use fsmc::bench::throughput::{SnapshotScenario, ThroughputSnapshot};
 use fsmc::bench::{metrics_csv, weighted_ipc_suite_metrics, weighted_ipc_suite_with};
 use fsmc::core::sched::SchedulerKind;
 use fsmc::core::solver::diagram::render_uniform;
@@ -31,8 +30,8 @@ use fsmc::security::run_covert_channel_on;
 use fsmc::serve::pool::HANG_ENV;
 use fsmc::serve::{serve, ChaosSpec, Client, ServeOptions};
 use fsmc::sim::{
-    run_campaign, run_single, CampaignConfig, Engine, ExperimentJob, ExperimentPlan, FaultPlan,
-    JobSpec, System, SystemConfig,
+    run_campaign, run_single, CampaignConfig, Engine, ExperimentJob, FaultPlan, JobSpec, System,
+    SystemConfig,
 };
 use fsmc::workload::{BenchProfile, SyntheticTrace, WorkloadMix};
 use std::collections::HashMap;
@@ -62,7 +61,6 @@ fn main() -> ExitCode {
         "leak" => cmd_leak(&opts),
         "trace" => cmd_trace(&opts),
         "chaos" => cmd_chaos(&opts),
-        "bench-throughput" => cmd_bench_throughput(&opts),
         "record" => cmd_record(&opts),
         "serve" => cmd_serve(&opts),
         "submit" => cmd_submit(&opts),
@@ -131,12 +129,6 @@ USAGE (every command also takes --device GEN):
                                       --churn adds persistent faults and
                                       domain join/leave to the fault pool;
                                       --metrics adds observability reports
-  fsmc bench-throughput [--cycles N] [--seed S] [--out FILE]
-             [--check BASELINE.json]
-                                      measure simulated cycles/sec with and
-                                      without the event-driven fast path;
-                                      with --check, fail on a >20% regression
-                                      versus a recorded snapshot
   fsmc record --workload NAME --ops N --out FILE   export a USIMM trace
   fsmc serve [--socket PATH] [--workers N] [--timeout MS] [--max-attempts K]
              [--queue N]
@@ -165,10 +157,6 @@ ENV:        FSMC_DEVICE    default device generation for fsmc and the
                            figure binaries (--device overrides it)
             FSMC_THREADS   worker threads for suite runs (default: all cores;
                            results are identical at any thread count)
-            FSMC_BATCH     engine batch width: up to K jobs sharing a
-                           (workload, seed, cycles) tuple replay
-                           interleaved on one worker (default 1;
-                           results are identical at any width)
             FSMC_CYCLES / FSMC_SEED   defaults for the figure binaries
             FSMC_RESULTS_DIR          where figure binaries write CSVs
             FSMC_NO_FASTPATH=1        force per-cycle stepping (debugging;
@@ -594,266 +582,6 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
     println!("wrote      {out}  (load in Perfetto or chrome://tracing)");
     if let Some(m) = sys.metrics_report() {
         print!("{}", m.render());
-    }
-    Ok(())
-}
-
-/// One throughput scenario: a scheduler under a mix, timed twice.
-struct ThroughputRow {
-    name: &'static str,
-    scheduler: SchedulerKind,
-    workload: &'static str,
-    per_cycle_cps: f64,
-    fastpath_cps: f64,
-}
-
-impl ThroughputRow {
-    fn speedup(&self) -> f64 {
-        self.fastpath_cps / self.per_cycle_cps
-    }
-}
-
-/// Times one scenario on both paths, interleaving repeats so that
-/// wall-clock noise epochs (co-tenants, frequency scaling) hit the
-/// per-cycle and fast-path samples alike instead of biasing the ratio.
-/// Noise only ever slows a run down, so the fastest repeat per path is
-/// the best estimate of true throughput, and every repeat of either
-/// path must reproduce the same stats fingerprint — a free determinism
-/// and fast-path-equivalence check. Returns (per-cycle, fast-path)
-/// simulated cycles per second.
-fn time_pair(
-    device: DeviceGeneration,
-    kind: SchedulerKind,
-    mix: &WorkloadMix,
-    cycles: u64,
-    seed: u64,
-) -> Result<(f64, f64), String> {
-    use fsmc::sim::System;
-    let cfg = SystemConfig::for_device(device, kind, mix.cores() as u8);
-    let mut best = [f64::MAX; 2];
-    let mut fingerprint: Option<String> = None;
-    for _rep in 0..3 {
-        for (slot, fast) in [(0, false), (1, true)] {
-            let mut sys = System::try_from_mix(&cfg, mix, seed).map_err(|e| e.to_string())?;
-            if !fast {
-                sys.disable_fastpath();
-            }
-            // Untimed warmup past the cold-start transient (empty queues,
-            // closed rows) so the figure reflects steady-state throughput.
-            sys.run_cycles(cycles / 5);
-            let t0 = std::time::Instant::now();
-            let stats = sys.run_cycles(cycles);
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            best[slot] = best[slot].min(secs);
-            let fp = format!(
-                "{:.9}/{}/{}/{}",
-                stats.ipc_sum(),
-                stats.reads_completed,
-                stats.mc.row_hits + stats.mc.row_misses,
-                stats.cores.iter().map(|c| c.stall_cycles).sum::<u64>()
-            );
-            match &fingerprint {
-                None => fingerprint = Some(fp),
-                Some(first) if *first != fp => {
-                    return Err(format!("fast path diverged from per-cycle run: {fp} vs {first}"));
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok((cycles as f64 / best[0], cycles as f64 / best[1]))
-}
-
-/// Times `width` copies of one job run back to back against the same
-/// jobs interleaved as a single K-wide batch, both on one worker
-/// thread and with the fast path on, so the figure isolates the
-/// batching win (one decoded tape, warm timing tables) from
-/// parallelism. Repeats interleave like [`time_pair`], and every
-/// repeat of either mode must produce byte-identical slot results — a
-/// free end-to-end check of the batching contract. Returns
-/// (unbatched, batched) aggregate simulated cycles per second.
-fn time_batch(
-    device: DeviceGeneration,
-    kind: SchedulerKind,
-    mix: &WorkloadMix,
-    cycles: u64,
-    seed: u64,
-    width: usize,
-) -> Result<(f64, f64), String> {
-    let cfg = SystemConfig::for_device(device, kind, mix.cores() as u8);
-    let mut plan = ExperimentPlan::new();
-    for _ in 0..width {
-        plan.push(ExperimentJob::new(mix.clone(), kind, cycles, seed).with_config(cfg));
-    }
-    let engines = [Engine::with_threads(1), Engine::with_threads(1).with_batch(width)];
-    let mut best = [f64::MAX; 2];
-    let mut fingerprint: Option<String> = None;
-    for _rep in 0..3 {
-        for (slot, engine) in engines.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            let out = engine.run(&plan);
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            for r in &out {
-                if let Err(e) = r {
-                    return Err(e.to_string());
-                }
-            }
-            best[slot] = best[slot].min(secs);
-            let fp = format!("{out:?}");
-            match &fingerprint {
-                None => fingerprint = Some(fp),
-                Some(first) if *first != fp => {
-                    return Err("batched replay diverged from unbatched runs".into());
-                }
-                _ => {}
-            }
-        }
-    }
-    let total = (width as u64 * cycles) as f64;
-    Ok((total / best[0], total / best[1]))
-}
-
-fn cmd_bench_throughput(opts: &HashMap<String, String>) -> Result<(), String> {
-    let cycles = get_u64(opts, "cycles", 500_000)?;
-    let seed = get_u64(opts, "seed", 42)?;
-    let device = device_gen(opts)?;
-    let out = opts.get("out").map(String::as_str).unwrap_or("results/bench_throughput.json");
-    // The acceptance scenarios: the l=43 no-partitioning schedule leaves
-    // the controller idle for most of each slot (every core blocks on
-    // its distant turn), the baseline under a memory-intensive mix skips
-    // only the short data-return gaps, and the two middle rows track the
-    // paper's main configurations.
-    let scenarios: [(&str, SchedulerKind, &str, WorkloadMix); 4] = [
-        (
-            "fs-np-idle-heavy",
-            SchedulerKind::FsNoPartitionNaive,
-            "mcf",
-            WorkloadMix::rate(BenchProfile::mcf(), 8),
-        ),
-        ("fs-rp-mix1", SchedulerKind::FsRankPartitioned, "mix1", WorkloadMix::mix1_for(8)),
-        (
-            "baseline-memory-intensive",
-            SchedulerKind::Baseline,
-            "mcf",
-            WorkloadMix::rate(BenchProfile::mcf(), 8),
-        ),
-        (
-            "tp-bp-mix2",
-            SchedulerKind::TpBankPartitioned { turn: 60 },
-            "mix2",
-            WorkloadMix::mix2_for(8),
-        ),
-    ];
-    let mut rows = Vec::new();
-    println!("{:<33} {:>14} {:>14} {:>8}", "scenario", "per-cycle c/s", "fast-path c/s", "speedup");
-    for (name, kind, workload, mix) in scenarios {
-        let (slow_cps, fast_cps) =
-            time_pair(device, kind, &mix, cycles, seed).map_err(|e| format!("{name}: {e}"))?;
-        let row = ThroughputRow {
-            name,
-            scheduler: kind,
-            workload,
-            per_cycle_cps: slow_cps,
-            fastpath_cps: fast_cps,
-        };
-        println!(
-            "{:<33} {:>14.0} {:>14.0} {:>7.2}x",
-            row.name,
-            row.per_cycle_cps,
-            row.fastpath_cps,
-            row.speedup()
-        );
-        rows.push(row);
-    }
-    // Saturated scenarios on a second device generation: HBM2's 8
-    // channels and short tCK stress the SoA timing tables far from the
-    // paper's DDR3 point, under the standard per-cycle vs fast-path
-    // pairing.
-    {
-        let mix = WorkloadMix::rate(BenchProfile::mcf(), 8);
-        let (slow_cps, fast_cps) =
-            time_pair(DeviceGeneration::Hbm2, SchedulerKind::Baseline, &mix, cycles, seed)
-                .map_err(|e| format!("baseline-hbm2-memory-intensive: {e}"))?;
-        let row = ThroughputRow {
-            name: "baseline-hbm2-memory-intensive",
-            scheduler: SchedulerKind::Baseline,
-            workload: "mcf",
-            per_cycle_cps: slow_cps,
-            fastpath_cps: fast_cps,
-        };
-        println!(
-            "{:<33} {:>14.0} {:>14.0} {:>7.2}x",
-            row.name,
-            row.per_cycle_cps,
-            row.fastpath_cps,
-            row.speedup()
-        );
-        rows.push(row);
-    }
-    // Batched-replay rows for the two saturated scenarios. The columns
-    // are reinterpreted: "per-cycle" records K=1 (eight jobs run back
-    // to back, fast path on) and "fast-path" records K=8 (the same
-    // eight jobs interleaved as one batch), so the gate below guards
-    // batched throughput and the speedup column reads as the batching
-    // gain.
-    let batch_scenarios: [(&str, SchedulerKind, &str, WorkloadMix); 2] = [
-        ("fs-rp-mix1-batch8", SchedulerKind::FsRankPartitioned, "mix1", WorkloadMix::mix1_for(8)),
-        (
-            "baseline-memory-intensive-batch8",
-            SchedulerKind::Baseline,
-            "mcf",
-            WorkloadMix::rate(BenchProfile::mcf(), 8),
-        ),
-    ];
-    for (name, kind, workload, mix) in batch_scenarios {
-        let (k1_cps, k8_cps) =
-            time_batch(device, kind, &mix, cycles, seed, 8).map_err(|e| format!("{name}: {e}"))?;
-        let row = ThroughputRow {
-            name,
-            scheduler: kind,
-            workload,
-            per_cycle_cps: k1_cps,
-            fastpath_cps: k8_cps,
-        };
-        println!(
-            "{:<33} {:>14.0} {:>14.0} {:>7.2}x",
-            row.name,
-            row.per_cycle_cps,
-            row.fastpath_cps,
-            row.speedup()
-        );
-        rows.push(row);
-    }
-    // The snapshot format (and its strict parser) live in
-    // `fsmc::bench::throughput`, so writer and checker can't drift.
-    let snapshot = ThroughputSnapshot {
-        cycles,
-        seed,
-        scenarios: rows
-            .iter()
-            .map(|r| SnapshotScenario {
-                name: r.name.to_string(),
-                scheduler: r.scheduler.cli_name().to_string(),
-                workload: r.workload.to_string(),
-                per_cycle_cps: r.per_cycle_cps,
-                fastpath_cps: r.fastpath_cps,
-                speedup: r.speedup(),
-            })
-            .collect(),
-    };
-    if let Some(dir) = std::path::Path::new(out).parent() {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    }
-    std::fs::write(out, snapshot.to_json()).map_err(|e| e.to_string())?;
-    println!("\nwrote {out}");
-    // Regression gate: fresh fast-path throughput must stay within 20%
-    // of the recorded snapshot for every scenario. A malformed or
-    // truncated snapshot is a typed SnapshotError naming the bad line.
-    if let Some(baseline) = opts.get("check") {
-        let recorded = ThroughputSnapshot::load(baseline).map_err(|e| format!("--check: {e}"))?;
-        let measured: Vec<(&str, f64)> = rows.iter().map(|r| (r.name, r.fastpath_cps)).collect();
-        let checked = recorded.check(&measured, 0.20).map_err(|e| e.to_string())?;
-        println!("throughput within 20% of {baseline} for {checked} scenarios");
     }
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! but a different simulator.
 
 use fsmc::bench::weighted_ipc_suite_with;
-use fsmc::core::sched::SchedulerKind as K;
+use fsmc::core::sched::{ReconfigEvent, SchedulerKind as K};
 use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
 use fsmc::sim::{Engine, ExperimentJob, FaultPlan, System, SystemConfig};
@@ -189,4 +189,54 @@ fn suite_output_is_byte_identical_across_thread_counts() {
     let t8 = weighted_ipc_suite_with(&Engine::with_threads(8), &mixes, &kinds, 4_000, 11, &[]);
     assert_eq!(t1.render("weighted IPC"), t8.render("weighted IPC"));
     assert_eq!(t1.to_csv(), t8.to_csv());
+}
+
+/// FS fast-forward straddles wall-clock refresh windows bit-identically:
+/// with no monitor armed the span is replayed inside the controller,
+/// and 30k cycles cross many tREFI boundaries (quiesce, refresh
+/// commands, recovery) for every FS variant.
+#[test]
+fn fs_fast_forward_is_bit_identical_across_refresh_windows() {
+    for kind in [
+        K::FsRankPartitioned,
+        K::FsRankPartitionedPrefetch,
+        K::FsBankPartitioned,
+        K::FsReorderedBankPartitioned,
+        K::FsNoPartitionNaive,
+        K::FsTripleAlternation,
+    ] {
+        let cfg = SystemConfig::paper_default(kind);
+        let mix = WorkloadMix::mix1();
+        let mut fast = System::from_mix(&cfg, &mix, 7);
+        let mut slow = System::from_mix(&cfg, &mix, 7);
+        slow.disable_fastpath();
+        let sf = fast.run_cycles(30_000);
+        let ss = slow.run_cycles(30_000);
+        assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: stats diverge");
+        assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+    }
+}
+
+/// FS fast-forward around a reconfiguration epoch boundary: the skip
+/// clamps at the event promotion and adoption cycles, so a domain
+/// leaving and a bank dying mid-run reproduce per-cycle stepping
+/// exactly.
+#[test]
+fn fs_fast_forward_is_bit_identical_across_reconfig_epochs() {
+    for kind in [K::FsRankPartitioned, K::FsBankPartitioned] {
+        let cfg = SystemConfig::paper_default(kind);
+        let mix = WorkloadMix::mix1();
+        let mut fast = System::from_mix(&cfg, &mix, 9);
+        let mut slow = System::from_mix(&cfg, &mix, 9);
+        slow.disable_fastpath();
+        for sys in [&mut fast, &mut slow] {
+            sys.schedule_reconfig(4_000, ReconfigEvent::DomainLeave { domain: 2 });
+            sys.schedule_reconfig(9_000, ReconfigEvent::StuckBank { rank: 1, bank: 3 });
+            sys.schedule_reconfig(14_000, ReconfigEvent::DomainJoin { domain: 2 });
+        }
+        let sf = fast.try_run_cycles(20_000).expect("clean fast run");
+        let ss = slow.try_run_cycles(20_000).expect("clean slow run");
+        assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: stats diverge");
+        assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+    }
 }
