@@ -36,8 +36,13 @@
 
 use fsmc_sim::spec::{sha256_hex, FailureRecord};
 use fsmc_sim::SplitMix64;
-use std::process::{Command, Stdio};
+use std::io::{ErrorKind, Read, Write};
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
+use std::os::unix::net::UnixStream;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Deterministic fault injection for the pool (the service-level
@@ -101,7 +106,9 @@ pub struct WorkerPool {
     /// Current concurrency limit (degradation shrinks, success grows).
     active_limit: AtomicUsize,
     /// Attempts currently inside a child process.
-    running: AtomicUsize,
+    running: Mutex<usize>,
+    /// Signalled when a slot is released and when the limit grows.
+    slot_freed: Condvar,
     /// Consecutive crashed/timed-out attempts, across jobs.
     crash_streak: AtomicUsize,
     pub counters: PoolCounters,
@@ -110,13 +117,26 @@ pub struct WorkerPool {
 /// Crash streak length that costs the pool one slot of width.
 const DEGRADE_STREAK: usize = 3;
 
+/// A claimed pool slot, released on drop so no return path can leak it.
+struct Slot<'a>(&'a WorkerPool);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // A count is valid after any update, so a poisoned lock is safe
+        // to use, and `Drop` must not panic.
+        *self.0.running.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.slot_freed.notify_one();
+    }
+}
+
 impl WorkerPool {
     pub fn new(opts: PoolOptions) -> Self {
         let workers = opts.workers.max(1);
         WorkerPool {
             opts: PoolOptions { workers, ..opts },
             active_limit: AtomicUsize::new(workers),
-            running: AtomicUsize::new(0),
+            running: Mutex::new(0),
+            slot_freed: Condvar::new(),
             crash_streak: AtomicUsize::new(0),
             counters: PoolCounters::default(),
         }
@@ -141,9 +161,10 @@ impl WorkerPool {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt)));
             }
-            self.acquire_slot();
-            let outcome = self.run_attempt(key, spec_line, attempt);
-            self.running.fetch_sub(1, Ordering::Relaxed);
+            let outcome = {
+                let _slot = self.acquire_slot();
+                self.run_attempt(key, spec_line, attempt)
+            };
             match outcome {
                 Attempt::Success(payload) => {
                     self.note_success();
@@ -181,20 +202,14 @@ impl WorkerPool {
 
     /// Blocks until the pool is under its (possibly degraded) limit,
     /// then claims a slot.
-    fn acquire_slot(&self) {
-        loop {
-            let limit = self.active_limit.load(Ordering::Relaxed).max(1);
-            let running = self.running.load(Ordering::Relaxed);
-            if running < limit
-                && self
-                    .running
-                    .compare_exchange(running, running + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    fn acquire_slot(&self) -> Slot<'_> {
+        let running = self.running.lock().expect("no thread panics holding the slot count");
+        let mut running = self
+            .slot_freed
+            .wait_while(running, |running| *running >= self.current_limit().max(1))
+            .expect("no thread panics holding the slot count");
+        *running += 1;
+        Slot(self)
     }
 
     fn note_crash(&self) {
@@ -211,9 +226,16 @@ impl WorkerPool {
     fn note_success(&self) {
         self.crash_streak.store(0, Ordering::Relaxed);
         let workers = self.opts.workers;
-        let _ = self
+        let grew = self
             .active_limit
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |l| (l < workers).then_some(l + 1));
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |l| (l < workers).then_some(l + 1))
+            .is_ok();
+        if grew {
+            // A waiter checks the limit and starts waiting under the
+            // lock, so taking it here orders this notify after the check.
+            drop(self.running.lock().expect("no thread panics holding the slot count"));
+            self.slot_freed.notify_all();
+        }
     }
 
     /// The chaos verdict for one `(job, attempt)`: deterministic in the
@@ -235,57 +257,48 @@ impl WorkerPool {
     }
 
     /// One child-process attempt under the watchdog.
+    ///
+    /// The worker's stdin and stdout are one end of a socket pair, the
+    /// way inetd hands a connection to a service. Reading the other end
+    /// to EOF drains the payload while the worker runs, so output larger
+    /// than a pipe buffer cannot wedge it, and also waits for the worker
+    /// to finish: EOF comes once it has closed both descriptors, which
+    /// exiting does. A worker that closes stdout and keeps running still
+    /// holds stdin, so it runs into the deadline like any other hang.
     fn run_attempt(&self, key: &str, spec_line: &str, attempt: u32) -> Attempt {
-        use std::io::Read;
-        use std::io::Write;
         let (chaos_kill, chaos_hang) = self.chaos_action(key, attempt);
-        let mut cmd = Command::new(&self.opts.worker_cmd[0]);
-        cmd.args(&self.opts.worker_cmd[1..])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if chaos_hang {
-            cmd.env(HANG_ENV, "1");
-        }
-        let mut child = match cmd.spawn() {
-            Ok(c) => c,
+        let (mut child, mut io) = match self.spawn_worker(chaos_hang) {
+            Ok(spawned) => spawned,
             Err(e) => return Attempt::Crash(format!("spawn failed: {e}")),
         };
-        let stdin = child.stdin.take();
         if chaos_kill {
-            // Simulated OOM-kill: holding stdin open keeps the worker
-            // blocked on its spec read, so the SIGKILL reliably lands
-            // mid-job rather than racing a fast completion.
+            // Simulated OOM-kill: withholding the spec keeps the worker
+            // blocked on its read, so the SIGKILL reliably lands mid-job
+            // rather than racing a fast completion.
             std::thread::sleep(Duration::from_millis(2));
             let _ = child.kill();
-        } else if let Some(mut stdin) = stdin {
-            // A worker that exits before reading breaks the pipe; that
+        } else {
+            // A worker that exits before reading breaks the socket; that
             // surfaces as its exit status, not as a daemon error.
-            let _ = writeln!(stdin, "{spec_line}");
+            let _ = writeln!(io, "{spec_line}");
+            let _ = io.shutdown(Shutdown::Write);
         }
         let deadline = Instant::now() + Duration::from_millis(self.opts.timeout_ms);
-        let status = loop {
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        return Attempt::Timeout;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Attempt::Crash(format!("wait failed: {e}"));
-                }
+        let stdout = match read_to_eof(&mut io, deadline) {
+            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return match e.kind() {
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut => Attempt::Timeout,
+                    _ => Attempt::Crash(format!("reading worker output failed: {e}")),
+                };
             }
         };
-        let mut stdout = String::new();
-        if let Some(mut out) = child.stdout.take() {
-            let _ = out.read_to_string(&mut stdout);
-        }
+        let status = match child.wait() {
+            Ok(status) => status,
+            Err(e) => return Attempt::Crash(format!("wait failed: {e}")),
+        };
         match status.code() {
             Some(0) => Attempt::Success(stdout),
             // Exit 3 is the worker's "typed simulation error" code; its
@@ -293,6 +306,44 @@ impl WorkerPool {
             Some(3) => Attempt::TypedError(stdout.trim_end().to_string()),
             Some(code) => Attempt::Crash(format!("worker exited with status {code}")),
             None => Attempt::Crash("worker killed by signal".to_string()),
+        }
+    }
+
+    /// Spawns a worker whose stdin and stdout are one end of a new
+    /// socket pair; returns it with the other end.
+    fn spawn_worker(&self, hang: bool) -> std::io::Result<(Child, UnixStream)> {
+        let (ours, theirs) = UnixStream::pair()?;
+        let mut cmd = Command::new(&self.opts.worker_cmd[0]);
+        cmd.args(&self.opts.worker_cmd[1..])
+            .stdin(OwnedFd::from(theirs.try_clone()?))
+            .stdout(OwnedFd::from(theirs))
+            .stderr(Stdio::null());
+        if hang {
+            cmd.env(HANG_ENV, "1");
+        }
+        // `cmd` holds this process's copies of the worker's end until it
+        // drops on return; EOF on `ours` waits for them to close.
+        Ok((cmd.spawn()?, ours))
+    }
+}
+
+/// Reads `from` to EOF. Each read waits at most for what is left until
+/// `deadline`, so output trickled out cannot stretch it; past it the
+/// error is `WouldBlock` or `TimedOut`.
+fn read_to_eof(from: &mut UnixStream, deadline: Instant) -> std::io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    let mut buf = [0u8; 64 * 1024];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        from.set_read_timeout(Some(left))?;
+        match from.read(&mut buf) {
+            Ok(0) => return Ok(out),
+            Ok(n) => out.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -360,6 +411,29 @@ mod tests {
     }
 
     #[test]
+    fn large_payload_is_not_a_timeout() {
+        // Far more than a 64 KiB pipe buffer holds: a worker blocked
+        // writing it waits on the daemon, it does not hang.
+        let mut o = opts(sh("read line; head -c 100000 /dev/zero | tr '\\0' x"));
+        o.timeout_ms = 2_000;
+        o.max_attempts = 1;
+        let out = WorkerPool::new(o).run_job("k", "spec").expect("a large payload is a success");
+        assert_eq!(out.len(), 100_000);
+        assert!(out.bytes().all(|b| b == b'x'));
+    }
+
+    #[test]
+    fn worker_that_closes_stdout_and_hangs_is_killed_at_the_deadline() {
+        let mut o = opts(sh("read line; exec >&-; exec sleep 30"));
+        o.timeout_ms = 100;
+        o.max_attempts = 1;
+        let start = Instant::now();
+        let record = WorkerPool::new(o).run_job("k", "spec").unwrap_err();
+        assert_eq!(record.reason, "timeout");
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
     fn backoff_doubles_and_caps() {
         let pool = WorkerPool::new(PoolOptions {
             backoff_base_ms: 10,
@@ -386,6 +460,20 @@ mod tests {
         healthy.active_limit.store(1, Ordering::Relaxed);
         let _ = healthy.run_job("k", "spec").unwrap();
         assert_eq!(healthy.current_limit(), 2);
+    }
+
+    #[test]
+    fn degraded_pool_runs_concurrent_jobs_in_turn() {
+        let pool = WorkerPool::new(opts(sh("read line; sleep 0.05; echo ok")));
+        pool.active_limit.store(1, Ordering::Relaxed);
+        let pool = &pool;
+        std::thread::scope(|s| {
+            let jobs = ["a", "b"].map(|k| s.spawn(move || pool.run_job(k, "spec")));
+            for job in jobs {
+                assert_eq!(job.join().expect("job thread").expect("job succeeds"), "ok\n");
+            }
+        });
+        assert_eq!(*pool.running.lock().unwrap(), 0, "every slot was released");
     }
 
     #[test]

@@ -105,6 +105,9 @@ struct Shared {
     pool: WorkerPool,
     cache: ResultCache,
     shutdown: AtomicBool,
+    /// The daemon's own socket: `SHUTDOWN` connects to it once to wake
+    /// the accept loop, which blocks until the next connection.
+    socket: PathBuf,
     submitted: AtomicU64,
     cache_hits: AtomicU64,
     coalesced: AtomicU64,
@@ -140,7 +143,6 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<()> {
         }
     }
     let listener = UnixListener::bind(&opts.socket)?;
-    listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared {
         registry: Mutex::new(Registry::default()),
         done: Condvar::new(),
@@ -156,6 +158,7 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<()> {
         }),
         cache: ResultCache::new(opts.cache_dir.clone()),
         shutdown: AtomicBool::new(false),
+        socket: opts.socket.clone(),
         submitted: AtomicU64::new(0),
         cache_hits: AtomicU64::new(0),
         coalesced: AtomicU64::new(0),
@@ -175,14 +178,14 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<()> {
         })
         .collect();
     let mut connections = Vec::new();
-    while !shared.shutdown.load(Ordering::Relaxed) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
+            // After a `SHUTDOWN` the connection that woke this accept is
+            // its wake-up, not a request: it gets no handler.
+            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => {}
             Ok((stream, _)) => {
                 let shared = shared.clone();
                 connections.push(std::thread::spawn(move || handle_connection(stream, &shared)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) => {
                 eprintln!("fsmc serve: accept failed: {e}");
@@ -250,7 +253,9 @@ fn respond(request: &str, shared: &Shared) -> String {
         "STATS" => stats_line(shared),
         "STATUS" => status_text(shared),
         "SHUTDOWN" => {
-            shared.shutdown.store(true, Ordering::Relaxed);
+            shared.shutdown.store(true, Ordering::SeqCst);
+            // Wake the accept loop, which blocks until a connection.
+            let _ = UnixStream::connect(&shared.socket);
             "BYE\n".to_string()
         }
         other => format!("ERR unknown request {other:?}\n"),
@@ -392,6 +397,8 @@ fn status_text(shared: &Shared) -> String {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use std::io::Read;
+    use std::time::Instant;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fsmc-serve-{}-{name}", std::process::id()));
@@ -435,6 +442,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         panic!("daemon never came up");
+    }
+
+    /// Whether the daemon thread exits cleanly within `limit`.
+    fn joins_within(h: std::thread::JoinHandle<()>, limit: Duration) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(h.join().is_ok()));
+        rx.recv_timeout(limit) == Ok(true)
     }
 
     #[test]
@@ -529,5 +543,50 @@ mod tests {
         client.shutdown();
         h.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_accept() {
+        let dir = scratch("idle-shutdown");
+        let (client, h) = start(options(&dir, echo_worker()));
+        client.shutdown();
+        assert!(joins_within(h, Duration::from_secs(2)), "daemon still blocked in accept");
+        assert!(!dir.join("fsmc.sock").exists(), "socket file left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_drains_a_pending_wait() {
+        let dir = scratch("drain");
+        let worker = vec!["/bin/sh".into(), "-c".into(), "read line; sleep 0.3; echo slow".into()];
+        let (client, h) = start(options(&dir, worker));
+        let sub = client.submit(0, &JobSpec::parse_line(SPEC).unwrap()).unwrap();
+        // Connected before the SHUTDOWN connection, so the accept loop
+        // takes this WAIT first and hands it a handler.
+        let mut waiter = UnixStream::connect(dir.join("fsmc.sock")).unwrap();
+        waiter.write_all(format!("WAIT {}\n", sub.id).as_bytes()).unwrap();
+        let reply = std::thread::spawn(move || {
+            let mut reply = String::new();
+            waiter.read_to_string(&mut reply).map(|_| reply)
+        });
+        client.shutdown();
+        assert_eq!(reply.join().unwrap().unwrap(), "DONE 5\nslow\n");
+        assert!(joins_within(h, Duration::from_secs(5)), "daemon did not drain and exit");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sequential_pings_do_not_pay_a_poll() {
+        let dir = scratch("pings");
+        let (client, h) = start(options(&dir, echo_worker()));
+        let t = Instant::now();
+        for _ in 0..100 {
+            assert!(client.ping());
+        }
+        let elapsed = t.elapsed();
+        client.shutdown();
+        h.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(elapsed < Duration::from_millis(500), "100 PINGs took {elapsed:?}");
     }
 }
