@@ -83,12 +83,18 @@ impl CoreStats {
     }
 }
 
+/// A run of `count` consecutive ROB instructions with identical
+/// retirement state. Same-cycle non-memory fetches share one run, so a
+/// full 64-entry ROB in steady 4-wide compute is 16 runs, and a cycle
+/// retires or fetches a whole run at once.
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    /// CPU cycle at which a non-memory instruction may retire.
+    /// CPU cycle at which the run may retire.
     retire_at: u64,
     /// For reads: the tag we are waiting on (`None` once data returned).
+    /// A read is always a run of one.
     waiting_on: Option<u64>,
+    count: u32,
 }
 
 /// A single out-of-order core consuming a trace.
@@ -96,6 +102,8 @@ pub struct OooCore {
     cfg: CoreConfig,
     trace: Box<dyn TraceSource>,
     rob: VecDeque<RobEntry>,
+    /// Instructions in the ROB: the sum of the runs' counts.
+    rob_len: usize,
     /// Non-memory instructions still to fetch before the pending mem op.
     nonmem_left: u32,
     pending_mem: Option<MemOp>,
@@ -108,7 +116,7 @@ impl std::fmt::Debug for OooCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OooCore")
             .field("cfg", &self.cfg)
-            .field("rob_occupancy", &self.rob.len())
+            .field("rob_occupancy", &self.rob_len)
             .field("stats", &self.stats)
             .finish()
     }
@@ -120,6 +128,7 @@ impl OooCore {
             cfg,
             trace,
             rob: VecDeque::with_capacity(cfg.rob_size),
+            rob_len: 0,
             nonmem_left: 0,
             pending_mem: None,
             completed_tags: Vec::new(),
@@ -148,7 +157,7 @@ impl OooCore {
     /// fetch, so the trace is never consulted), no pending completions,
     /// and a head entry that cannot retire.
     pub fn idle_until(&self) -> CoreIdle {
-        if !self.completed_tags.is_empty() || self.rob.len() < self.cfg.rob_size {
+        if !self.completed_tags.is_empty() || self.rob_len < self.cfg.rob_size {
             return CoreIdle::Active;
         }
         match self.rob.front() {
@@ -170,6 +179,61 @@ impl OooCore {
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(next_cpu_cycle);
     }
 
+    /// A sound lower bound on the first CPU cycle, from `next_cpu` on,
+    /// that can read the trace or offer a memory operation: every cycle
+    /// fetches at most `width` of the `nonmem_left` non-memory
+    /// instructions still ahead of the next memory operation or trace
+    /// read. `None` when the bound would be `next_cpu` itself, or when a
+    /// delivered completion has not been drained yet.
+    ///
+    /// Each cycle before the floor only retires, fetches non-memory
+    /// instructions or stalls, so [`OooCore::advance_compute`] can run
+    /// the span with no memory system attached.
+    pub fn compute_floor(&self, next_cpu: u64) -> Option<u64> {
+        let w = self.cfg.width;
+        (w > 0 && self.completed_tags.is_empty() && self.nonmem_left >= w)
+            .then(|| next_cpu + (self.nonmem_left / w) as u64)
+    }
+
+    /// Runs CPU cycles `from..to` with no memory system attached.
+    /// Bit-identical to calling [`OooCore::cycle`] for each of them,
+    /// provided `to <= compute_floor(from)`: every cycle of the span
+    /// then finds at least `width` non-memory instructions still to
+    /// fetch, so it never reads the trace or offers a memory operation.
+    /// Stall-only stretches (full ROB behind a head that cannot retire
+    /// yet) are charged in bulk.
+    pub fn advance_compute(&mut self, from: u64, to: u64) {
+        if from >= to {
+            return;
+        }
+        let width = self.cfg.width;
+        debug_assert!(
+            width > 0 && to - from <= (self.nonmem_left / width) as u64,
+            "compute span {from}..{to} reaches past the compute floor"
+        );
+        self.drain_completions(from);
+        let mut now = from;
+        while now < to {
+            self.retire(now);
+            let room = self.cfg.rob_size - self.rob_len;
+            if room == 0 {
+                // The head did not retire: stall until it can.
+                let wake = match self.rob.front() {
+                    Some(e) if e.waiting_on.is_none() => e.retire_at.clamp(now + 1, to),
+                    _ => to,
+                };
+                self.stats.stall_cycles += wake - now;
+                now = wake;
+                continue;
+            }
+            let k = room.min(width as usize) as u32;
+            self.nonmem_left -= k;
+            self.push_ready(now + self.cfg.pipeline_depth as u64, k);
+            now += 1;
+        }
+        self.stats.cpu_cycles = self.stats.cpu_cycles.max(to);
+    }
+
     /// Advances one CPU cycle. `submit` offers memory operations to the
     /// memory system (the system simulator routes them to the controller)
     /// and reports acceptance; tags are assigned by the core and echoed
@@ -179,37 +243,15 @@ impl OooCore {
         F: FnMut(MemOp, u64) -> SubmitResult,
     {
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(now_cpu + 1);
-
-        // Drain completions into the ROB.
-        if !self.completed_tags.is_empty() {
-            for e in self.rob.iter_mut() {
-                if let Some(t) = e.waiting_on {
-                    if self.completed_tags.contains(&t) {
-                        e.waiting_on = None;
-                        e.retire_at = e.retire_at.max(now_cpu);
-                    }
-                }
-            }
-            self.completed_tags.clear();
-        }
-
-        // Retire in order, up to `width` per cycle.
-        let mut retired = 0;
-        while retired < self.cfg.width {
-            match self.rob.front() {
-                Some(e) if e.waiting_on.is_none() && e.retire_at <= now_cpu => {
-                    self.rob.pop_front();
-                    self.stats.instructions_retired += 1;
-                    retired += 1;
-                }
-                _ => break,
-            }
-        }
+        self.drain_completions(now_cpu);
+        self.retire(now_cpu);
 
         // Fetch, up to `width` per cycle, while ROB space remains.
+        let width = self.cfg.width;
+        let ready_at = now_cpu + self.cfg.pipeline_depth as u64;
         let mut fetched = 0;
         let mut stalled = false;
-        while fetched < self.cfg.width && self.rob.len() < self.cfg.rob_size && !stalled {
+        while fetched < width && self.rob_len < self.cfg.rob_size && !stalled {
             if self.nonmem_left == 0 && self.pending_mem.is_none() {
                 let op: TraceOp = self.trace.next_op();
                 self.nonmem_left = op.nonmem;
@@ -220,12 +262,11 @@ impl OooCore {
                 }
             }
             if self.nonmem_left > 0 {
-                self.nonmem_left -= 1;
-                self.rob.push_back(RobEntry {
-                    retire_at: now_cpu + self.cfg.pipeline_depth as u64,
-                    waiting_on: None,
-                });
-                fetched += 1;
+                let room = (self.cfg.rob_size - self.rob_len).min(width as usize) as u32;
+                let k = self.nonmem_left.min(width - fetched).min(room);
+                self.nonmem_left -= k;
+                self.push_ready(ready_at, k);
+                fetched += k;
                 continue;
             }
             if let Some(mem) = self.pending_mem {
@@ -236,24 +277,22 @@ impl OooCore {
                         self.next_tag += 1;
                         if mem.is_write {
                             self.stats.writes_issued += 1;
-                            self.rob.push_back(RobEntry {
-                                retire_at: now_cpu + self.cfg.pipeline_depth as u64,
-                                waiting_on: None,
-                            });
+                            self.push_ready(ready_at, 1);
                         } else {
                             self.stats.reads_issued += 1;
-                            self.rob
-                                .push_back(RobEntry { retire_at: now_cpu, waiting_on: Some(tag) });
+                            self.rob.push_back(RobEntry {
+                                retire_at: now_cpu,
+                                waiting_on: Some(tag),
+                                count: 1,
+                            });
+                            self.rob_len += 1;
                         }
                         self.pending_mem = None;
                         fetched += 1;
                     }
                     SubmitResult::Hit => {
                         self.next_tag += 1;
-                        self.rob.push_back(RobEntry {
-                            retire_at: now_cpu + self.cfg.pipeline_depth as u64,
-                            waiting_on: None,
-                        });
+                        self.push_ready(ready_at, 1);
                         self.pending_mem = None;
                         fetched += 1;
                     }
@@ -263,8 +302,55 @@ impl OooCore {
                 }
             }
         }
-        if stalled || (self.rob.len() >= self.cfg.rob_size && fetched == 0) {
+        if stalled || (self.rob_len >= self.cfg.rob_size && fetched == 0) {
             self.stats.stall_cycles += 1;
+        }
+    }
+
+    /// Marks reads whose data has arrived as retirable from `now_cpu`.
+    fn drain_completions(&mut self, now_cpu: u64) {
+        if self.completed_tags.is_empty() {
+            return;
+        }
+        for e in self.rob.iter_mut() {
+            if let Some(t) = e.waiting_on {
+                if self.completed_tags.contains(&t) {
+                    e.waiting_on = None;
+                    e.retire_at = e.retire_at.max(now_cpu);
+                }
+            }
+        }
+        self.completed_tags.clear();
+    }
+
+    /// Retires in order, up to `width` instructions this cycle.
+    fn retire(&mut self, now_cpu: u64) {
+        let width = self.cfg.width;
+        let mut retired = 0;
+        while retired < width {
+            match self.rob.front_mut() {
+                Some(e) if e.waiting_on.is_none() && e.retire_at <= now_cpu => {
+                    let k = e.count.min(width - retired);
+                    e.count -= k;
+                    if e.count == 0 {
+                        self.rob.pop_front();
+                    }
+                    self.rob_len -= k as usize;
+                    self.stats.instructions_retired += k as u64;
+                    retired += k;
+                }
+                _ => break,
+            }
+        }
+    }
+
+    /// Appends `count` instructions that retire at `retire_at`, extending
+    /// the tail run when it has the same retirement state.
+    fn push_ready(&mut self, retire_at: u64, count: u32) {
+        self.rob_len += count as usize;
+        match self.rob.back_mut() {
+            Some(e) if e.waiting_on.is_none() && e.retire_at == retire_at => e.count += count,
+            _ => self.rob.push_back(RobEntry { retire_at, waiting_on: None, count }),
         }
     }
 }
@@ -395,6 +481,73 @@ mod tests {
             skipped.cycle(c, |_, tag| SubmitResult::Accepted { tag });
         }
         assert_eq!(stepped.stats(), skipped.stats());
+    }
+
+    /// Steps `stepped` one cycle at a time and advances `spanned` in one
+    /// compute span over `from..to`, then checks they agree.
+    fn compare_span(stepped: &mut OooCore, spanned: &mut OooCore, from: u64, to: u64) {
+        assert!(spanned.compute_floor(from).is_some_and(|f| to <= f), "span past the floor");
+        for c in from..to {
+            stepped.cycle(c, |_, _| unreachable!("no offer before the compute floor"));
+        }
+        spanned.advance_compute(from, to);
+        assert_eq!(stepped.stats(), spanned.stats());
+        assert_eq!(stepped.idle_until(), spanned.idle_until());
+    }
+
+    #[test]
+    fn compute_span_with_full_rob_and_ready_head() {
+        // A pipeline as deep as the ROB is wide-cycles long: in steady
+        // 4-wide compute the ROB stays full and its head is always
+        // retirable, which `idle_until` reports as a wake-up that has
+        // already passed.
+        let mk = || {
+            let cfg = CoreConfig { pipeline_depth: 16, ..CoreConfig::paper_default() };
+            OooCore::new(cfg, Box::new(VecTrace::new(vec![TraceOp::compute(1000)])))
+        };
+        let (mut stepped, mut spanned) = (mk(), mk());
+        for c in 0..40 {
+            stepped.cycle(c, |_, _| unreachable!());
+            spanned.cycle(c, |_, _| unreachable!());
+        }
+        assert!(matches!(spanned.idle_until(), CoreIdle::WakeAt(w) if w <= 40));
+        assert!(spanned.rob.len() < 64, "same-cycle fetches share a run");
+        let floor = spanned.compute_floor(40).expect("a long compute op has a floor");
+        compare_span(&mut stepped, &mut spanned, 40, floor);
+        for c in floor..floor + 500 {
+            stepped.cycle(c, |_, _| unreachable!());
+            spanned.cycle(c, |_, _| unreachable!());
+        }
+        assert_eq!(stepped.stats(), spanned.stats());
+    }
+
+    #[test]
+    fn compute_span_with_full_rob_and_waiting_head() {
+        // A read at the head that never completes inside the span: the
+        // span fetches until the ROB is full, then charges stalls.
+        let mk = || {
+            let trace =
+                VecTrace::new(vec![TraceOp::with_mem(0, MemOp::read(5)), TraceOp::compute(900)]);
+            OooCore::new(CoreConfig { rob_size: 30, width: 3, pipeline_depth: 7 }, Box::new(trace))
+        };
+        let (mut stepped, mut spanned) = (mk(), mk());
+        for c in 0..2 {
+            stepped.cycle(c, |_, tag| SubmitResult::Accepted { tag });
+            spanned.cycle(c, |_, tag| SubmitResult::Accepted { tag });
+        }
+        let floor = spanned.compute_floor(2).expect("compute follows the read");
+        compare_span(&mut stepped, &mut spanned, 2, floor);
+        assert_eq!(spanned.idle_until(), CoreIdle::BlockedOnMemory);
+        // The ROB fills in cycle 9; every later cycle of the span stalls.
+        assert_eq!(spanned.stats().stall_cycles, floor - 10);
+        // The read completes: both resume identically.
+        stepped.complete_read(0);
+        spanned.complete_read(0);
+        for c in floor..floor + 100 {
+            stepped.cycle(c, |_, tag| SubmitResult::Accepted { tag });
+            spanned.cycle(c, |_, tag| SubmitResult::Accepted { tag });
+        }
+        assert_eq!(stepped.stats(), spanned.stats());
     }
 
     #[test]

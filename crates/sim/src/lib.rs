@@ -75,4 +75,4 @@ pub use runner::{
 };
 pub use spec::JobSpec;
 pub use stats::SystemStats;
-pub use system::System;
+pub use system::{CoreCounters, System};

@@ -67,6 +67,61 @@ struct PendingReconfig {
     events: Vec<ReconfigEvent>,
 }
 
+/// How the cores' CPU sub-cycles were simulated, summed over cores
+/// ([`System::core_counters`]). Exact and deterministic per seed; the
+/// three always add up to `cores * cpu_ratio * dram_cycle`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreCounters {
+    /// Executed one by one inside [`System::step`].
+    pub stepped: u64,
+    /// Run as compute spans ([`OooCore::advance_compute`]), inside
+    /// skipped spans or for computing cores inside [`System::step`].
+    pub computed: u64,
+    /// Bulk-charged as stall-only ([`OooCore::skip_stalled`]), detached
+    /// cores included.
+    pub stalled: u64,
+}
+
+/// Whether `core` provably stalls through every CPU cycle before
+/// `end_cpu`: full ROB behind a read, or behind a head that retires no
+/// earlier than `end_cpu`.
+fn stalled_until(core: &OooCore, end_cpu: u64) -> bool {
+    match core.idle_until() {
+        CoreIdle::Active => false,
+        CoreIdle::BlockedOnMemory => true,
+        CoreIdle::WakeAt(wake) => wake >= end_cpu,
+    }
+}
+
+/// How a core crosses a span of CPU cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Crossing {
+    /// Stall-only throughout (or detached): bulk-charged.
+    Stalled,
+    /// Pure compute, ending at or before its compute floor.
+    Computing,
+    /// May read its trace or submit: stepped cycle by cycle.
+    Stepped,
+}
+
+/// Carries `core` across CPU cycles `from..to` as `how` allows,
+/// counting the sub-cycles; a [`Crossing::Stepped`] core is left to the
+/// caller.
+fn carry(core: &mut OooCore, how: Crossing, from: u64, to: u64, counts: &mut CoreCounters) {
+    let span = to - from;
+    match how {
+        Crossing::Stalled => {
+            core.skip_stalled(span, to);
+            counts.stalled += span;
+        }
+        Crossing::Computing => {
+            core.advance_compute(from, to);
+            counts.computed += span;
+        }
+        Crossing::Stepped => counts.stepped += span,
+    }
+}
+
 /// A complete simulated machine: one memory channel and its cores.
 ///
 /// ```
@@ -127,8 +182,9 @@ pub struct System {
     completion_buf: Vec<Completion>,
     /// Reusable buffer for draining the command log into the monitor.
     monitor_buf: Vec<TimedCommand>,
-    /// Per-core scratch: does core `i` execute this DRAM cycle's CPU
-    /// sub-cycles, or is it provably stalled throughout (bulk-charged)?
+    /// Per-core scratch: is core `i` stepped through this DRAM cycle's
+    /// CPU sub-cycles, or already carried across them (bulk-charged as
+    /// stalled, or run as a compute span)?
     core_active: Vec<bool>,
     /// Cached [`MemoryController::next_event`] bound: on the fast path,
     /// ticks strictly before this cycle are provable no-ops and are
@@ -149,6 +205,8 @@ pub struct System {
     fp_skipped: u64,
     /// Telemetry: controller ticks elided inside stepped cycles.
     fp_elided: u64,
+    /// Telemetry: how CPU sub-cycles were simulated.
+    core_counts: CoreCounters,
     /// Observability: trace-event recorder ([`System::enable_tracing`]).
     /// `None` keeps every hook a single branch — nothing is built,
     /// nothing allocates, results are bit-identical to a build without
@@ -342,6 +400,7 @@ impl System {
             elide_armed: true,
             fp_skipped: 0,
             fp_elided: 0,
+            core_counts: CoreCounters::default(),
             trace: None,
             obs_metrics: None,
             obs_cmd_buf: Vec::new(),
@@ -546,6 +605,12 @@ impl System {
     /// Both are zero with the fast path off.
     pub fn fastpath_counters(&self) -> (u64, u64) {
         (self.fp_skipped, self.fp_elided)
+    }
+
+    /// Core-stepping telemetry: CPU sub-cycles stepped, advanced in
+    /// compute spans, and bulk-charged as stalled, summed over cores.
+    pub fn core_counters(&self) -> CoreCounters {
+        self.core_counts
     }
 
     /// Takes the recorded command log (empty unless recording enabled).
@@ -777,27 +842,27 @@ impl System {
         }
         // 4. CPU cycles. Cores provably stalled for the whole DRAM cycle
         // (full ROB, nothing delivered above, head not retirable before
-        // the cycle ends) are bulk-charged instead of stepped — they
-        // could not fetch, submit, or retire anyway.
+        // the cycle ends) are bulk-charged, and cores whose compute
+        // floor lies past it run it as a compute span: neither can
+        // submit, so only the rest need stepping sub-cycle by sub-cycle,
+        // interleaved in core order as their submits must be.
         let ratio = self.cfg.timing.cpu_ratio as u64;
-        let end_cpu = (c + 1) * ratio;
+        let (start_cpu, end_cpu) = (c * ratio, (c + 1) * ratio);
         let fastpath = self.fastpath;
-        let mut all_stalled = true;
+        let mut any_stepped = false;
         for (i, core) in self.cores.iter_mut().enumerate() {
-            let stalled = !self.attached[i]
-                || (fastpath
-                    && match core.idle_until() {
-                        CoreIdle::Active => false,
-                        CoreIdle::BlockedOnMemory => true,
-                        CoreIdle::WakeAt(wake) => wake >= end_cpu,
-                    });
-            self.core_active[i] = !stalled;
-            all_stalled &= stalled;
-            if stalled {
-                core.skip_stalled(ratio, end_cpu);
-            }
+            let how = if !self.attached[i] || (fastpath && stalled_until(core, end_cpu)) {
+                Crossing::Stalled
+            } else if fastpath && core.compute_floor(start_cpu).is_some_and(|f| f >= end_cpu) {
+                Crossing::Computing
+            } else {
+                Crossing::Stepped
+            };
+            self.core_active[i] = how == Crossing::Stepped;
+            any_stepped |= how == Crossing::Stepped;
+            carry(core, how, start_cpu, end_cpu, &mut self.core_counts);
         }
-        if !all_stalled {
+        if any_stepped {
             for sub in 0..ratio {
                 let cpu_now = c * ratio + sub;
                 self.cpu_cycle(cpu_now);
@@ -811,37 +876,42 @@ impl System {
     }
 
     /// Event-driven time skipping: jumps `dram_cycle` forward over a
-    /// span in which *nothing observable can happen*, charging each core
-    /// the stall cycles it would have accumulated stepping through it.
+    /// span in which *nothing observable can happen* between the cores
+    /// and the memory system, carrying each core across it on its own
+    /// ([`System::advance_cores`]).
     ///
     /// Called after [`System::step`]; `limit` is the run loop's own
     /// bound (never skip past the end of the run), `health_checked`
     /// says whether the caller runs [`System::health_check`] per step
-    /// (and therefore whether the watchdog clock is live).
+    /// (and therefore whether the watchdog clock is live), and
+    /// `retire_cap` — `(core, n)` — keeps that core from retiring `n`
+    /// more instructions inside the span (a profile's next bucket).
     ///
     /// The jump target is the minimum of every source of future events:
     ///
     /// * the controller's [`MemoryController::next_event`] lower bound
     ///   (sound by contract: `tick` is a no-op before it);
     /// * the earliest staged delivery (nothing can retire before it);
-    /// * each core's wake-up cycle — any core still executing
-    ///   ([`CoreIdle::Active`]) vetoes the skip entirely, a core
-    ///   blocked on memory imposes no bound, and a core draining a
-    ///   fixed-latency instruction wakes at its retire cycle;
+    /// * each core's next contact with the memory system — a core
+    ///   blocked on memory imposes no bound, a core draining a
+    ///   fixed-latency instruction into a full ROB wakes at its retire
+    ///   cycle, and a computing core bounds the span at its
+    ///   [`OooCore::compute_floor`] (or vetoes the skip when it has
+    ///   none: its next cycle may read the trace or submit);
     /// * the monitor's next wall-clock deadline poll (a skipped poll
     ///   would latch a breach at a different cycle);
     /// * the watchdog's trigger point, so a starved run still aborts at
     ///   the exact per-cycle-identical cycle.
     ///
-    /// Skipped DRAM cycles are provably stall-only for every core, so
-    /// bulk-charging `stall_cycles`/`cpu_cycles` reproduces per-cycle
-    /// statistics bit for bit ([`OooCore::skip_stalled`]).
+    /// No core submits inside the span and nothing is delivered to one,
+    /// so the controller never sees a core, and each core's stall
+    /// charges or compute cycles reproduce per-cycle statistics bit for
+    /// bit ([`OooCore::skip_stalled`], [`OooCore::advance_compute`]).
     ///
-    /// When every core is stalled but the controller is hot (no cached
-    /// no-op bound), the span is handed to [`System::batch_ticks`]
-    /// instead: the ticks still run, only the per-step core and delivery
-    /// machinery is dropped.
-    fn skip_ahead(&mut self, limit: u64, health_checked: bool) {
+    /// When the controller is hot (no cached no-op bound), the span is
+    /// handed to [`System::batch_ticks`] instead: the ticks still run,
+    /// only the per-step core and delivery machinery is dropped.
+    fn skip_ahead(&mut self, limit: u64, health_checked: bool, retire_cap: Option<(usize, u64)>) {
         if !self.fastpath {
             return;
         }
@@ -862,19 +932,30 @@ impl System {
         if target <= now {
             return;
         }
-        // Cheapest veto next: an attached core doing real work next
-        // cycle, or waking before any skip could start, ends the attempt
-        // before the controller scan is even paid for. Detached cores
-        // are bulk-charged like stalled ones and never veto.
+        // Cheapest veto next: an attached core that may read its trace
+        // or submit next cycle ends the attempt before the controller
+        // scan is even paid for. Detached cores are bulk-charged like
+        // stalled ones and never veto.
+        let now_cpu = now * ratio;
         for (i, core) in self.cores.iter().enumerate() {
             if !self.attached[i] {
                 continue;
             }
-            match core.idle_until() {
-                CoreIdle::Active => return,
-                CoreIdle::BlockedOnMemory => {}
-                CoreIdle::WakeAt(retire_at) => target = target.min(retire_at / ratio),
-            }
+            let wake = match core.idle_until() {
+                CoreIdle::BlockedOnMemory => continue,
+                CoreIdle::WakeAt(retire_at) if retire_at / ratio > now => retire_at,
+                _ => {
+                    let Some(floor) = core.compute_floor(now_cpu) else { return };
+                    if let Some((_, left)) = retire_cap.filter(|&(c, _)| c == i) {
+                        // At most `width` retires per CPU cycle: stop the
+                        // span before the capped core could reach `left`.
+                        let per_cycle = ratio * self.cfg.core.width as u64;
+                        target = target.min(now + (left - 1) / per_cycle);
+                    }
+                    floor
+                }
+            };
+            target = target.min(wake / ratio);
         }
         if target <= now {
             return;
@@ -899,17 +980,15 @@ impl System {
         // clock outright. With none — the last tick issued a command,
         // so the controller is hot and a fresh `next_event` scan would
         // bound the skip at about one cycle, costing as much as the
-        // tick it saves — grind the controller alone instead: the cores
-        // are provably stalled to `target`, so their per-cycle stepping
+        // tick it saves — grind the controller alone instead: no core
+        // touches memory before `target`, so their per-cycle stepping
         // machinery can be dropped even though the ticks cannot.
         if self.mc_next_tick > now {
             let target = target.min(self.mc_next_tick);
             if target <= now {
                 return;
             }
-            for core in &mut self.cores {
-                core.skip_stalled((target - now) * ratio, target * ratio);
-            }
+            self.advance_cores(now, target);
             self.fp_skipped += target - now;
             self.dram_cycle = target;
             if let Some(t) = &mut self.trace {
@@ -925,13 +1004,14 @@ impl System {
         }
     }
 
-    /// Controller-only execution over a span in which every core is
-    /// provably stalled but the controller itself is mid-burst: runs
+    /// Controller-only execution over a span in which no core touches
+    /// the memory system but the controller itself is mid-burst: runs
     /// the same ticks per-cycle stepping would (eliding proven no-op
     /// ticks along the way) without the per-step core-classification
-    /// and delivery machinery, then bulk-charges the cores once, like a
-    /// skip. Stops at `until`, or earlier as soon as a tick produces a
-    /// completion due inside the span (its delivery could wake a core).
+    /// and delivery machinery, then carries the cores across the span
+    /// once, like a skip. Stops at `until`, or earlier as soon as a tick
+    /// produces a completion due inside the span (its delivery could
+    /// wake a core).
     /// Observationally identical to stepping: the same ticks run at the
     /// same cycles, completions are staged with the same sequence
     /// numbers, and the monitor drains after every real tick.
@@ -1011,16 +1091,32 @@ impl System {
             c += 1;
         }
         self.completion_buf = buf;
-        let ratio = self.cfg.timing.cpu_ratio as u64;
-        for core in &mut self.cores {
-            core.skip_stalled((c - start) * ratio, c * ratio);
-        }
+        self.advance_cores(start, c);
         self.fp_skipped += c - start;
         self.dram_cycle = c;
         if c > start {
             if let Some(t) = &mut self.trace {
                 t.push(TraceEvent::FastPath { from: start, to: c, batched: true });
             }
+        }
+    }
+
+    /// Carries every core across the skipped DRAM cycles `from..to`.
+    /// Cores that cannot act before the span ends (detached, blocked on
+    /// memory, or waking after it) are bulk-charged as stalled; the rest
+    /// run their CPU cycles with no memory system attached
+    /// ([`OooCore::advance_compute`]) — [`System::skip_ahead`] ended the
+    /// span at each such core's compute floor.
+    fn advance_cores(&mut self, from: u64, to: u64) {
+        let ratio = self.cfg.timing.cpu_ratio as u64;
+        let (from_cpu, to_cpu) = (from * ratio, to * ratio);
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            let how = if !self.attached[i] || stalled_until(core, to_cpu) {
+                Crossing::Stalled
+            } else {
+                Crossing::Computing
+            };
+            carry(core, how, from_cpu, to_cpu, &mut self.core_counts);
         }
     }
 
@@ -1225,7 +1321,7 @@ impl System {
         let end = self.dram_cycle + cycles;
         while self.dram_cycle < end {
             self.step();
-            self.skip_ahead(end, false);
+            self.skip_ahead(end, false, None);
         }
         self.stats()
     }
@@ -1246,7 +1342,7 @@ impl System {
         while self.dram_cycle < end {
             self.step();
             self.health_check()?;
-            self.skip_ahead(end, true);
+            self.skip_ahead(end, true, None);
         }
         Ok(self.stats())
     }
@@ -1310,7 +1406,7 @@ impl System {
         while self.reads_completed < reads && self.dram_cycle < max_cycles {
             self.step();
             if self.reads_completed < reads {
-                self.skip_ahead(max_cycles, false);
+                self.skip_ahead(max_cycles, false, None);
             }
         }
         self.stats()
@@ -1332,9 +1428,11 @@ impl System {
                 next_target += bucket_instrs;
             }
             if boundaries.len() < buckets {
-                // Skips retire nothing (every core is stalled), so no
-                // bucket boundary can fall inside a skipped span.
-                self.skip_ahead(hard_stop, false);
+                // A skip may run the profiled core through compute
+                // cycles, so cap the span short of its next bucket: no
+                // boundary can fall inside it.
+                let left = next_target - self.cores[core_idx].stats().instructions_retired;
+                self.skip_ahead(hard_stop, false, Some((core_idx, left)));
             }
         }
         boundaries
@@ -1367,7 +1465,8 @@ impl System {
                 next_target += bucket_instrs;
             }
             if boundaries.len() < buckets {
-                self.skip_ahead(hard_stop, true);
+                let left = next_target - self.cores[core_idx].stats().instructions_retired;
+                self.skip_ahead(hard_stop, true, Some((core_idx, left)));
             }
         }
         Ok(boundaries)
@@ -1462,6 +1561,23 @@ mod tests {
         let profile = sys.run_profile(0, 1000, 20);
         assert_eq!(profile.len(), 20);
         assert!(profile.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn core_counters_account_every_cpu_sub_cycle() {
+        let cfg = SystemConfig::paper_default(SchedulerKind::FsRankPartitioned);
+        let mix = WorkloadMix::rate(BenchProfile::xalancbmk(), 8);
+        let (mut fast, mut slow) =
+            (System::from_mix(&cfg, &mix, 2), System::from_mix(&cfg, &mix, 2));
+        slow.disable_fastpath();
+        fast.run_cycles(20_000);
+        slow.run_cycles(20_000);
+        let total = 8 * cfg.timing.cpu_ratio as u64 * 20_000;
+        let (f, s) = (fast.core_counters(), slow.core_counters());
+        assert_eq!(f.stepped + f.computed + f.stalled, total, "{f:?}");
+        assert_eq!(s, CoreCounters { stepped: total, computed: 0, stalled: 0 });
+        // A compute-bound mix spends most sub-cycles in compute spans.
+        assert!(f.computed > f.stepped, "{f:?}");
     }
 
     #[test]

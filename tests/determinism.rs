@@ -11,7 +11,7 @@ use fsmc::core::sched::{ReconfigEvent, SchedulerKind as K};
 use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
 use fsmc::sim::{Engine, ExperimentJob, FaultPlan, System, SystemConfig};
-use fsmc::workload::WorkloadMix;
+use fsmc::workload::{BenchProfile, WorkloadMix};
 
 fn fingerprint(kind: K, seed: u64) -> (Vec<f64>, u64, u64) {
     let cfg = SystemConfig::paper_default(kind);
@@ -128,30 +128,74 @@ fn fast_path_is_bit_identical_on_every_device_generation() {
 
 /// Execution profiles — the paper's attacker observable — must also be
 /// unaffected: a bucket boundary landing one cycle off would fabricate
-/// or mask leakage.
+/// or mask leakage. Skipped spans carry computing cores, whose compute
+/// floor is divided by the CPU:DRAM ratio, so every device generation
+/// runs (ratios 4, 4, 2 and 3), and a compute-heavy mix makes compute
+/// spans the common case.
 #[test]
 fn fast_path_preserves_execution_profiles_and_read_runs() {
-    for kind in [K::FsRankPartitioned, K::Baseline, K::TpBankPartitioned { turn: 60 }] {
+    let compute_heavy = WorkloadMix::rate(BenchProfile::xalancbmk(), 8);
+    for device in DeviceGeneration::all() {
+        for mix in [WorkloadMix::mix1(), compute_heavy.clone()] {
+            for kind in [K::FsRankPartitioned, K::Baseline, K::TpBankPartitioned { turn: 60 }] {
+                let cfg = SystemConfig::for_device(device, kind, 8);
+                let mut fast = System::from_mix(&cfg, &mix, 5);
+                let mut slow = System::from_mix(&cfg, &mix, 5);
+                slow.disable_fastpath();
+                assert_eq!(
+                    fast.run_profile(0, 500, 12),
+                    slow.run_profile(0, 500, 12),
+                    "{device} {kind}: profiles diverge"
+                );
+                let mut fast = System::from_mix(&cfg, &mix, 6);
+                let mut slow = System::from_mix(&cfg, &mix, 6);
+                slow.disable_fastpath();
+                fast.observe(0);
+                slow.observe(0);
+                let sf = fast.run_reads(600);
+                let ss = slow.run_reads(600);
+                assert_eq!(
+                    format!("{sf:?}"),
+                    format!("{ss:?}"),
+                    "{device} {kind}: read-run stats diverge"
+                );
+                assert_eq!(
+                    fast.take_observations(),
+                    slow.take_observations(),
+                    "{device} {kind}: observations"
+                );
+                assert_eq!(
+                    fast.dram_cycle(),
+                    slow.dram_cycle(),
+                    "{device} {kind}: end cycles diverge"
+                );
+            }
+        }
+    }
+}
+
+/// A profile taken while another tenant leaves mid-run and later
+/// rejoins: the detached core is bulk-charged inside skipped spans while
+/// the profiled core computes through them.
+#[test]
+fn fast_path_preserves_execution_profiles_across_churn() {
+    for kind in [K::FsRankPartitioned, K::Baseline] {
         let cfg = SystemConfig::paper_default(kind);
-        let mix = WorkloadMix::mix1();
-        let mut fast = System::from_mix(&cfg, &mix, 5);
-        let mut slow = System::from_mix(&cfg, &mix, 5);
+        let mix = WorkloadMix::rate(BenchProfile::xalancbmk(), 8);
+        let mut fast = System::from_mix(&cfg, &mix, 8);
+        let mut slow = System::from_mix(&cfg, &mix, 8);
         slow.disable_fastpath();
-        assert_eq!(
-            fast.run_profile(0, 500, 12),
-            slow.run_profile(0, 500, 12),
-            "{kind}: profiles diverge"
-        );
-        let mut fast = System::from_mix(&cfg, &mix, 6);
-        let mut slow = System::from_mix(&cfg, &mix, 6);
-        slow.disable_fastpath();
-        fast.observe(0);
-        slow.observe(0);
-        let sf = fast.run_reads(600);
-        let ss = slow.run_reads(600);
-        assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: read-run stats diverge");
-        assert_eq!(fast.take_observations(), slow.take_observations(), "{kind}: observations");
-        assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+        for sys in [&mut fast, &mut slow] {
+            sys.schedule_reconfig(1_000, ReconfigEvent::DomainLeave { domain: 2 });
+            sys.schedule_reconfig(4_000, ReconfigEvent::DomainJoin { domain: 2 });
+        }
+        let pf = fast.try_run_profile(0, 4_000, 24).expect("clean fast run");
+        let ps = slow.try_run_profile(0, 4_000, 24).expect("clean slow run");
+        assert_eq!(pf, ps, "{kind}: profiles diverge");
+        assert!(fast.dram_cycle() > 5_000, "{kind}: the run must span the rejoin");
+        assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{kind}: stats");
+        let counts = fast.core_counters();
+        assert!(counts.computed > 0, "{kind}: no compute span taken: {counts:?}");
     }
 }
 
