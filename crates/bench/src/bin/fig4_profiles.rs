@@ -4,9 +4,10 @@
 //! concurrently on the experiment engine.
 
 use fsmc_core::sched::SchedulerKind as K;
+use fsmc_dram::DeviceGeneration;
 use fsmc_security::noninterference::{execution_profile, CoRunners};
 use fsmc_sim::env::env_u64;
-use fsmc_sim::Engine;
+use fsmc_sim::{Engine, FaultPlan};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -19,8 +20,17 @@ fn main() -> ExitCode {
         (K::FsRankPartitioned, CoRunners::Idle),
         (K::FsRankPartitioned, CoRunners::MemoryIntensive),
     ];
-    let profiles = Engine::from_env()
-        .map(&cases, |_, &(kind, co)| execution_profile(kind, co, bucket, buckets));
+    let profiles = Engine::from_env().map(&cases, |_, &(kind, co)| {
+        let plan = FaultPlan::default();
+        execution_profile(DeviceGeneration::Ddr3_1600, kind, co, &plan, bucket, buckets)
+    });
+    let profiles = match profiles.into_iter().collect::<Result<Vec<_>, _>>() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: profile run failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let [base_idle, base_mem, fs_idle, fs_mem] = &profiles[..] else {
         unreachable!("map preserves slot count")
     };

@@ -1,17 +1,17 @@
 //! Replay-style timing-legality checker.
 //!
-//! [`TimingChecker`] re-derives every JEDEC constraint *pairwise* from a
-//! recorded command stream, independently of the incremental bookkeeping in
-//! [`crate::device::DramDevice`]. It is the executable witness for the
+//! [`TimingChecker`] audits a finished command log: it sorts the log by
+//! cycle and replays it through a fresh [`StreamMonitor`], the crate's one
+//! encoding of the Table-1 rules. It is the executable witness for the
 //! paper's central claim: an FS pipeline issues commands with **zero
 //! resource conflicts** — no command-bus collisions, no data-bus overlap,
 //! and no timing-parameter violations — for *any* read/write mix.
 
-use crate::command::{Command, CommandKind, TimedCommand};
-use crate::geometry::{BankId, Geometry, RankId, RowId};
+use crate::command::{Command, TimedCommand};
+use crate::geometry::Geometry;
+use crate::monitor::StreamMonitor;
 use crate::timing::TimingParams;
 use crate::Cycle;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -76,16 +76,7 @@ impl fmt::Display for Violation {
 
 impl Error for Violation {}
 
-#[derive(Debug, Clone, Copy, Default)]
-struct BankTrack {
-    open_row: Option<RowId>,
-    act_at: Option<Cycle>,
-    last_read: Option<Cycle>,
-    last_write: Option<Cycle>,
-    pre_start: Option<Cycle>,
-}
-
-/// Validates recorded command streams against the full DDR3 rule set.
+/// Validates recorded command streams against the full Table-1 rule set.
 ///
 /// The checker is stateless between calls to [`TimingChecker::check`]; it
 /// models a single channel, like [`crate::device::DramDevice`].
@@ -119,19 +110,13 @@ impl TimingChecker {
     /// Checks a command stream, returning every violation found (empty
     /// means the stream is fully legal).
     ///
-    /// Commands are sorted by cycle internally, so callers may log
-    /// transaction-by-transaction.
+    /// Commands are stable-sorted by cycle and fed through a fresh
+    /// [`StreamMonitor`], so callers may log transaction-by-transaction.
     pub fn check(&self, commands: &[TimedCommand]) -> Vec<Violation> {
         let mut cmds: Vec<TimedCommand> = commands.to_vec();
         cmds.sort_by_key(|c| c.cycle);
-        let mut out = Vec::new();
-        self.check_command_bus(&cmds, &mut out);
-        self.check_data_bus(&cmds, &mut out);
-        self.check_bank_state(&cmds, &mut out);
-        self.check_rank_activates(&cmds, &mut out);
-        self.check_cas_turnarounds(&cmds, &mut out);
-        self.check_rank_level(&cmds, &mut out);
-        out
+        let mut mon = StreamMonitor::new(self.geom, self.t);
+        cmds.iter().flat_map(|tc| mon.observe(tc)).collect()
     }
 
     /// Like [`TimingChecker::check`] but returns the first violation as an
@@ -142,322 +127,12 @@ impl TimingChecker {
             Some(v) => Err(*v),
         }
     }
-
-    /// Rule: the command bus carries at most one command per cycle.
-    fn check_command_bus(&self, cmds: &[TimedCommand], out: &mut Vec<Violation>) {
-        for w in cmds.windows(2) {
-            if w[0].cycle == w[1].cycle {
-                out.push(Violation::state(w[1].cmd, w[1].cycle, "command-bus collision"));
-            }
-        }
-    }
-
-    /// Rule: data-bus bursts never overlap, and bursts from different ranks
-    /// are separated by at least tRTRS.
-    fn check_data_bus(&self, cmds: &[TimedCommand], out: &mut Vec<Violation>) {
-        // (start, end, rank, originating command+cycle)
-        let mut transfers: Vec<(Cycle, Cycle, RankId, TimedCommand)> = cmds
-            .iter()
-            .filter(|tc| tc.cmd.kind.is_cas())
-            .map(|tc| {
-                let lat = if tc.cmd.kind.is_read() { self.t.t_cas } else { self.t.t_cwd };
-                let start = tc.cycle + lat as Cycle;
-                (start, start + self.t.t_burst as Cycle, tc.cmd.rank, *tc)
-            })
-            .collect();
-        transfers.sort_by_key(|t| t.0);
-        for w in transfers.windows(2) {
-            let (_, end_a, rank_a, _) = w[0];
-            let (start_b, _, rank_b, tc_b) = w[1];
-            if start_b < end_a {
-                out.push(Violation::state(tc_b.cmd, tc_b.cycle, "data-bus overlap"));
-            } else if rank_a != rank_b && start_b < end_a + self.t.t_rtrs as Cycle {
-                out.push(Violation::too_early(
-                    tc_b.cmd,
-                    tc_b.cycle,
-                    tc_b.cycle + (end_a + self.t.t_rtrs as Cycle - start_b),
-                    "tRTRS rank-to-rank data gap",
-                ));
-            }
-        }
-    }
-
-    /// Rules: bank-local row state, tRC, tRCD, tRAS, tRTP, write recovery,
-    /// tRP (including the implicit precharge of RDA/WRA).
-    fn check_bank_state(&self, cmds: &[TimedCommand], out: &mut Vec<Violation>) {
-        let mut banks: HashMap<(RankId, BankId), BankTrack> = HashMap::new();
-        for tc in cmds {
-            let c = tc.cycle;
-            let cmd = tc.cmd;
-            match cmd.kind {
-                CommandKind::Activate => {
-                    let b = banks.entry((cmd.rank, cmd.bank)).or_default();
-                    if b.open_row.is_some() {
-                        out.push(Violation::state(cmd, c, "activate while a row is open"));
-                    }
-                    if let Some(p) = b.pre_start {
-                        if c < p + self.t.t_rp as Cycle {
-                            out.push(Violation::too_early(cmd, c, p + self.t.t_rp as Cycle, "tRP"));
-                        }
-                    }
-                    if let Some(a) = b.act_at {
-                        if c < a + self.t.t_rc as Cycle {
-                            out.push(Violation::too_early(cmd, c, a + self.t.t_rc as Cycle, "tRC"));
-                        }
-                    }
-                    b.open_row = Some(cmd.row);
-                    b.act_at = Some(c);
-                    b.last_read = None;
-                    b.last_write = None;
-                    b.pre_start = None;
-                }
-                k if k.is_cas() => {
-                    let b = banks.entry((cmd.rank, cmd.bank)).or_default();
-                    match b.open_row {
-                        None => out.push(Violation::state(cmd, c, "CAS on a closed bank")),
-                        Some(r) if r != cmd.row => {
-                            out.push(Violation::state(cmd, c, "CAS to a row that is not open"))
-                        }
-                        Some(_) => {
-                            let a = b.act_at.unwrap_or(0);
-                            if c < a + self.t.t_rcd as Cycle {
-                                out.push(Violation::too_early(
-                                    cmd,
-                                    c,
-                                    a + self.t.t_rcd as Cycle,
-                                    "tRCD",
-                                ));
-                            }
-                        }
-                    }
-                    if k.is_read() {
-                        b.last_read = Some(c);
-                    } else {
-                        b.last_write = Some(c);
-                    }
-                    if k.has_auto_precharge() {
-                        let recovery = if k.is_read() {
-                            c + self.t.t_rtp as Cycle
-                        } else {
-                            c + self.t.write_ap_pre_offset() as Cycle
-                        };
-                        let ras_done = b.act_at.unwrap_or(0) + self.t.t_ras as Cycle;
-                        b.pre_start = Some(recovery.max(ras_done));
-                        b.open_row = None;
-                    }
-                }
-                CommandKind::Precharge | CommandKind::PrechargeAll => {
-                    let bank_ids: Vec<BankId> = if cmd.kind == CommandKind::PrechargeAll {
-                        (0..self.geom.banks_per_rank()).map(BankId).collect()
-                    } else {
-                        vec![cmd.bank]
-                    };
-                    for bank in bank_ids {
-                        let b = banks.entry((cmd.rank, bank)).or_default();
-                        if b.open_row.is_none() {
-                            continue; // precharging a closed bank is a NOP
-                        }
-                        let a = b.act_at.unwrap_or(0);
-                        if c < a + self.t.t_ras as Cycle {
-                            out.push(Violation::too_early(
-                                cmd,
-                                c,
-                                a + self.t.t_ras as Cycle,
-                                "tRAS",
-                            ));
-                        }
-                        if let Some(r) = b.last_read {
-                            if c < r + self.t.t_rtp as Cycle {
-                                out.push(Violation::too_early(
-                                    cmd,
-                                    c,
-                                    r + self.t.t_rtp as Cycle,
-                                    "tRTP",
-                                ));
-                            }
-                        }
-                        if let Some(w) = b.last_write {
-                            let rec = w + self.t.write_ap_pre_offset() as Cycle;
-                            if c < rec {
-                                out.push(Violation::too_early(cmd, c, rec, "write recovery (tWR)"));
-                            }
-                        }
-                        b.pre_start = Some(c);
-                        b.open_row = None;
-                    }
-                }
-                CommandKind::Refresh => {
-                    for bank in 0..self.geom.banks_per_rank() {
-                        let b = banks.entry((cmd.rank, BankId(bank))).or_default();
-                        if b.open_row.is_some() {
-                            out.push(Violation::state(cmd, c, "refresh with a row open"));
-                        }
-                        if let Some(p) = b.pre_start {
-                            if c < p + self.t.t_rp as Cycle {
-                                out.push(Violation::too_early(
-                                    cmd,
-                                    c,
-                                    p + self.t.t_rp as Cycle,
-                                    "tRP before REF",
-                                ));
-                            }
-                        }
-                        // The rank is unusable for tRFC; model as a pending
-                        // precharge completing at REF + tRFC - tRP so that
-                        // the existing tRP rule enforces it.
-                        b.pre_start = Some(c + (self.t.t_rfc - self.t.t_rp) as Cycle);
-                        b.act_at = None;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Rules: tRRD between activates to a rank, and the four-activate
-    /// window tFAW.
-    fn check_rank_activates(&self, cmds: &[TimedCommand], out: &mut Vec<Violation>) {
-        let mut acts: HashMap<RankId, Vec<TimedCommand>> = HashMap::new();
-        for tc in cmds.iter().filter(|tc| tc.cmd.kind == CommandKind::Activate) {
-            acts.entry(tc.cmd.rank).or_default().push(*tc);
-        }
-        for list in acts.values() {
-            for w in list.windows(2) {
-                if w[1].cycle < w[0].cycle + self.t.t_rrd as Cycle {
-                    out.push(Violation::too_early(
-                        w[1].cmd,
-                        w[1].cycle,
-                        w[0].cycle + self.t.t_rrd as Cycle,
-                        "tRRD",
-                    ));
-                }
-            }
-            for i in 4..list.len() {
-                if list[i].cycle < list[i - 4].cycle + self.t.t_faw as Cycle {
-                    out.push(Violation::too_early(
-                        list[i].cmd,
-                        list[i].cycle,
-                        list[i - 4].cycle + self.t.t_faw as Cycle,
-                        "tFAW",
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Rules: same-rank CAS-to-CAS spacing — tCCD (tCCD_S) for same-type
-    /// pairs, the read-to-write and write-to-read turnarounds otherwise,
-    /// and — on bank-grouped parts — tCCD_L for same-type pairs landing
-    /// in the same bank group. Cross-rank spacing is covered by the
-    /// data-bus rule.
-    fn check_cas_turnarounds(&self, cmds: &[TimedCommand], out: &mut Vec<Violation>) {
-        let mut last_cas: HashMap<RankId, TimedCommand> = HashMap::new();
-        // Last same-type CAS per (rank, bank group, direction); only
-        // consulted on parts that actually have bank groups so flat
-        // (DDR3/LPDDR4) streams keep identical violation lists.
-        let mut last_group_cas: HashMap<(RankId, u8, bool), TimedCommand> = HashMap::new();
-        let grouped = self.geom.bank_groups() > 1;
-        for tc in cmds.iter().filter(|tc| tc.cmd.kind.is_cas()) {
-            if let Some(prev) = last_cas.get(&tc.cmd.rank) {
-                let (min_gap, name): (u32, &'static str) =
-                    match (prev.cmd.kind.is_read(), tc.cmd.kind.is_read()) {
-                        (true, true) | (false, false) => (self.t.t_ccd, "tCCD"),
-                        (true, false) => (self.t.rd_to_wr_same_rank(), "read-to-write turnaround"),
-                        (false, true) => (self.t.wr_to_rd_same_rank(), "tWTR write-to-read"),
-                    };
-                if tc.cycle < prev.cycle + min_gap as Cycle {
-                    out.push(Violation::too_early(
-                        tc.cmd,
-                        tc.cycle,
-                        prev.cycle + min_gap as Cycle,
-                        name,
-                    ));
-                }
-            }
-            last_cas.insert(tc.cmd.rank, *tc);
-            if grouped {
-                let is_read = tc.cmd.kind.is_read();
-                let key = (tc.cmd.rank, self.geom.bank_group_of(tc.cmd.bank), is_read);
-                if let Some(prev) = last_group_cas.get(&key) {
-                    if tc.cycle < prev.cycle + self.t.t_ccd_l as Cycle {
-                        out.push(Violation::too_early(
-                            tc.cmd,
-                            tc.cycle,
-                            prev.cycle + self.t.t_ccd_l as Cycle,
-                            "tCCD_L same bank group",
-                        ));
-                    }
-                }
-                last_group_cas.insert(key, *tc);
-            }
-        }
-    }
-
-    /// Rules: no commands to a refreshing or powered-down rank; power-down
-    /// exit latency tXP.
-    fn check_rank_level(&self, cmds: &[TimedCommand], out: &mut Vec<Violation>) {
-        #[derive(Default, Clone, Copy)]
-        struct RankTrack {
-            refresh_until: Cycle,
-            powered_down: bool,
-            wake_at: Cycle,
-        }
-        let mut ranks: HashMap<RankId, RankTrack> = HashMap::new();
-        for tc in cmds {
-            let r = ranks.entry(tc.cmd.rank).or_default();
-            match tc.cmd.kind {
-                CommandKind::Refresh => {
-                    if tc.cycle < r.refresh_until {
-                        out.push(Violation::too_early(tc.cmd, tc.cycle, r.refresh_until, "tRFC"));
-                    }
-                    r.refresh_until = tc.cycle + self.t.t_rfc as Cycle;
-                }
-                CommandKind::PowerDownEnter => {
-                    if r.powered_down {
-                        out.push(Violation::state(tc.cmd, tc.cycle, "already powered down"));
-                    }
-                    r.powered_down = true;
-                }
-                CommandKind::PowerDownExit => {
-                    if !r.powered_down {
-                        out.push(Violation::state(tc.cmd, tc.cycle, "power-up of an active rank"));
-                    }
-                    r.powered_down = false;
-                    r.wake_at = tc.cycle + self.t.t_xp as Cycle;
-                }
-                _ => {
-                    if tc.cycle < r.refresh_until {
-                        out.push(Violation::too_early(
-                            tc.cmd,
-                            tc.cycle,
-                            r.refresh_until,
-                            "command during tRFC",
-                        ));
-                    }
-                    if r.powered_down {
-                        out.push(Violation::state(
-                            tc.cmd,
-                            tc.cycle,
-                            "command to a powered-down rank",
-                        ));
-                    } else if tc.cycle < r.wake_at {
-                        out.push(Violation::too_early(
-                            tc.cmd,
-                            tc.cycle,
-                            r.wake_at,
-                            "tXP power-down exit",
-                        ));
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{ColId, RankId};
+    use crate::geometry::{BankId, ColId, RankId, RowId};
 
     fn checker() -> TimingChecker {
         TimingChecker::new(Geometry::paper_default(), TimingParams::ddr3_1600())

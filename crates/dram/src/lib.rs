@@ -7,19 +7,21 @@
 //! per-rank state machines, shared command/data-bus occupancy, refresh and
 //! power-down states.
 //!
-//! Three independent implementations of the JEDEC timing rules are provided:
+//! The JEDEC timing rules are implemented twice, independently:
 //!
 //! * [`device::DramDevice`] — an *incremental* model that a memory
-//!   controller drives cycle by cycle (`can_issue` / `issue`),
-//! * [`checker::TimingChecker`] — a *replay* validator that re-derives every
-//!   constraint pairwise from a recorded command stream, and
-//! * [`monitor::StreamMonitor`] — an *online* validator that enforces the
-//!   same rules one command at a time, as the stream is produced.
+//!   controller drives cycle by cycle (`can_issue` / `issue`), and
+//! * [`monitor::StreamMonitor`] — the rule engine, which judges a command
+//!   stream one command at a time. It has an *online* entry point (feed
+//!   the monitor as the stream is produced) and a *replay* entry point,
+//!   [`checker::TimingChecker`], which sorts a recorded log by cycle and
+//!   feeds it through a fresh monitor.
 //!
-//! They are deliberately written separately so that property tests can
-//! cross-check them; the checker is also the executable witness for the
+//! Property tests cross-check the device's streams against the rule
+//! engine; the replay checker is also the executable witness for the
 //! paper's claim that FS pipelines are free of resource conflicts, and the
-//! monitor turns that one-shot audit into a continuously-enforced invariant.
+//! online monitor turns that one-shot audit into a continuously-enforced
+//! invariant.
 //!
 //! ## Example
 //!

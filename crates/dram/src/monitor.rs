@@ -1,25 +1,20 @@
-//! Online (incremental) timing-legality monitor.
+//! Online (incremental) timing-legality monitor: the crate's one encoding
+//! of the Table-1 rules.
 //!
-//! [`StreamMonitor`] enforces the same DDR3 rule set as
-//! [`crate::checker::TimingChecker`], but one command at a time, as the
-//! stream is produced, instead of replaying a finished log. It is the
-//! witness half of a continuously-enforced invariant: a controller wired
-//! through the monitor cannot issue an illegal command *silently* — the
-//! violation is flagged on the cycle it happens, with the offending command
-//! attached.
+//! [`StreamMonitor`] checks one command at a time, as the stream is
+//! produced. It is the witness half of a continuously-enforced invariant:
+//! a controller wired through the monitor cannot issue an illegal command
+//! *silently* — the violation is flagged on the cycle it happens, with the
+//! offending command attached. The replay entry point,
+//! [`crate::checker::TimingChecker`], sorts a finished log by cycle and
+//! feeds it through a fresh monitor, so online and replay checks share
+//! every rule. [`crate::device::DramDevice`] stays the independent
+//! producer the rules are cross-checked against.
 //!
 //! The monitor expects commands in non-decreasing cycle order (the order a
 //! [`crate::device::DramDevice`] command log is appended in). State updates
-//! are applied even for violating commands, mirroring the checker, so one
-//! bad command does not cascade into spurious follow-on reports.
-//!
-//! Rule-for-rule agreement with the batch checker is pinned by differential
-//! tests: on any stream, the monitor flags a violation if and only if the
-//! checker does. (The two may attribute an illegal stream to different
-//! constraint names when several rules are broken at once — e.g. an
-//! out-of-order pair of transfers reads as an overlap online but as a
-//! turnaround violation in the sorted replay — but legality itself always
-//! agrees.)
+//! are applied even for violating commands, so one bad command does not
+//! cascade into spurious follow-on reports.
 
 use crate::checker::Violation;
 use crate::command::{CommandKind, TimedCommand};
@@ -45,7 +40,7 @@ struct RankTrack {
     wake_at: Cycle,
 }
 
-/// Incremental DDR3 rule checker over a live command stream.
+/// Incremental Table-1 rule checker over a live command stream.
 #[derive(Debug, Clone)]
 pub struct StreamMonitor {
     geom: Geometry,
@@ -268,7 +263,7 @@ impl StreamMonitor {
                 self.last_cas.insert(cmd.rank, (c, k.is_read()));
 
                 // Same-bank-group same-type spacing (tCCD_L), only on
-                // grouped parts — mirrors the batch checker exactly.
+                // grouped parts.
                 if self.geom.bank_groups() > 1 {
                     let key = (cmd.rank, self.geom.bank_group_of(cmd.bank), k.is_read());
                     if let Some(&prev) = self.last_group_cas.get(&key) {
@@ -290,15 +285,19 @@ impl StreamMonitor {
                 let lat = if k.is_read() { self.t.t_cas } else { self.t.t_cwd };
                 let start = c + lat as Cycle;
                 let end = start + self.t.t_burst as Cycle;
+                // A rank switch is reported once; its hint is the first
+                // cycle that clears every burst it conflicts with.
+                let gap = self.t.t_rtrs as Cycle;
+                let mut rtrs_earliest = None;
                 for &(tr_start, tr_end, tr_rank) in &self.transfers {
                     if start < tr_end && tr_start < end {
                         out.push(Violation::state(cmd, c, "data-bus overlap"));
-                    } else if tr_rank != cmd.rank {
-                        let gap = self.t.t_rtrs as Cycle;
-                        if start < tr_end + gap && tr_start < end + gap {
-                            out.push(Violation::state(cmd, c, "tRTRS rank-to-rank data gap"));
-                        }
+                    } else if tr_rank != cmd.rank && start < tr_end + gap && tr_start < end + gap {
+                        rtrs_earliest = rtrs_earliest.max(Some(c + (tr_end + gap - start)));
                     }
+                }
+                if let Some(e) = rtrs_earliest {
+                    out.push(Violation::too_early(cmd, c, e, "tRTRS rank-to-rank data gap"));
                 }
                 self.transfers.push((start, end, cmd.rank));
                 // Any later CAS arrives at `c + 1` or after, so its burst
@@ -306,7 +305,6 @@ impl StreamMonitor {
                 // bursts whose tRTRS-widened window ends before that can
                 // never conflict again (same pruning as `ChannelState`).
                 let horizon = c + 1 + self.min_cas_lat;
-                let gap = self.t.t_rtrs as Cycle;
                 self.transfers.retain(|&(_, tr_end, _)| tr_end + gap >= horizon);
             }
             CommandKind::Precharge | CommandKind::PrechargeAll => {
@@ -362,7 +360,7 @@ impl StreamMonitor {
                     }
                     // The rank is unusable for tRFC; model as a pending
                     // precharge completing at REF + tRFC - tRP so that the
-                    // tRP rule enforces it (same trick as the checker).
+                    // tRP rule enforces it.
                     b.pre_start = Some(c + (self.t.t_rfc - self.t.t_rp) as Cycle);
                     b.act_at = None;
                 }
@@ -444,7 +442,7 @@ mod tests {
         assert!(vs.is_empty(), "{vs:?}");
     }
 
-    /// Tiny deterministic LCG so the differential test needs no RNG crate.
+    /// Tiny deterministic LCG so the shuffle test needs no RNG crate.
     struct Lcg(u64);
     impl Lcg {
         fn next(&mut self) -> u64 {
@@ -456,10 +454,11 @@ mod tests {
         }
     }
 
-    /// Rotating ACT/CAS transactions that are legal when undisturbed; half
-    /// the streams get backward jitter and stray refreshes injected so the
-    /// corpus exercises both sides of the legality predicate.
-    fn random_stream(rng: &mut Lcg, txns: usize) -> Vec<TimedCommand> {
+    /// Rotating ACT/CAS transactions that are legal under `tp` when
+    /// undisturbed; half the streams get backward jitter and stray
+    /// refreshes injected so the corpus exercises both sides of the
+    /// legality predicate.
+    fn random_stream(rng: &mut Lcg, tp: &TimingParams, txns: usize) -> Vec<TimedCommand> {
         let chaotic = rng.below(2) == 1;
         let mut out = Vec::new();
         let mut t: Cycle = 20;
@@ -475,13 +474,13 @@ mod tests {
             let row = RowId((i % 3) as u32);
             if chaotic && rng.below(10) == 0 {
                 push(Command::refresh(rank), t + rng.below(8), &mut last);
-                t += 208 + rng.below(16);
+                t += tp.t_rfc as Cycle + rng.below(16);
             }
             let jitter =
                 |rng: &mut Lcg| if chaotic && rng.below(4) == 0 { rng.below(6) } else { 0 };
             let act_c = t.saturating_sub(jitter(rng));
             push(Command::activate(rank, bank, row), act_c, &mut last);
-            let cas_c = (t + 11).saturating_sub(jitter(rng));
+            let cas_c = (t + tp.t_rcd as Cycle).saturating_sub(jitter(rng));
             let cas = if rng.below(4) == 0 {
                 Command::write_ap(rank, bank, row, ColId(0))
             } else {
@@ -493,30 +492,47 @@ mod tests {
         out
     }
 
-    /// The online monitor and the batch checker agree on *legality* for
-    /// arbitrary streams: one flags a violation iff the other does.
-    #[test]
-    fn differential_agreement_with_timing_checker() {
-        let chk = checker();
-        let mut rng = Lcg(0x5EED_CAFE);
-        let mut illegal = 0usize;
-        for case in 0..300 {
-            let stream = random_stream(&mut rng, 24);
-            let batch = chk.check(&stream);
-            let mut mon = monitor();
-            let online = feed(&mut mon, &stream);
-            assert_eq!(
-                batch.is_empty(),
-                online.is_empty(),
-                "case {case}: checker={batch:?} monitor={online:?} stream={stream:?}"
-            );
-            if !batch.is_empty() {
-                illegal += 1;
-            }
+    /// Shuffles `stream` (non-decreasing in cycle) a run of same-cycle
+    /// commands at a time: the runs land in random order, each keeping
+    /// its own internal order, which is all a stable sort can restore.
+    fn shuffle_runs(rng: &mut Lcg, stream: &[TimedCommand]) -> Vec<TimedCommand> {
+        let mut runs: Vec<&[TimedCommand]> = stream.chunk_by(|a, b| a.cycle == b.cycle).collect();
+        for i in (1..runs.len()).rev() {
+            runs.swap(i, rng.below(i as u64 + 1) as usize);
         }
-        // The generator must actually exercise both sides of the predicate.
-        assert!(illegal > 30, "only {illegal} illegal streams generated");
-        assert!(illegal < 270, "only {} legal streams generated", 300 - illegal);
+        runs.concat()
+    }
+
+    /// The replay checker's one job is ordering: on a flat (DDR3) and a
+    /// bank-grouped (DDR4) geometry, checking a shuffled log gives the
+    /// same violations, in the same order, as checking the sorted log.
+    #[test]
+    fn checker_is_order_insensitive_on_flat_and_grouped_geometries() {
+        let parts = [
+            (Geometry::paper_default(), TimingParams::ddr3_1600(), 0x5EED_CAFE),
+            (
+                Geometry::with_bank_groups(1, 8, 16, 4, 32768, 128),
+                TimingParams::ddr4_2400(),
+                0xDD44_2400,
+            ),
+        ];
+        for (geom, t, seed) in parts {
+            let chk = TimingChecker::new(geom, t);
+            let (mut rng, mut shuffle) = (Lcg(seed), Lcg(!seed));
+            let mut illegal = 0usize;
+            for case in 0..300 {
+                let stream = random_stream(&mut rng, &t, 24);
+                let sorted = chk.check(&stream);
+                let shuffled = shuffle_runs(&mut shuffle, &stream);
+                assert_eq!(chk.check(&shuffled), sorted, "case {case}: stream={stream:?}");
+                if !sorted.is_empty() {
+                    illegal += 1;
+                }
+            }
+            // The generator must actually exercise both sides of the predicate.
+            assert!(illegal > 30, "only {illegal} illegal streams generated");
+            assert!(illegal < 270, "only {} legal streams generated", 300 - illegal);
+        }
     }
 
     #[test]
@@ -542,27 +558,6 @@ mod tests {
             56 + 2 * t.t_ccd as Cycle,
         ));
         assert!(vs.iter().any(|v| v.constraint == "tCCD_L same bank group"), "{vs:?}");
-    }
-
-    /// The monitor/checker legality agreement also holds on a
-    /// bank-grouped (DDR4) geometry, where both enforce tCCD_L.
-    #[test]
-    fn differential_agreement_on_ddr4_geometry() {
-        let geom = Geometry::with_bank_groups(1, 8, 16, 4, 32768, 128);
-        let t = TimingParams::ddr4_2400();
-        let chk = TimingChecker::new(geom, t);
-        let mut rng = Lcg(0xDD44_2400);
-        for case in 0..200 {
-            let stream = random_stream(&mut rng, 24);
-            let batch = chk.check(&stream);
-            let mut mon = StreamMonitor::new(geom, t);
-            let online = feed(&mut mon, &stream);
-            assert_eq!(
-                batch.is_empty(),
-                online.is_empty(),
-                "case {case}: checker={batch:?} monitor={online:?} stream={stream:?}"
-            );
-        }
     }
 
     /// On streams that are legal per the batch checker, the monitor agrees

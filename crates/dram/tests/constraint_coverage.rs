@@ -53,7 +53,7 @@ fn pdx(r: u8, c: Cycle) -> TimedCommand {
 /// (constraint name, minimal stream whose check() must flag it).
 ///
 /// The name list mirrors every `&'static str` constraint in
-/// `checker.rs` — if a rule is added there without a witness here, the
+/// `monitor.rs` — if a rule is added there without a witness here, the
 /// completeness assertion in `all_constraints_have_a_witness` fails.
 fn witnesses() -> Vec<(&'static str, Vec<TimedCommand>)> {
     vec![
@@ -136,7 +136,7 @@ fn every_constraint_violation_path_is_exercised() {
 
 #[test]
 fn all_constraints_have_a_witness() {
-    // Every constraint string the checker can emit, in source order.
+    // Every constraint string the rule engine can emit.
     let expected = [
         "command-bus collision",
         "data-bus overlap",
@@ -392,5 +392,38 @@ fn earliest_hints_are_actionable() {
         let still: Vec<_> =
             checker.check(&fixed).iter().filter(|w| w.constraint == name).cloned().collect();
         assert!(still.is_empty(), "{name:?}: still flagged after moving to earliest: {still:?}");
+    }
+}
+
+/// Every timing-bound witness reports a `Some(earliest)` hint, online and
+/// in replay alike, so `earliest_hints_are_actionable` can skip none of
+/// them. State rules (bus overlap, row and power state) have no such
+/// cycle and are exempt.
+#[test]
+fn timing_bound_violations_carry_an_earliest_hint() {
+    const STATE_RULES: [&str; 9] = [
+        "command-bus collision",
+        "data-bus overlap",
+        "activate while a row is open",
+        "CAS on a closed bank",
+        "CAS to a row that is not open",
+        "refresh with a row open",
+        "already powered down",
+        "power-up of an active rank",
+        "command to a powered-down rank",
+    ];
+    let geom = Geometry::paper_default();
+    let t = TimingParams::ddr3_1600();
+    let checker = TimingChecker::new(geom, t);
+    for (name, stream) in witnesses() {
+        if STATE_RULES.contains(&name) {
+            continue;
+        }
+        let mut mon = StreamMonitor::new(geom, t);
+        let online: Vec<_> = stream.iter().flat_map(|c| mon.observe(c)).collect();
+        for (path, vs) in [("observe", online), ("check", checker.check(&stream))] {
+            let v = vs.iter().find(|v| v.constraint == name).expect("witness fires");
+            assert!(v.earliest.is_some(), "{name:?} via {path} has no earliest hint: {v:?}");
+        }
     }
 }

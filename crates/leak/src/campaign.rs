@@ -160,12 +160,7 @@ pub fn generate_leak_population(cfg: &LeakCampaignConfig) -> Vec<FaultPlan> {
 /// Runs one fault plan through the covert experiment and classifies it.
 pub fn run_leak_case(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> (Outcome, f64, u64) {
     let mut sys_cfg = SystemConfig::for_device(cfg.device, cfg.scheduler, 8);
-    if plan.has_shared_arbiter() {
-        // Mirror the engine's misconfiguration hook: the job asked for a
-        // secure policy but the machine wires the shared arbiter.
-        sys_cfg.scheduler = SchedulerKind::Baseline;
-    }
-    plan.perturb_timing(&mut sys_cfg.timing);
+    plan.configure(&mut sys_cfg);
 
     let (sender, modulator) = cfg.protocol.build(&default_secret());
     let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(sys_cfg.cores as usize);
@@ -180,15 +175,7 @@ pub fn run_leak_case(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> (Outcome, f6
         // the machine degraded gracefully rather than running insecure.
         Err(_) => return (Outcome::GracefulDegrade, 0.0, 0),
     };
-    for (at, ev) in plan.reconfig_events() {
-        sys.schedule_reconfig(at, ev);
-    }
-    if let Some(spec) = plan.cmd_fault_spec() {
-        sys.controller_mut().inject_command_faults(spec);
-    }
-    if let Some(t) = plan.device_timing(&sys_cfg.timing) {
-        sys.controller_mut().set_device_timing(t);
-    }
+    plan.arm(&mut sys);
     sys.observe(0);
 
     let mut est = OnlineLeakEstimator::new();

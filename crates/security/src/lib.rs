@@ -28,9 +28,7 @@ pub use leakage::{
     binary_channel_capacity, mutual_information, try_mutual_information, LeakageError,
 };
 pub use noninterference::{
-    check_churn_noninterference, check_churn_noninterference_on, check_noninterference,
-    check_noninterference_faulted, check_noninterference_on, execution_profile,
-    execution_profile_churned, execution_profile_churned_on, execution_profile_faulted,
-    execution_profile_on, ChurnEnv, ChurnReport, NonInterferenceReport,
+    check_churn_noninterference, check_noninterference, execution_profile, ChurnEnv, ChurnReport,
+    NonInterferenceReport,
 };
 pub use profile::ExecutionProfile;

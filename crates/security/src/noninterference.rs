@@ -37,85 +37,56 @@ impl NonInterferenceReport {
     }
 }
 
-/// Measures the execution profile of an mcf-like attacker on core 0 under
-/// `scheduler`, co-scheduled with seven `co` threads.
-pub fn execution_profile(
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> ExecutionProfile {
-    execution_profile_on(DeviceGeneration::Ddr3_1600, scheduler, co, bucket_instrs, buckets)
-}
-
-/// [`execution_profile`] on a specific device generation: the FS
-/// guarantee is a property of the scheduling discipline, not of one
-/// part's datasheet, so the harness must be able to probe every profile.
-pub fn execution_profile_on(
-    device: DeviceGeneration,
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> ExecutionProfile {
-    let cfg = SystemConfig::for_device(device, scheduler, 8);
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
-    // The attacker (the paper uses mcf) always uses the same seed, so its
-    // own instruction stream is identical across environments.
-    traces.push(Box::new(SyntheticTrace::new(BenchProfile::mcf(), 0xA77AC)));
-    for _ in 1..cfg.cores {
-        match co {
-            CoRunners::Idle => traces.push(Box::new(IdleTrace)),
-            CoRunners::MemoryIntensive => traces.push(Box::new(FloodTrace::new())),
-        }
-    }
-    let mut sys = System::new(&cfg, traces);
-    ExecutionProfile::new(sys.run_profile(0, bucket_instrs, buckets), bucket_instrs)
-}
-
-/// [`execution_profile`] under an injected [`FaultPlan`], with the
-/// online invariant monitor armed: the attacker's profile is taken while
-/// the controller absorbs (or fails under) the plan's faults, and any
+/// Measures the execution profile of an mcf-like attacker on core 0 of
+/// an 8-core `device` system under `scheduler`, co-scheduled with seven
+/// `co` threads, with `plan` applied and the online invariant monitor
+/// armed.
+///
+/// The empty plan is the static environment; [`ChurnEnv::plan`] gives
+/// the churn environments. The plan applies as it does to any
+/// [`fsmc_sim::ExperimentJob`] ([`FaultPlan::configure`] and
+/// [`FaultPlan::arm`]), except that trace-corruption faults do not: the
+/// harness owns its traces, and the attacker's instruction stream must
+/// stay identical across environments for profiles to be comparable at
+/// all. The monitor only observes, so it never changes a profile; any
 /// stall, poisoning or invariant breach surfaces as a structured error
 /// carrying the plan's repro provenance.
 ///
-/// Timing perturbations, command faults and device faults all apply;
-/// trace-corruption faults do not (the harness owns its traces — the
-/// attacker's instruction stream must stay identical across
-/// environments for profiles to be comparable at all).
-///
 /// # Errors
 ///
-/// As for [`fsmc_sim::System::try_run_cycles`], plus construction
+/// As for [`fsmc_sim::System::try_run_profile`], plus construction
 /// failures for infeasible perturbed timing.
-pub fn execution_profile_faulted(
+pub fn execution_profile(
+    device: DeviceGeneration,
     scheduler: SchedulerKind,
     co: CoRunners,
+    plan: &FaultPlan,
     bucket_instrs: u64,
     buckets: usize,
-    plan: &FaultPlan,
 ) -> Result<ExecutionProfile, FsmcError> {
-    let mut cfg = SystemConfig::paper_default(scheduler);
+    let mut cfg = SystemConfig::for_device(device, scheduler, 8);
     cfg.monitor = true;
-    plan.perturb_timing(&mut cfg.timing);
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
+    plan.configure(&mut cfg);
+    let mut sys = System::try_new(&cfg, traces(co, cfg.cores))?;
+    plan.arm(&mut sys);
+    let boundaries =
+        sys.try_run_profile(0, bucket_instrs, buckets).map_err(|e| e.with_provenance(plan))?;
+    Ok(ExecutionProfile::new(boundaries, bucket_instrs))
+}
+
+/// The attacker on core 0 and `co` threads on the other `cores - 1`.
+fn traces(co: CoRunners, cores: u8) -> Vec<Box<dyn TraceSource>> {
+    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cores as usize);
+    // The attacker (the paper uses mcf) always uses the same seed, so its
+    // own instruction stream is identical across environments.
     traces.push(Box::new(SyntheticTrace::new(BenchProfile::mcf(), 0xA77AC)));
-    for _ in 1..cfg.cores {
+    for _ in 1..cores {
         match co {
             CoRunners::Idle => traces.push(Box::new(IdleTrace)),
             CoRunners::MemoryIntensive => traces.push(Box::new(FloodTrace::new())),
         }
     }
-    let mut sys = System::try_new(&cfg, traces)?;
-    if let Some(spec) = plan.cmd_fault_spec() {
-        sys.controller_mut().inject_command_faults(spec);
-    }
-    if let Some(t) = plan.device_timing(&cfg.timing) {
-        sys.controller_mut().set_device_timing(t);
-    }
-    let boundaries =
-        sys.try_run_profile(0, bucket_instrs, buckets).map_err(|e| e.with_provenance(plan))?;
-    Ok(ExecutionProfile::new(boundaries, bucket_instrs))
+    traces
 }
 
 /// What churns around the observer mid-run (the reconfiguration probe).
@@ -151,7 +122,7 @@ impl ChurnEnv {
     }
 
     /// The fault plan realising this environment, churning at `at`.
-    fn plan(self, at: u64) -> FaultPlan {
+    pub fn plan(self, at: u64) -> FaultPlan {
         let plan = FaultPlan::new(0);
         match self {
             ChurnEnv::Static => plan,
@@ -160,67 +131,6 @@ impl ChurnEnv {
             ChurnEnv::ForeignBankFault => plan.with(FaultKind::StuckBank { rank: 7, bank: 0, at }),
         }
     }
-}
-
-/// [`execution_profile`] with a reconfiguration event scheduled at DRAM
-/// cycle `churn_at` and the invariant monitor armed across the epoch
-/// boundary. The observer on core 0 keeps its usual trace; `env` decides
-/// what churns around it.
-///
-/// # Errors
-///
-/// As for [`fsmc_sim::System::try_run_profile`]: a stall, timing
-/// poisoning, cadence breach on either side of the transition, or a
-/// failed re-certification all surface as structured errors with the
-/// plan's repro provenance attached.
-pub fn execution_profile_churned(
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    env: ChurnEnv,
-    churn_at: u64,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> Result<ExecutionProfile, FsmcError> {
-    execution_profile_churned_on(
-        DeviceGeneration::Ddr3_1600,
-        scheduler,
-        co,
-        env,
-        churn_at,
-        bucket_instrs,
-        buckets,
-    )
-}
-
-/// [`execution_profile_churned`] on a specific device generation.
-#[allow(clippy::too_many_arguments)]
-pub fn execution_profile_churned_on(
-    device: DeviceGeneration,
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    env: ChurnEnv,
-    churn_at: u64,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> Result<ExecutionProfile, FsmcError> {
-    let plan = env.plan(churn_at);
-    let mut cfg = SystemConfig::for_device(device, scheduler, 8);
-    cfg.monitor = true;
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
-    traces.push(Box::new(SyntheticTrace::new(BenchProfile::mcf(), 0xA77AC)));
-    for _ in 1..cfg.cores {
-        match co {
-            CoRunners::Idle => traces.push(Box::new(IdleTrace)),
-            CoRunners::MemoryIntensive => traces.push(Box::new(FloodTrace::new())),
-        }
-    }
-    let mut sys = System::try_new(&cfg, traces)?;
-    for (at, ev) in plan.reconfig_events() {
-        sys.schedule_reconfig(at, ev);
-    }
-    let boundaries =
-        sys.try_run_profile(0, bucket_instrs, buckets).map_err(|e| e.with_provenance(&plan))?;
-    Ok(ExecutionProfile::new(boundaries, bucket_instrs))
 }
 
 /// Outcome of a churn non-interference check: the observer's profile in
@@ -257,130 +167,74 @@ impl ChurnReport {
 }
 
 /// Runs the observer through every [`ChurnEnv`] (memory-intensive
-/// co-runners throughout) and reports whether its execution profile is
-/// independent of domain churn and foreign persistent faults.
+/// co-runners throughout, the reconfiguration event at DRAM cycle
+/// `churn_at`) and reports whether its execution profile is independent
+/// of domain churn and foreign persistent faults.
 ///
 /// # Errors
 ///
-/// Whichever environment's run fails first, with provenance attached.
+/// Whichever environment's run fails first, with provenance attached: a
+/// stall, timing poisoning, cadence breach on either side of the
+/// transition, or a failed re-certification.
 pub fn check_churn_noninterference(
-    scheduler: SchedulerKind,
-    churn_at: u64,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> Result<ChurnReport, FsmcError> {
-    check_churn_noninterference_on(
-        DeviceGeneration::Ddr3_1600,
-        scheduler,
-        churn_at,
-        bucket_instrs,
-        buckets,
-    )
-}
-
-/// [`check_churn_noninterference`] on a specific device generation.
-pub fn check_churn_noninterference_on(
     device: DeviceGeneration,
     scheduler: SchedulerKind,
     churn_at: u64,
     bucket_instrs: u64,
     buckets: usize,
 ) -> Result<ChurnReport, FsmcError> {
-    let mut profiles = Vec::with_capacity(ChurnEnv::ALL.len());
-    for env in ChurnEnv::ALL {
-        profiles.push((
-            env,
-            execution_profile_churned_on(
-                device,
-                scheduler,
-                CoRunners::MemoryIntensive,
-                env,
-                churn_at,
-                bucket_instrs,
-                buckets,
-            )?,
-        ));
-    }
+    let profiles = ChurnEnv::ALL
+        .into_iter()
+        .map(|env| {
+            let plan = env.plan(churn_at);
+            let co = CoRunners::MemoryIntensive;
+            Ok((env, execution_profile(device, scheduler, co, &plan, bucket_instrs, buckets)?))
+        })
+        .collect::<Result<_, FsmcError>>()?;
     Ok(ChurnReport { scheduler, profiles })
 }
 
-/// Runs the attacker under both environments and reports.
+/// Runs the attacker next to idle and next to flooding co-runners, with
+/// the same fault plan applied in both, and reports whether its profile
+/// changed. With the empty plan this is Figure 4's experiment. Under a
+/// fault the FS guarantee must survive graceful degradation — a fault
+/// that demotes the controller to the conservative pipeline demotes it
+/// *identically* regardless of co-runner behaviour, so even a degraded
+/// FS system leaks nothing.
 ///
 /// ```no_run
 /// use fsmc_core::sched::SchedulerKind;
+/// use fsmc_dram::DeviceGeneration;
 /// use fsmc_security::check_noninterference;
+/// use fsmc_sim::FaultPlan;
 ///
-/// let report = check_noninterference(SchedulerKind::FsRankPartitioned, 10_000, 20);
+/// let report = check_noninterference(
+///     DeviceGeneration::Ddr3_1600,
+///     SchedulerKind::FsRankPartitioned,
+///     &FaultPlan::default(),
+///     10_000,
+///     20,
+/// )
+/// .unwrap();
 /// assert!(report.is_non_interfering()); // divergence is exactly zero
 /// ```
-pub fn check_noninterference(
-    scheduler: SchedulerKind,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> NonInterferenceReport {
-    check_noninterference_on(DeviceGeneration::Ddr3_1600, scheduler, bucket_instrs, buckets)
-}
-
-/// [`check_noninterference`] on a specific device generation: the same
-/// idle-vs-flooding probe with the geometry and timing of `device`.
-pub fn check_noninterference_on(
-    device: DeviceGeneration,
-    scheduler: SchedulerKind,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> NonInterferenceReport {
-    NonInterferenceReport {
-        scheduler,
-        idle_profile: execution_profile_on(
-            device,
-            scheduler,
-            CoRunners::Idle,
-            bucket_instrs,
-            buckets,
-        ),
-        intensive_profile: execution_profile_on(
-            device,
-            scheduler,
-            CoRunners::MemoryIntensive,
-            bucket_instrs,
-            buckets,
-        ),
-    }
-}
-
-/// Security under fault: runs the attacker under both environments with
-/// the same fault plan injected in each, and checks whether the profiles
-/// stay bit-identical. The FS guarantee must survive graceful
-/// degradation — a fault that demotes the controller to the conservative
-/// pipeline demotes it *identically* regardless of co-runner behaviour,
-/// so even a degraded FS system leaks nothing.
 ///
 /// # Errors
 ///
 /// Whichever environment's run fails first (stall, poisoning, invariant
 /// breach, infeasible perturbed timing), with provenance attached.
-pub fn check_noninterference_faulted(
+pub fn check_noninterference(
+    device: DeviceGeneration,
     scheduler: SchedulerKind,
+    plan: &FaultPlan,
     bucket_instrs: u64,
     buckets: usize,
-    plan: &FaultPlan,
 ) -> Result<NonInterferenceReport, FsmcError> {
+    let profile = |co| execution_profile(device, scheduler, co, plan, bucket_instrs, buckets);
     Ok(NonInterferenceReport {
         scheduler,
-        idle_profile: execution_profile_faulted(
-            scheduler,
-            CoRunners::Idle,
-            bucket_instrs,
-            buckets,
-            plan,
-        )?,
-        intensive_profile: execution_profile_faulted(
-            scheduler,
-            CoRunners::MemoryIntensive,
-            bucket_instrs,
-            buckets,
-            plan,
-        )?,
+        idle_profile: profile(CoRunners::Idle)?,
+        intensive_profile: profile(CoRunners::MemoryIntensive)?,
     })
 }
 
@@ -388,15 +242,26 @@ pub fn check_noninterference_faulted(
 mod tests {
     use super::*;
 
+    const DDR3: DeviceGeneration = DeviceGeneration::Ddr3_1600;
+
+    fn check(
+        scheduler: SchedulerKind,
+        bucket_instrs: u64,
+        buckets: usize,
+    ) -> NonInterferenceReport {
+        check_noninterference(DDR3, scheduler, &FaultPlan::default(), bucket_instrs, buckets)
+            .expect("clean probe runs must complete")
+    }
+
     #[test]
     fn fs_rank_partitioned_is_non_interfering() {
-        let r = check_noninterference(SchedulerKind::FsRankPartitioned, 2000, 10);
+        let r = check(SchedulerKind::FsRankPartitioned, 2000, 10);
         assert!(r.is_non_interfering(), "FS leaked: divergence {} cycles", r.max_divergence());
     }
 
     #[test]
     fn fs_triple_alternation_is_non_interfering() {
-        let r = check_noninterference(SchedulerKind::FsTripleAlternation, 1000, 5);
+        let r = check(SchedulerKind::FsTripleAlternation, 1000, 5);
         assert!(r.is_non_interfering(), "divergence {}", r.max_divergence());
     }
 
@@ -406,7 +271,14 @@ mod tests {
         // parameters: the bit-identity holds on grouped DDR4, slow-core
         // LPDDR4 and wide HBM2 alike.
         for device in DeviceGeneration::all() {
-            let r = check_noninterference_on(device, SchedulerKind::FsRankPartitioned, 1000, 5);
+            let r = check_noninterference(
+                device,
+                SchedulerKind::FsRankPartitioned,
+                &FaultPlan::default(),
+                1000,
+                5,
+            )
+            .expect("clean probe runs must complete");
             assert!(
                 r.is_non_interfering(),
                 "FS leaked on {device}: divergence {} cycles",
@@ -420,12 +292,14 @@ mod tests {
         // Negative control off-DDR3: bank-grouped FR-FCFS still leaks
         // co-runner intensity, so the per-device FS assertion above is
         // not vacuous.
-        let r = check_noninterference_on(
+        let r = check_noninterference(
             DeviceGeneration::Ddr4_2400,
             SchedulerKind::Baseline,
+            &FaultPlan::default(),
             2000,
             10,
-        );
+        )
+        .expect("clean probe runs must complete");
         assert!(!r.is_non_interfering(), "ddr4 baseline unexpectedly non-interfering");
     }
 
@@ -434,7 +308,7 @@ mod tests {
         // The PR-6 reconfiguration story must survive the device swap:
         // joins, leaves and foreign persistent faults on a bank-grouped
         // part reconfigure without perturbing the observer.
-        let r = check_churn_noninterference_on(
+        let r = check_churn_noninterference(
             DeviceGeneration::Ddr4_2400,
             SchedulerKind::FsRankPartitioned,
             800,
@@ -451,32 +325,31 @@ mod tests {
     }
 
     #[test]
-    fn monitored_profile_matches_unmonitored_on_clean_runs() {
-        // Arming the monitor (via an empty fault plan) observes without
-        // perturbing: the attacker's profile is unchanged and no breach
-        // fires on a healthy FS run.
-        let plain = execution_profile(SchedulerKind::FsRankPartitioned, CoRunners::Idle, 1000, 5);
-        let armed = execution_profile_faulted(
-            SchedulerKind::FsRankPartitioned,
-            CoRunners::Idle,
-            1000,
-            5,
-            &FaultPlan::new(0),
-        )
-        .expect("clean run must not breach the monitor");
-        assert!(plain.identical(&armed), "monitoring changed the profile");
+    fn armed_monitor_does_not_change_the_profile() {
+        // Every probe arms the invariant monitor; it observes without
+        // perturbing, so the profile equals an unmonitored run's.
+        for (kind, co) in [
+            (SchedulerKind::FsRankPartitioned, CoRunners::Idle),
+            (SchedulerKind::Baseline, CoRunners::MemoryIntensive),
+        ] {
+            let armed = execution_profile(DDR3, kind, co, &FaultPlan::default(), 1000, 5)
+                .expect("clean run must not breach the monitor");
+            let cfg = SystemConfig::for_device(DDR3, kind, 8);
+            let mut sys = System::new(&cfg, traces(co, cfg.cores));
+            let plain = ExecutionProfile::new(sys.run_profile(0, 1000, 5), 1000);
+            assert!(plain.identical(&armed), "{kind}: monitoring changed the profile");
+        }
     }
 
     #[test]
     fn fs_stays_bit_identical_under_graceful_degradation() {
-        use fsmc_sim::FaultKind;
         // A 3x-stretched refresh forces the controller onto the
         // conservative pipeline mid-run. Degradation is triggered by the
         // wall-clock refresh cadence, so it happens identically in both
         // environments — and the degraded pipeline is still FS: the
         // profiles must remain bit-identical even while degraded.
         let plan = FaultPlan::new(11).with(FaultKind::StretchRefresh { factor: 3 });
-        let r = check_noninterference_faulted(SchedulerKind::FsRankPartitioned, 1000, 5, &plan)
+        let r = check_noninterference(DDR3, SchedulerKind::FsRankPartitioned, &plan, 1000, 5)
             .expect("stretch-refresh must degrade gracefully, not fail");
         assert!(
             r.is_non_interfering(),
@@ -486,8 +359,30 @@ mod tests {
     }
 
     #[test]
+    fn faulted_probe_applies_the_plans_reconfiguration_events() {
+        // A co-runner leaving mid-run must actually happen under a fault
+        // plan, not just under the churn probe: FR-FCFS sees the flooder
+        // go, while FS-RP's survivor profile stays bit-identical.
+        let base = FaultPlan::new(11).with(FaultKind::StretchRefresh { factor: 3 });
+        let leave = base.clone().with(FaultKind::DomainLeave { domain: 1, at: 800 });
+        let co = CoRunners::MemoryIntensive;
+        let profile = |kind, plan: &FaultPlan| {
+            execution_profile(DDR3, kind, co, plan, 2000, 10).expect("faulted probe must run")
+        };
+        let (kind, other) = (SchedulerKind::Baseline, SchedulerKind::FsRankPartitioned);
+        assert!(
+            !profile(kind, &base).identical(&profile(kind, &leave)),
+            "baseline attacker did not see the co-runner leave"
+        );
+        assert!(
+            profile(other, &base).identical(&profile(other, &leave)),
+            "FS-RP attacker saw the co-runner leave"
+        );
+    }
+
+    #[test]
     fn fs_survivor_profile_is_churn_independent() {
-        let r = check_churn_noninterference(SchedulerKind::FsRankPartitioned, 800, 1000, 5)
+        let r = check_churn_noninterference(DDR3, SchedulerKind::FsRankPartitioned, 800, 1000, 5)
             .expect("churn must reconfigure cleanly under FS");
         assert!(
             r.is_non_interfering(),
@@ -502,14 +397,14 @@ mod tests {
         // The negative control that keeps the FS test honest: under
         // FR-FCFS the same probe sees co-domain churn, because a flooder
         // leaving (or being absent until it joins) frees real bandwidth.
-        let r = check_churn_noninterference(SchedulerKind::Baseline, 800, 2000, 10)
+        let r = check_churn_noninterference(DDR3, SchedulerKind::Baseline, 800, 2000, 10)
             .expect("baseline churn runs must complete");
         assert!(!r.is_non_interfering(), "baseline unexpectedly churn-independent");
     }
 
     #[test]
     fn baseline_leaks_co_runner_intensity() {
-        let r = check_noninterference(SchedulerKind::Baseline, 2000, 10);
+        let r = check(SchedulerKind::Baseline, 2000, 10);
         assert!(!r.is_non_interfering(), "baseline unexpectedly non-interfering");
         // The divergence is large: flooding co-runners slow the attacker
         // substantially (the visible gap of Figure 4).

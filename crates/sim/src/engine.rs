@@ -131,14 +131,7 @@ impl ExperimentJob {
             .config
             .unwrap_or_else(|| SystemConfig::with_cores(self.scheduler, self.mix.cores() as u8));
         cfg.scheduler = self.scheduler;
-        if self.faults.has_shared_arbiter() {
-            // The misconfiguration fault: whatever secure policy the job
-            // asked for, the machine actually runs the shared FR-FCFS
-            // arbiter. Nothing else about the run changes — the leak is
-            // the only symptom.
-            cfg.scheduler = SchedulerKind::Baseline;
-        }
-        self.faults.perturb_timing(&mut cfg.timing);
+        self.faults.configure(&mut cfg);
         let traces = build_traces(&self.mix, self.seed, &self.faults, Some(cache))?;
         if traces.len() != cfg.cores as usize {
             return Err(ConfigError::new(format!(
@@ -156,25 +149,7 @@ impl ExperimentJob {
         if self.metrics {
             sys.enable_metrics();
         }
-        if !self.faults.faults.is_empty() && !self.faults.is_pure_reconfig() {
-            // Injected faults deliberately violate the controllers'
-            // `next_event` contract (delayed commands, stretched
-            // refresh, perturbed timing), so faulted jobs always run
-            // per-cycle; the fast path is for clean measurement runs.
-            // Pure-reconfiguration plans keep it: the reconfig protocol
-            // runs inside `System::step`, and skips clamp at the next
-            // queued event / adoption cycle.
-            sys.disable_fastpath();
-        }
-        for (at, ev) in self.faults.reconfig_events() {
-            sys.schedule_reconfig(at, ev);
-        }
-        if let Some(spec) = self.faults.cmd_fault_spec() {
-            sys.controller_mut().inject_command_faults(spec);
-        }
-        if let Some(t) = self.faults.device_timing(&cfg.timing) {
-            sys.controller_mut().set_device_timing(t);
-        }
+        self.faults.arm(&mut sys);
         sys.try_run_cycles(self.cycles)?;
         let stats = sys.stats();
         let metrics = if self.metrics { sys.metrics_report() } else { None };

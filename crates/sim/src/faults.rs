@@ -22,8 +22,16 @@
 //!   events ([`FaultKind::DomainLeave`], [`FaultKind::DomainJoin`]) fire
 //!   once at a scheduled cycle and trigger the epoch-based
 //!   reconfiguration protocol instead of the transient injectors.
+//! * [`FaultKind::SharedArbiter`] swaps the configured scheduler for the
+//!   shared FR-FCFS arbiter.
+//!
+//! Every run that takes a plan applies it in the same two steps:
+//! [`FaultPlan::configure`] before the [`System`] is built and
+//! [`FaultPlan::arm`] right after.
 
-use fsmc_core::sched::{CmdFaultSpec, ReconfigEvent};
+use crate::config::SystemConfig;
+use crate::system::System;
+use fsmc_core::sched::{CmdFaultSpec, ReconfigEvent, SchedulerKind};
 use fsmc_dram::{Cycle, TimingParams};
 
 /// A DRAM timing parameter a fault can perturb.
@@ -161,9 +169,48 @@ impl FaultPlan {
         self
     }
 
+    /// Applies the plan to the configuration a system is about to be
+    /// built from: [`FaultKind::SharedArbiter`] swaps in the shared
+    /// FR-FCFS arbiter, whatever secure policy was asked for (nothing
+    /// else about the run changes — the leak is the only symptom), and
+    /// every [`FaultKind::PerturbTiming`] edits the timing both solver
+    /// and device will see.
+    pub fn configure(&self, cfg: &mut SystemConfig) {
+        if self.has_shared_arbiter() {
+            cfg.scheduler = SchedulerKind::Baseline;
+        }
+        self.perturb_timing(&mut cfg.timing);
+    }
+
+    /// Applies the rest of the plan to a system built from a
+    /// [`FaultPlan::configure`]d configuration: schedules its
+    /// reconfiguration events, arms the command-fault injector and slows
+    /// the device.
+    ///
+    /// Injected faults deliberately violate the controllers'
+    /// `next_event` contract (delayed commands, stretched refresh,
+    /// perturbed timing), so a plan with any of them steps per cycle; the
+    /// fast path is for clean runs. Pure-reconfiguration plans keep it:
+    /// the reconfiguration protocol runs inside `System::step`, and skips
+    /// clamp at the next queued event or adoption cycle.
+    pub fn arm(&self, sys: &mut System) {
+        if !self.faults.is_empty() && !self.is_pure_reconfig() {
+            sys.disable_fastpath();
+        }
+        for (at, ev) in self.reconfig_events() {
+            sys.schedule_reconfig(at, ev);
+        }
+        if let Some(spec) = self.cmd_fault_spec() {
+            sys.controller_mut().inject_command_faults(spec);
+        }
+        if let Some(t) = self.device_timing(&sys.config().timing) {
+            sys.controller_mut().set_device_timing(t);
+        }
+    }
+
     /// Applies every [`FaultKind::PerturbTiming`] to `t` (the configured
     /// timing both solver and device will see).
-    pub fn perturb_timing(&self, t: &mut TimingParams) {
+    fn perturb_timing(&self, t: &mut TimingParams) {
         for f in &self.faults {
             if let FaultKind::PerturbTiming { field, delta } = f {
                 field.apply(t, *delta);
@@ -172,7 +219,7 @@ impl FaultPlan {
     }
 
     /// The device-only timing (slower silicon), if any fault calls for it.
-    pub fn device_timing(&self, nominal: &TimingParams) -> Option<TimingParams> {
+    fn device_timing(&self, nominal: &TimingParams) -> Option<TimingParams> {
         let mut t = *nominal;
         let mut changed = false;
         for f in &self.faults {
@@ -185,7 +232,7 @@ impl FaultPlan {
     }
 
     /// The combined command-fault spec for the controller's injector.
-    pub fn cmd_fault_spec(&self) -> Option<CmdFaultSpec> {
+    fn cmd_fault_spec(&self) -> Option<CmdFaultSpec> {
         let mut spec = CmdFaultSpec::default();
         for f in &self.faults {
             match f {

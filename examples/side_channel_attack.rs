@@ -4,14 +4,17 @@
 //! Run with: `cargo run --release --example side_channel_attack`
 
 use fsmc::core::sched::SchedulerKind;
+use fsmc::dram::DeviceGeneration;
 use fsmc::security::noninterference::{check_noninterference, execution_profile, CoRunners};
+use fsmc::sim::{FaultPlan, FsmcError};
 
-fn main() {
+fn main() -> Result<(), FsmcError> {
+    let (ddr3, clean) = (DeviceGeneration::Ddr3_1600, FaultPlan::default());
     println!("An attacker measures the time to retire each 5k-instruction block.");
     println!("If the timing depends on co-runners, the memory controller leaks.\n");
 
     for kind in [SchedulerKind::Baseline, SchedulerKind::FsRankPartitioned] {
-        let report = check_noninterference(kind, 5_000, 12);
+        let report = check_noninterference(ddr3, kind, &clean, 5_000, 12)?;
         println!("--- {kind} ---");
         println!(
             "attacker finish with idle co-runners:       {:>10} CPU cycles",
@@ -33,9 +36,11 @@ fn main() {
     }
 
     // The attack as a one-bit decision: is my neighbour using memory?
-    let probe = execution_profile(SchedulerKind::Baseline, CoRunners::MemoryIntensive, 5_000, 4);
-    let quiet = execution_profile(SchedulerKind::Baseline, CoRunners::Idle, 5_000, 4);
+    let baseline = SchedulerKind::Baseline;
+    let probe = execution_profile(ddr3, baseline, CoRunners::MemoryIntensive, &clean, 5_000, 4)?;
+    let quiet = execution_profile(ddr3, baseline, CoRunners::Idle, &clean, 5_000, 4)?;
     let slowdown = quiet.final_slowdown(&probe);
     println!("On the baseline the attacker runs {slowdown:.1}x slower next to a flooder —");
     println!("a trivially decodable signal. Under FS the ratio is exactly 1.0.");
+    Ok(())
 }

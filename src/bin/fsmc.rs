@@ -25,8 +25,7 @@ use fsmc::leak::{
     measure_cell, run_leak_campaign, run_leak_case, shrink_leak, LeakCampaignConfig, Protocol,
 };
 use fsmc::obs::ChromeTraceBuilder;
-use fsmc::security::noninterference::check_noninterference_on;
-use fsmc::security::run_covert_channel_on;
+use fsmc::security::{check_noninterference, run_covert_channel_on};
 use fsmc::serve::pool::HANG_ENV;
 use fsmc::serve::{serve, ChaosSpec, Client, ServeOptions};
 use fsmc::sim::{
@@ -386,7 +385,8 @@ fn cmd_suite(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_attack(opts: &HashMap<String, String>) -> Result<(), String> {
     let kind = scheduler_kind(opts.get("scheduler").map(String::as_str).unwrap_or("fs-rp"))?;
     let device = device_gen(opts)?;
-    let report = check_noninterference_on(device, kind, 2_000, 10);
+    let report = check_noninterference(device, kind, &FaultPlan::default(), 2_000, 10)
+        .map_err(|e| format!("non-interference probe: {e}"))?;
     println!("scheduler                   {kind}");
     println!("device                      {device}");
     println!(
@@ -562,9 +562,7 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
                  (stuck-bank/dead-rank/thermal-refresh/leave/join)"
                 .into());
         }
-        for (at, ev) in plan.reconfig_events() {
-            sys.schedule_reconfig(at, ev);
-        }
+        plan.arm(&mut sys);
     }
     sys.enable_tracing();
     sys.enable_metrics();

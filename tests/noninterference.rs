@@ -2,10 +2,18 @@
 //! zero-leakage theorem, for every FS variant.
 
 use fsmc::core::sched::SchedulerKind as K;
-use fsmc::security::noninterference::check_noninterference;
+use fsmc::dram::DeviceGeneration;
+use fsmc::security::noninterference::{check_noninterference, NonInterferenceReport};
+use fsmc::sim::FaultPlan;
+
+/// The Figure 4 probe on the paper's DDR3 part with no faults.
+fn probe(kind: K) -> NonInterferenceReport {
+    check_noninterference(DeviceGeneration::Ddr3_1600, kind, &FaultPlan::default(), 2_000, 8)
+        .expect("clean probe runs must complete")
+}
 
 fn assert_non_interfering(kind: K) {
-    let report = check_noninterference(kind, 2_000, 8);
+    let report = probe(kind);
     assert!(
         report.is_non_interfering(),
         "{kind} leaked: {} CPU cycles of divergence",
@@ -72,7 +80,7 @@ fn fs_with_energy_optimisations_is_non_interfering() {
 
 #[test]
 fn baseline_interferes() {
-    let report = check_noninterference(K::Baseline, 2_000, 8);
+    let report = probe(K::Baseline);
     assert!(!report.is_non_interfering());
 }
 
@@ -98,7 +106,7 @@ fn tp_bank_partitioned_leak_is_bounded_while_fs_is_exact() {
     // turn boundary; closing them would need a 24-cycle dead time). Our
     // port bounds it to ~1% of execution time — in stark contrast to the
     // baseline's ~10x divergence and FS's *exact* zero.
-    let report = check_noninterference(K::TpBankPartitioned { turn: 60 }, 2_000, 8);
+    let report = probe(K::TpBankPartitioned { turn: 60 });
     let total = *report.idle_profile.boundaries.last().expect("profile") as f64;
     let leak = report.max_divergence() as f64 / total;
     assert!(leak < 0.02, "TP-BP leak {:.3}% exceeds the expected bound", 100.0 * leak);
