@@ -12,7 +12,7 @@ use crate::queues::QueueFull;
 use crate::refresh::RefreshManager;
 use crate::sched::{Completion, McStats, MemoryController, SchedulerKind};
 use crate::txn::{Transaction, TxnId, TxnKind};
-use fsmc_dram::command::{Command, TimedCommand};
+use fsmc_dram::command::Command;
 use fsmc_dram::geometry::{BankId, Geometry, LineAddr, RankId};
 use fsmc_dram::{Cycle, DramDevice, TimingParams, NO_ROW};
 
@@ -691,28 +691,8 @@ impl MemoryController for BaselineScheduler {
         self.kind
     }
 
-    fn record_commands(&mut self) {
-        self.device.record_commands();
-    }
-
-    fn take_command_log(&mut self) -> Vec<TimedCommand> {
-        self.device.take_log()
-    }
-
-    fn has_pending_log(&self) -> bool {
-        self.device.has_log()
-    }
-
-    fn take_command_log_into(&mut self, out: &mut Vec<TimedCommand>) {
-        self.device.take_log_into(out);
-    }
-
     fn record_obs(&mut self) {
-        self.device.record_obs();
-    }
-
-    fn has_obs(&self) -> bool {
-        self.device.has_obs()
+        self.device.record_commands();
     }
 
     fn take_obs_into(&mut self, out: &mut Vec<fsmc_dram::ObsCommand>) {

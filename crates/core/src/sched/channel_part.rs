@@ -18,6 +18,11 @@ use fsmc_dram::geometry::Geometry;
 use fsmc_dram::{ActivityCounters, Cycle, DramDevice, TimingParams};
 
 /// One private channel (and FR-FCFS controller) per security domain.
+///
+/// The command tap ([`MemoryController::record_obs`] and the command-log
+/// views of it) covers channel 0 only, domain 0's channel: arming it
+/// through the trait arms that channel alone, and every trait drain
+/// reports it.
 #[derive(Debug)]
 pub struct ChannelPartitionedController {
     channels: Vec<BaselineScheduler>,
@@ -47,7 +52,8 @@ impl ChannelPartitionedController {
 
     /// Per-channel recorded command logs (each is a valid single-channel
     /// stream; they are deliberately *not* merged, since different
-    /// channels share no buses).
+    /// channels share no buses). Channels whose tap was never armed
+    /// report empty logs.
     pub fn take_channel_logs(&mut self) -> Vec<Vec<TimedCommand>> {
         self.channels.iter_mut().map(|c| c.take_command_log()).collect()
     }
@@ -127,35 +133,11 @@ impl MemoryController for ChannelPartitionedController {
         SchedulerKind::ChannelPartitioned
     }
 
-    fn record_commands(&mut self) {
-        for ch in &mut self.channels {
-            ch.record_commands();
-        }
-    }
-
-    fn take_command_log(&mut self) -> Vec<TimedCommand> {
-        // Only the first channel's log: merged logs from independent
-        // buses would spuriously violate single-channel rules. Use
-        // `take_channel_logs` for all of them.
-        self.channels[0].take_command_log()
-    }
-
-    fn has_pending_log(&self) -> bool {
-        self.channels[0].has_pending_log()
-    }
-
-    fn take_command_log_into(&mut self, out: &mut Vec<TimedCommand>) {
-        self.channels[0].take_command_log_into(out);
-    }
-
     fn record_obs(&mut self) {
-        for ch in &mut self.channels {
-            ch.record_obs();
-        }
-    }
-
-    fn has_obs(&self) -> bool {
-        self.channels[0].has_obs()
+        // Only channel 0: it is the one every drain below reports, and
+        // merged logs from independent buses would spuriously violate
+        // single-channel rules.
+        self.channels[0].record_obs();
     }
 
     fn take_obs_into(&mut self, out: &mut Vec<fsmc_dram::ObsCommand>) {
@@ -245,7 +227,9 @@ mod tests {
             TimingParams::ddr3_1600(),
             4,
         );
-        mc.record_commands();
+        for ch in &mut mc.channels {
+            ch.record_commands();
+        }
         for i in 0..32u64 {
             mc.enqueue(txn(i, (i % 4) as u8, i * 61)).unwrap();
         }
@@ -257,6 +241,28 @@ mod tests {
             assert!(!log.is_empty(), "channel {ch} idle");
             let v = checker.check(&log);
             assert!(v.is_empty(), "channel {ch}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn trait_tap_records_only_the_channel_it_drains() {
+        let mut mc = ChannelPartitionedController::new(
+            Geometry::paper_default(),
+            TimingParams::ddr3_1600(),
+            4,
+        );
+        mc.record_commands();
+        for i in 0..32u64 {
+            mc.enqueue(txn(i, (i % 4) as u8, i * 61)).unwrap();
+        }
+        let mut drained = Vec::new();
+        for c in 0..2000 {
+            mc.tick(c);
+            mc.take_command_log_into(&mut drained);
+        }
+        assert!(!drained.is_empty(), "channel 0 idle");
+        for (ch, log) in mc.take_channel_logs().into_iter().enumerate().skip(1) {
+            assert!(log.is_empty(), "channel {ch} recorded {} undrainable commands", log.len());
         }
     }
 

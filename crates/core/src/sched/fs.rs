@@ -30,7 +30,7 @@ use crate::solver::{
 };
 use crate::txn::{Transaction, TxnId, TxnKind};
 use fsmc_dram::checker::Violation;
-use fsmc_dram::command::{Command, TimedCommand};
+use fsmc_dram::command::Command;
 use fsmc_dram::geometry::{BankId, Geometry, LineAddr, Location, RankId, RowId};
 use fsmc_dram::{Cycle, DramDevice, TimingParams};
 use std::collections::HashMap;
@@ -222,8 +222,8 @@ pub struct FsScheduler {
     /// Deterministic command-fault injector, if armed.
     cmd_faults: Option<CmdFaultTracker>,
     /// Scheduler-level observability events (slot grants, degradations),
-    /// recorded only when [`MemoryController::record_obs`] armed them.
-    obs_events: Option<Vec<SchedEvent>>,
+    /// recorded only while the device's command tap is armed.
+    obs_events: Vec<SchedEvent>,
     /// Configuration epoch: 0 until the first adopted reconfiguration.
     epoch: u64,
     /// Banks masked out by [`ReconfigEvent::StuckBank`]: never a dummy
@@ -490,7 +490,7 @@ impl FsScheduler {
             degraded: fell_back,
             fault: None,
             cmd_faults: None,
-            obs_events: None,
+            obs_events: Vec::new(),
             epoch: 0,
             stuck_banks: Vec::new(),
             dead_ranks: vec![false; geom.ranks_per_channel() as usize],
@@ -803,11 +803,15 @@ impl FsScheduler {
         false
     }
 
-    /// Records a slot decision when observability is armed.
-    fn note_slot(&mut self, cycle: Cycle, slot: u64, domain: DomainId, kind: SlotGrantKind) {
-        if let Some(evs) = &mut self.obs_events {
-            evs.push(SchedEvent::SlotGrant { cycle, slot, domain, kind });
+    /// Records a scheduler event while the command tap is armed.
+    fn note(&mut self, ev: SchedEvent) {
+        if self.device.is_recording() {
+            self.obs_events.push(ev);
         }
+    }
+
+    fn note_slot(&mut self, cycle: Cycle, slot: u64, domain: DomainId, kind: SlotGrantKind) {
+        self.note(SchedEvent::SlotGrant { cycle, slot, domain, kind });
     }
 
     /// Energy optimisation 3: if the domain's rank is idle for the whole
@@ -991,9 +995,7 @@ impl FsScheduler {
         self.degraded = true;
         self.stats.degraded = true;
         self.stats.solver_fallbacks += 1;
-        if let Some(evs) = &mut self.obs_events {
-            evs.push(SchedEvent::Degraded { cycle: now });
-        }
+        self.note(SchedEvent::Degraded { cycle: now });
         // Requeue in-flight demand transactions so their completions are
         // not silently lost; anything that no longer fits is dropped.
         let events = std::mem::take(&mut self.events);
@@ -1308,10 +1310,10 @@ impl MemoryController for FsScheduler {
         // exactly the cycles its own `next_event` bound (slot/interval
         // decisions, scheduled command events, wall-clock refresh)
         // admits — bit-identical by construction, refresh windows and
-        // all. Decline when per-command observers are armed: the
-        // simulation layer drains logs/observations tick by tick, and
-        // hopping would batch those drains at different cycles.
-        if self.device.is_recording() || self.device.has_obs() || self.obs_events.is_some() {
+        // all. Decline while the command tap is armed: the simulation
+        // layer drains it tick by tick, and hopping would batch those
+        // drains at different cycles.
+        if self.device.is_recording() {
             return from;
         }
         let mut c = from;
@@ -1352,31 +1354,8 @@ impl MemoryController for FsScheduler {
         }
     }
 
-    fn record_commands(&mut self) {
-        self.device.record_commands();
-    }
-
-    fn take_command_log(&mut self) -> Vec<TimedCommand> {
-        self.device.take_log()
-    }
-
-    fn has_pending_log(&self) -> bool {
-        self.device.has_log()
-    }
-
-    fn take_command_log_into(&mut self, out: &mut Vec<TimedCommand>) {
-        self.device.take_log_into(out);
-    }
-
     fn record_obs(&mut self) {
-        self.device.record_obs();
-        if self.obs_events.is_none() {
-            self.obs_events = Some(Vec::new());
-        }
-    }
-
-    fn has_obs(&self) -> bool {
-        self.device.has_obs()
+        self.device.record_commands();
     }
 
     fn take_obs_into(&mut self, out: &mut Vec<fsmc_dram::ObsCommand>) {
@@ -1384,13 +1363,11 @@ impl MemoryController for FsScheduler {
     }
 
     fn has_sched_events(&self) -> bool {
-        self.obs_events.as_ref().is_some_and(|e| !e.is_empty())
+        !self.obs_events.is_empty()
     }
 
     fn take_sched_events_into(&mut self, out: &mut Vec<SchedEvent>) {
-        if let Some(evs) = &mut self.obs_events {
-            out.append(evs);
-        }
+        out.append(&mut self.obs_events);
     }
 
     fn fault(&self) -> Option<Violation> {
@@ -1407,13 +1384,9 @@ impl MemoryController for FsScheduler {
         // slower than the pipeline was certified for. Mismatches surface
         // as runtime violations and drive the degradation machinery.
         let recording = self.device.is_recording();
-        let obs = self.obs_events.is_some();
         self.device = DramDevice::new(*self.device.geometry(), t);
         if recording {
             self.device.record_commands();
-        }
-        if obs {
-            self.device.record_obs();
         }
     }
 
@@ -1526,9 +1499,7 @@ impl MemoryController for FsScheduler {
         self.recertify()?;
         self.epoch += 1;
         self.stats.reconfigs += 1;
-        if let Some(evs) = &mut self.obs_events {
-            evs.push(SchedEvent::Reconfigured { cycle: now, epoch: self.epoch });
-        }
+        self.note(SchedEvent::Reconfigured { cycle: now, epoch: self.epoch });
         Ok(())
     }
 
@@ -1540,6 +1511,7 @@ impl MemoryController for FsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsmc_dram::command::TimedCommand;
     use fsmc_dram::geometry::ColId;
     use fsmc_dram::TimingChecker;
 

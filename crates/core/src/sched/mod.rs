@@ -555,43 +555,50 @@ pub trait MemoryController {
     /// The policy this controller implements.
     fn kind(&self) -> SchedulerKind;
 
-    /// Enables command-stream recording on the underlying device so the
-    /// log can later be replayed through the timing checker.
-    fn record_commands(&mut self);
-
-    /// Takes the recorded command log (empty unless recording was enabled
-    /// on the device).
-    fn take_command_log(&mut self) -> Vec<fsmc_dram::command::TimedCommand>;
-
-    /// Cheap probe: is there anything a [`MemoryController::take_command_log`]
-    /// call would return? Lets per-cycle drains skip the call entirely on
-    /// quiet cycles. The conservative default says "maybe".
-    fn has_pending_log(&self) -> bool {
-        true
-    }
-
-    /// Drains the recorded command log into `out`, reusing the caller's
-    /// buffer instead of allocating. The default delegates to
-    /// [`MemoryController::take_command_log`].
-    fn take_command_log_into(&mut self, out: &mut Vec<fsmc_dram::command::TimedCommand>) {
-        out.extend(self.take_command_log());
-    }
-
-    /// Enables observability recording: the device's [`fsmc_dram::ObsCommand`]
-    /// side log plus (for schedulers with a slot cadence) scheduler-level
-    /// [`SchedEvent`]s. Controllers without observability support ignore
-    /// it (the default) — the tracing layer simply sees no events.
+    /// Arms the command tap: the device records each applied command
+    /// once, as an [`fsmc_dram::ObsCommand`], and slot-cadence schedulers
+    /// also record [`SchedEvent`]s. No-op by default. The four
+    /// command-log methods below are views of this one tap; both sets of
+    /// names remain because wrapping controllers forward both.
     fn record_obs(&mut self) {}
 
     /// Cheap probe: would [`MemoryController::take_obs_into`] return
-    /// anything? Default: nothing ever.
+    /// anything? Lets per-cycle drains skip the call on quiet cycles.
+    /// Default: whether [`MemoryController::device`]'s tap holds any.
     fn has_obs(&self) -> bool {
-        false
+        self.device().has_obs()
     }
 
-    /// Drains the device observability log into `out`, reusing the
-    /// caller's buffer. No-op by default.
+    /// Drains the tap into `out`, reusing the caller's buffer. No-op by
+    /// default.
     fn take_obs_into(&mut self, _out: &mut Vec<fsmc_dram::ObsCommand>) {}
+
+    /// Arms the command tap ([`MemoryController::record_obs`]) so the log
+    /// can later be replayed through the timing checker.
+    fn record_commands(&mut self) {
+        self.record_obs();
+    }
+
+    /// Takes the tap's commands as a checker stream (empty unless the
+    /// tap was armed).
+    fn take_command_log(&mut self) -> Vec<fsmc_dram::command::TimedCommand> {
+        let mut out = Vec::new();
+        self.take_command_log_into(&mut out);
+        out
+    }
+
+    /// [`MemoryController::has_obs`] under its command-log name.
+    fn has_pending_log(&self) -> bool {
+        self.has_obs()
+    }
+
+    /// Drains the tap into `out` as a checker stream
+    /// ([`fsmc_dram::ObsCommand::timed`]).
+    fn take_command_log_into(&mut self, out: &mut Vec<fsmc_dram::command::TimedCommand>) {
+        let mut obs = Vec::new();
+        self.take_obs_into(&mut obs);
+        out.extend(obs.iter().map(fsmc_dram::ObsCommand::timed));
+    }
 
     /// Cheap probe: would [`MemoryController::take_sched_events_into`]
     /// return anything? Default: nothing ever.

@@ -19,6 +19,10 @@ use fsmc_dram::geometry::Geometry;
 use fsmc_dram::{ActivityCounters, Cycle, DramDevice, TimingParams};
 
 /// FS sharded over multiple channels.
+///
+/// The command tap ([`MemoryController::record_obs`] and the command-log
+/// views of it) covers channel 0 only: arming it through the trait arms
+/// that channel alone, and every trait drain reports it.
 #[derive(Debug)]
 pub struct MultiChannelFs {
     channels: Vec<FsScheduler>,
@@ -71,7 +75,8 @@ impl MultiChannelFs {
         DomainId(domain.0 % self.dpc)
     }
 
-    /// Per-channel command logs (each independently checkable).
+    /// Per-channel command logs (each independently checkable). Channels
+    /// whose tap was never armed report empty logs.
     pub fn take_channel_logs(&mut self) -> Vec<Vec<TimedCommand>> {
         self.channels.iter_mut().map(|c| c.take_command_log()).collect()
     }
@@ -161,32 +166,11 @@ impl MemoryController for MultiChannelFs {
         SchedulerKind::FsMultiChannel { channels: self.channels.len() as u8 }
     }
 
-    fn record_commands(&mut self) {
-        for ch in &mut self.channels {
-            ch.record_commands();
-        }
-    }
-
-    fn take_command_log(&mut self) -> Vec<TimedCommand> {
-        self.channels[0].take_command_log()
-    }
-
-    fn has_pending_log(&self) -> bool {
-        self.channels[0].has_pending_log()
-    }
-
-    fn take_command_log_into(&mut self, out: &mut Vec<TimedCommand>) {
-        self.channels[0].take_command_log_into(out);
-    }
-
     fn record_obs(&mut self) {
-        for ch in &mut self.channels {
-            ch.record_obs();
-        }
-    }
-
-    fn has_obs(&self) -> bool {
-        self.channels[0].has_obs()
+        // Only channel 0: it is the one every drain below reports, and
+        // merged logs from independent buses would spuriously violate
+        // single-channel rules.
+        self.channels[0].record_obs();
     }
 
     fn take_obs_into(&mut self, out: &mut Vec<fsmc_dram::ObsCommand>) {
@@ -259,7 +243,9 @@ mod tests {
     #[test]
     fn per_channel_streams_are_legal() {
         let mut mc = mk(16, 2);
-        mc.record_commands();
+        for ch in &mut mc.channels {
+            ch.record_commands();
+        }
         for i in 0..64u64 {
             mc.enqueue(txn(i, (i % 16) as u8, 8, i * 31)).unwrap();
         }
@@ -271,6 +257,24 @@ mod tests {
             assert!(!log.is_empty());
             let v = checker.check(&log);
             assert!(v.is_empty(), "channel {ch}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn trait_tap_records_only_the_channel_it_drains() {
+        let mut mc = mk(16, 4);
+        mc.record_commands();
+        for i in 0..64u64 {
+            mc.enqueue(txn(i, (i % 16) as u8, 4, i * 31)).unwrap();
+        }
+        let mut drained = Vec::new();
+        for c in 0..2000 {
+            mc.tick(c);
+            mc.take_command_log_into(&mut drained);
+        }
+        assert!(!drained.is_empty(), "channel 0 idle");
+        for (ch, log) in mc.take_channel_logs().into_iter().enumerate().skip(1) {
+            assert!(log.is_empty(), "channel {ch} recorded {} undrainable commands", log.len());
         }
     }
 

@@ -19,10 +19,11 @@ pub struct IssueOutcome {
     pub data_done: Option<Cycle>,
 }
 
-/// An observability record of one applied command: the command, its
-/// issue cycle, whether it was a suppressed dummy, and (for CAS) the
-/// cycle its data burst completes. Richer than [`TimedCommand`] so the
-/// tracing layer can size timeline slices without knowing device timing.
+/// The device's record of one applied command: the command, its issue
+/// cycle, whether it was a suppressed dummy, and (for CAS) the cycle its
+/// data burst completes. The checker and the monitor replay its
+/// [`ObsCommand::timed`] projection; the tracing layer also reads the
+/// outcome, to size timeline slices without knowing device timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsCommand {
     pub cmd: Command,
@@ -31,16 +32,23 @@ pub struct ObsCommand {
     pub data_done: Option<Cycle>,
 }
 
+impl ObsCommand {
+    /// The command and its issue cycle: the schedule another domain
+    /// could observe, as [`crate::checker::TimingChecker`] consumes it.
+    pub fn timed(&self) -> TimedCommand {
+        TimedCommand::new(self.cmd, self.cycle)
+    }
+}
+
 /// Cycle-accurate model of one DDR3 channel and its ranks/banks.
 ///
 /// Every command must be validated with [`DramDevice::can_issue`] (or
 /// issued through [`DramDevice::issue`], which validates internally and
-/// returns an error on illegal issue). Issued commands are optionally
-/// recorded so a [`crate::checker::TimingChecker`] can re-validate the
-/// whole stream independently, and — independently — optionally mirrored
-/// into an observability side log ([`ObsCommand`]) that the tracing
-/// layer drains. Both logs are `Option`-gated: disabled, the hooks are a
-/// branch on `None` with no allocation.
+/// returns an error on illegal issue). While the command tap is armed
+/// ([`DramDevice::record_commands`]) every applied command is pushed
+/// onto it once, as an [`ObsCommand`]; the checker, the online monitor
+/// and the tracing layer all read that one stream. Disarmed, the tap is
+/// a branch on `None` with no allocation.
 #[derive(Debug, Clone)]
 pub struct DramDevice {
     geom: Geometry,
@@ -48,8 +56,7 @@ pub struct DramDevice {
     ranks: Vec<RankState>,
     channel: ChannelState,
     counters: ActivityCounters,
-    log: Option<Vec<TimedCommand>>,
-    obs_log: Option<Vec<ObsCommand>>,
+    tap: Option<Vec<ObsCommand>>,
     last_issue: Option<Cycle>,
 }
 
@@ -65,62 +72,41 @@ impl DramDevice {
             ranks,
             channel: ChannelState::for_timing(&t),
             counters: ActivityCounters::new(geom.ranks_per_channel() as usize),
-            log: None,
-            obs_log: None,
+            tap: None,
             last_issue: None,
         }
     }
 
-    /// Enables command-stream recording for later replay through the
-    /// checker.
+    /// Arms the command tap: from now on every applied command is
+    /// recorded, for replay through the checker or for tracing.
     pub fn record_commands(&mut self) {
-        if self.log.is_none() {
-            self.log = Some(Vec::new());
+        if self.tap.is_none() {
+            self.tap = Some(Vec::new());
         }
     }
 
-    /// Whether command-stream recording is enabled.
+    /// Whether the command tap is armed.
     pub fn is_recording(&self) -> bool {
-        self.log.is_some()
+        self.tap.is_some()
     }
 
-    /// Takes the recorded command stream, leaving recording enabled.
+    /// Takes the recorded commands as a checker stream, leaving the tap
+    /// armed.
     pub fn take_log(&mut self) -> Vec<TimedCommand> {
-        match &mut self.log {
-            Some(l) => std::mem::take(l),
-            None => Vec::new(),
-        }
-    }
-
-    /// Whether [`DramDevice::take_log`] would currently return anything.
-    pub fn has_log(&self) -> bool {
-        self.log.as_ref().is_some_and(|l| !l.is_empty())
-    }
-
-    /// Drains the recorded command stream into `out`, reusing the
-    /// caller's buffer instead of allocating a fresh `Vec` per drain.
-    pub fn take_log_into(&mut self, out: &mut Vec<TimedCommand>) {
-        if let Some(l) = &mut self.log {
-            out.append(l);
-        }
-    }
-
-    /// Enables the observability side log ([`ObsCommand`] per applied
-    /// command). Independent of [`DramDevice::record_commands`].
-    pub fn record_obs(&mut self) {
-        if self.obs_log.is_none() {
-            self.obs_log = Some(Vec::new());
-        }
+        let mut out = Vec::new();
+        self.take_obs_into(&mut out);
+        out.iter().map(ObsCommand::timed).collect()
     }
 
     /// Whether [`DramDevice::take_obs_into`] would return anything.
     pub fn has_obs(&self) -> bool {
-        self.obs_log.as_ref().is_some_and(|l| !l.is_empty())
+        self.tap.as_ref().is_some_and(|l| !l.is_empty())
     }
 
-    /// Drains the observability log into `out`, reusing the buffer.
+    /// Drains the recorded commands into `out`, reusing the caller's
+    /// buffer instead of allocating a fresh `Vec` per drain.
     pub fn take_obs_into(&mut self, out: &mut Vec<ObsCommand>) {
-        if let Some(l) = &mut self.obs_log {
+        if let Some(l) = &mut self.tap {
             out.append(l);
         }
     }
@@ -255,7 +241,7 @@ impl DramDevice {
     /// device state is unchanged in that case.
     pub fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, Violation> {
         self.can_issue(cmd, cycle)?;
-        self.apply_unchecked(cmd, cycle)
+        Ok(self.apply(cmd, cycle, false))
     }
 
     /// Applies a command *without* legality checks and *without* touching
@@ -266,7 +252,7 @@ impl DramDevice {
     /// dummy command had issued, but the device does not spend array or
     /// bus energy. The command is still checked (a suppressed command
     /// must still be legal, or the pipeline math is wrong) and still
-    /// recorded in the log, because the *schedule* is what security
+    /// recorded on the tap, because the *schedule* is what security
     /// verification replays.
     pub fn issue_suppressed(
         &mut self,
@@ -274,30 +260,19 @@ impl DramDevice {
         cycle: Cycle,
     ) -> Result<IssueOutcome, Violation> {
         self.can_issue(cmd, cycle)?;
-        let rank_idx = cmd.rank.0 as usize;
-        self.ranks[rank_idx].apply(cmd, cycle, &self.t);
-        self.channel.apply(cmd, cycle, &self.t);
-        self.last_issue = Some(cycle);
-        if let Some(l) = &mut self.log {
-            l.push(TimedCommand::new(*cmd, cycle));
-        }
-        if cmd.kind.is_cas() {
-            self.counters.rank_mut(rank_idx).suppressed += 1;
-        }
-        let out = self.outcome(cmd, cycle);
-        if let Some(l) = &mut self.obs_log {
-            l.push(ObsCommand { cmd: *cmd, cycle, suppressed: true, data_done: out.data_done });
-        }
-        Ok(out)
+        Ok(self.apply(cmd, cycle, true))
     }
 
-    fn apply_unchecked(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, Violation> {
+    /// Applies a validated command: timing state, activity counters (a
+    /// suppressed CAS counts only as suppressed) and one tap record.
+    fn apply(&mut self, cmd: &Command, cycle: Cycle, suppressed: bool) -> IssueOutcome {
         let rank_idx = cmd.rank.0 as usize;
         self.ranks[rank_idx].apply(cmd, cycle, &self.t);
         self.channel.apply(cmd, cycle, &self.t);
         self.last_issue = Some(cycle);
         let rc = self.counters.rank_mut(rank_idx);
         match cmd.kind {
+            _ if suppressed => rc.suppressed += cmd.kind.is_cas() as u64,
             CommandKind::Activate => rc.activates += 1,
             CommandKind::Read | CommandKind::ReadAp => rc.reads += 1,
             CommandKind::Write | CommandKind::WriteAp => rc.writes += 1,
@@ -305,17 +280,6 @@ impl DramDevice {
             CommandKind::Refresh => rc.refreshes += 1,
             _ => {}
         }
-        if let Some(l) = &mut self.log {
-            l.push(TimedCommand::new(*cmd, cycle));
-        }
-        let out = self.outcome(cmd, cycle);
-        if let Some(l) = &mut self.obs_log {
-            l.push(ObsCommand { cmd: *cmd, cycle, suppressed: false, data_done: out.data_done });
-        }
-        Ok(out)
-    }
-
-    fn outcome(&self, cmd: &Command, cycle: Cycle) -> IssueOutcome {
         let data_done = if cmd.kind.is_read() {
             Some(cycle + (self.t.t_cas + self.t.t_burst) as Cycle)
         } else if cmd.kind.is_write() {
@@ -323,6 +287,9 @@ impl DramDevice {
         } else {
             None
         };
+        if let Some(l) = &mut self.tap {
+            l.push(ObsCommand { cmd: *cmd, cycle, suppressed, data_done });
+        }
         IssueOutcome { data_done }
     }
 
@@ -549,10 +516,10 @@ mod tests {
     }
 
     #[test]
-    fn obs_log_mirrors_issues_with_outcomes() {
+    fn tap_records_each_issue_once_with_outcomes() {
         let mut d = dev();
         assert!(!d.has_obs());
-        d.record_obs();
+        d.record_commands();
         d.issue(&Command::activate(RankId(0), BankId(0), RowId(1)), 0).unwrap();
         d.issue(&Command::read_ap(RankId(0), BankId(0), RowId(1), ColId(0)), 11).unwrap();
         d.issue(&Command::activate(RankId(1), BankId(0), RowId(2)), 12).unwrap();
@@ -568,12 +535,14 @@ mod tests {
         assert!(!obs[1].suppressed);
         assert!(obs[3].suppressed);
         assert_eq!(obs[3].data_done, Some(23 + 11 + 4));
-        // Drained; recording stays on.
+        // Drained; recording stays on, and the checker view of the same
+        // tap is its `timed` projection.
         assert!(!d.has_obs());
-        d.issue(&Command::precharge(RankId(0), BankId(0)), 40).unwrap();
+        let pre = Command::precharge(RankId(0), BankId(0));
+        d.issue(&pre, 40).unwrap();
         assert!(d.has_obs());
-        // The regular checker log is untouched by obs recording.
-        assert!(!d.is_recording());
+        assert_eq!(d.take_log(), vec![TimedCommand::new(pre, 40)]);
+        assert!(d.is_recording() && !d.has_obs());
     }
 
     #[test]

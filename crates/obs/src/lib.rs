@@ -11,7 +11,7 @@
 //!
 //! Observability is `Option`-gated at every hook site: a `System` holds
 //! `Option<TraceSink>` / `Option<MetricsCollector>`, the DRAM device an
-//! `Option<Vec<..>>` side log. When disabled (the default) the hooks
+//! `Option<Vec<..>>` command tap. When disabled (the default) the hooks
 //! reduce to a `None` check — no allocation, no event construction — and
 //! simulation results are bit-identical with the hooks compiled in
 //! (`tests/determinism.rs` proves this end to end).

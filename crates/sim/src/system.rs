@@ -167,11 +167,11 @@ pub struct System {
     observations: Vec<(u64, u64)>,
     /// Online invariant monitor ([`SystemConfig::monitor`]).
     monitor: Option<InvariantMonitor>,
-    /// Commands already seen by the monitor, retained for
-    /// [`System::take_command_log`] when recording is also on.
-    monitor_log: Vec<TimedCommand>,
-    /// Degradation state at the last monitor drain, to detect schedule
-    /// swaps and re-arm the cadence spec.
+    /// Commands already drained from the controller, retained for
+    /// [`System::take_command_log`] when recording is on.
+    command_log: Vec<TimedCommand>,
+    /// Degradation state at the last drain, to detect schedule swaps and
+    /// re-arm the monitor's cadence spec.
     was_degraded: bool,
     /// Event-driven time skipping enabled? Cleared by
     /// [`System::disable_fastpath`], by `FSMC_NO_FASTPATH=1`, and by any
@@ -180,8 +180,6 @@ pub struct System {
     fastpath: bool,
     /// Reusable per-step completion buffer (hot path, no allocation).
     completion_buf: Vec<Completion>,
-    /// Reusable buffer for draining the command log into the monitor.
-    monitor_buf: Vec<TimedCommand>,
     /// Per-core scratch: is core `i` stepped through this DRAM cycle's
     /// CPU sub-cycles, or already carried across them (bulk-charged as
     /// stalled, or run as a compute span)?
@@ -214,8 +212,8 @@ pub struct System {
     trace: Option<TraceSink>,
     /// Observability: per-domain metrics ([`System::enable_metrics`]).
     obs_metrics: Option<MetricsCollector>,
-    /// Reusable drain buffer for the device-level obs command log.
-    obs_cmd_buf: Vec<ObsCommand>,
+    /// Reusable drain buffer for the controller's command tap.
+    tap_buf: Vec<ObsCommand>,
     /// Reusable drain buffer for scheduler slot/degradation events.
     obs_sched_buf: Vec<SchedEvent>,
     /// Is core `i` an active tenant? Distinct from the per-step
@@ -277,6 +275,10 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
             Box::new(fsmc_core::sched::channel_part::ChannelPartitionedController::new(g, t, n))
         }
         SchedulerKind::FsMultiChannel { channels } => {
+            if channels == 0 || !n.is_multiple_of(channels) {
+                let msg = format!("{n} cores do not shard evenly over {channels} channels");
+                return Err(ConfigError::new(msg).into());
+            }
             Box::new(fsmc_core::sched::multi_channel::MultiChannelFs::new(
                 g,
                 t,
@@ -390,11 +392,10 @@ impl System {
             observe_domain: None,
             observations: Vec::new(),
             monitor,
-            monitor_log: Vec::new(),
+            command_log: Vec::new(),
             was_degraded,
             fastpath: !crate::env::no_fastpath(),
             completion_buf: Vec::new(),
-            monitor_buf: Vec::new(),
             core_active: vec![true; cfg.cores as usize],
             mc_next_tick: 0,
             elide_armed: true,
@@ -403,7 +404,7 @@ impl System {
             core_counts: CoreCounters::default(),
             trace: None,
             obs_metrics: None,
-            obs_cmd_buf: Vec::new(),
+            tap_buf: Vec::new(),
             obs_sched_buf: Vec::new(),
             attached: vec![true; cfg.cores as usize],
             reconfig_queue: Vec::new(),
@@ -613,11 +614,10 @@ impl System {
         self.core_counts
     }
 
-    /// Takes the recorded command log (empty unless recording enabled).
-    /// With the monitor on, commands it has already drained from the
-    /// device are included ahead of any still in the controller.
+    /// Takes the recorded command log (empty unless recording enabled):
+    /// commands already drained from the controller, then any still in it.
     pub fn take_command_log(&mut self) -> Vec<TimedCommand> {
-        let mut log = std::mem::take(&mut self.monitor_log);
+        let mut log = std::mem::take(&mut self.command_log);
         log.extend(self.mc.take_command_log());
         log
     }
@@ -653,13 +653,17 @@ impl System {
         self.trace.is_some() || self.obs_metrics.is_some()
     }
 
+    /// Whether any consumer of the controller's command tap is armed:
+    /// the command log, the monitor, or an observability consumer.
+    fn tap_on(&self) -> bool {
+        self.cfg.record_commands || self.monitor.is_some() || self.obs_on()
+    }
+
     /// Takes the recorded trace events (empty unless
     /// [`System::enable_tracing`] ran), draining anything still buffered
     /// controller-side first. Recording continues afterwards.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        if self.obs_on() {
-            self.drain_obs();
-        }
+        self.drain();
         match &mut self.trace {
             Some(sink) => std::mem::take(sink).into_events(),
             None => Vec::new(),
@@ -672,7 +676,7 @@ impl System {
     /// `FSMC_THREADS` value and on either simulation path.
     pub fn metrics_report(&mut self) -> Option<MetricsReport> {
         self.obs_metrics.as_ref()?;
-        self.drain_obs();
+        self.drain();
         self.mc.finish(self.dram_cycle);
         let util = self.mc.aggregate_counters().data_bus_utilization();
         self.obs_metrics.as_ref().map(|m| m.finish(util))
@@ -739,14 +743,24 @@ impl System {
         }
     }
 
-    /// Drains controller-side observability logs into the armed
-    /// consumers. Commands arrive in issue order, so downstream
-    /// classification (row locality) sees exactly the bus stream.
-    fn drain_obs(&mut self) {
+    /// Drains the controller's command tap, then its scheduler events,
+    /// into every armed consumer: the monitor, the command log and the
+    /// observability sinks. Runs right after every real tick, so each
+    /// consumer sees exactly the bus stream in issue order. Scheduler
+    /// events are dropped when no observability consumer is armed.
+    fn drain(&mut self) {
+        let mut cmds = std::mem::take(&mut self.tap_buf);
+        cmds.clear();
         if self.mc.has_obs() {
-            let mut cmds = std::mem::take(&mut self.obs_cmd_buf);
-            cmds.clear();
             self.mc.take_obs_into(&mut cmds);
+        }
+        if self.monitor.is_some() {
+            self.monitor_observe(&cmds);
+        }
+        if self.cfg.record_commands {
+            self.command_log.extend(cmds.iter().map(ObsCommand::timed));
+        }
+        if self.obs_on() {
             for oc in &cmds {
                 let ev = Self::obs_command_event(oc);
                 if let Some(m) = &mut self.obs_metrics {
@@ -756,8 +770,8 @@ impl System {
                     t.push(ev);
                 }
             }
-            self.obs_cmd_buf = cmds;
         }
+        self.tap_buf = cmds;
         if self.mc.has_sched_events() {
             let mut evs = std::mem::take(&mut self.obs_sched_buf);
             evs.clear();
@@ -836,8 +850,8 @@ impl System {
                 }
             }
             self.completion_buf = buf;
-            if self.obs_on() {
-                self.drain_obs();
+            if self.tap_on() {
+                self.drain();
             }
         }
         // 4. CPU cycles. Cores provably stalled for the whole DRAM cycle
@@ -868,10 +882,8 @@ impl System {
                 self.cpu_cycle(cpu_now);
             }
         }
-        // 5. Online invariant monitoring over this cycle's commands.
-        if self.monitor.is_some() {
-            self.drain_monitor(c);
-        }
+        // 5. Wall-clock invariants, after the cores have submitted.
+        self.monitor_cycle(c);
         self.dram_cycle += 1;
     }
 
@@ -1014,10 +1026,11 @@ impl System {
     /// wake a core).
     /// Observationally identical to stepping: the same ticks run at the
     /// same cycles, completions are staged with the same sequence
-    /// numbers, and the monitor drains after every real tick.
+    /// numbers, and the command tap drains after every real tick.
     ///
-    /// When no per-tick observer is armed (monitor, command/obs
-    /// recording), the span is first offered to the controller's own
+    /// When no consumer of the command tap is armed (command log,
+    /// monitor, tracing, metrics), the span is first offered to the
+    /// controller's own
     /// [`MemoryController::fast_forward`]: a supporting controller
     /// (the pure-FS family) replays its event loop in one call —
     /// stopping right after the first completion-producing tick, whose
@@ -1027,7 +1040,7 @@ impl System {
         let start = self.dram_cycle;
         let mut c = start;
         let mut buf = std::mem::take(&mut self.completion_buf);
-        let opaque = self.monitor.is_none() && !self.obs_on();
+        let opaque = !self.tap_on();
         while c < until {
             buf.clear();
             if opaque {
@@ -1068,11 +1081,9 @@ impl System {
                     }));
                 }
             }
-            if self.monitor.is_some() {
-                self.drain_monitor(c);
-            }
-            if self.obs_on() {
-                self.drain_obs();
+            if !opaque {
+                self.drain();
+                self.monitor_cycle(c);
             }
             if quiet {
                 if self.elide_armed {
@@ -1120,14 +1131,8 @@ impl System {
         }
     }
 
-    /// Feeds the monitor everything the controller issued since the last
-    /// drain and runs the wall-clock invariants for this cycle.
-    fn drain_monitor(&mut self, now: u64) {
-        let mut cmds = std::mem::take(&mut self.monitor_buf);
-        cmds.clear();
-        if self.mc.has_pending_log() {
-            self.mc.take_command_log_into(&mut cmds);
-        }
+    /// Feeds the monitor one drained batch of commands.
+    fn monitor_observe(&mut self, cmds: &[ObsCommand]) {
         let degraded = self.mc.stats().degraded;
         let transition = degraded != self.was_degraded;
         self.was_degraded = degraded;
@@ -1138,23 +1143,23 @@ impl System {
         // (None while degraded — the conservative pipeline has no solved
         // cadence to enforce).
         let new_cadence = transition.then(|| self.mc.cadence_spec());
-        let outstanding = self.txn_meta.len();
-        let bound = self.cores.len() * self.cfg.mshr_capacity;
-        let mon = self.monitor.as_mut().expect("drain_monitor requires the monitor");
+        let mon = self.monitor.as_mut().expect("monitor_observe requires the monitor");
         if transition {
             mon.set_cadence(None);
         }
-        for tc in &cmds {
-            mon.observe(tc);
+        for oc in cmds {
+            mon.observe(&oc.timed());
         }
         if let Some(cadence) = new_cadence {
             mon.set_cadence(cadence);
         }
-        mon.on_cycle(now, outstanding, bound);
-        if self.cfg.record_commands {
-            self.monitor_log.extend(cmds.iter().copied());
+    }
+
+    /// Runs the monitor's wall-clock invariants for cycle `now`, if armed.
+    fn monitor_cycle(&mut self, now: u64) {
+        if let Some(mon) = &mut self.monitor {
+            mon.on_cycle(now, self.txn_meta.len(), self.cores.len() * self.cfg.mshr_capacity);
         }
-        self.monitor_buf = cmds;
     }
 
     fn deliver(&mut self, completion: Completion) {

@@ -146,9 +146,11 @@ USAGE (every command also takes --device GEN):
                                       machine-readable counters line and
                                       --shutdown stops the daemon
 
-SCHEDULERS: baseline, baseline-prefetch, fs-rp, fs-rp-prefetch, fs-bp,
-            fs-reordered-bp, fs-np, fs-ta, tp-bp, tp-np, tp-fence,
-            channel-part
+SCHEDULERS: KIND[:param], KIND one of baseline, baseline-prefetch, fs-rp,
+            fs-rp-prefetch, fs-bp, fs-reordered-bp, fs-np, fs-ta,
+            channel-part, or a parameterised kind (default in brackets):
+            tp-bp[:60] / tp-np[:172] turn length, tp-fence[:300] period,
+            fs-mc[:2] channels
 DEVICES:    ddr3-1600 (default), ddr4-2400, lpddr4-3200, hbm2
 WORKLOADS:  mix1 mix2 CG SP astar lbm libquantum mcf milc zeusmp
             GemsFDTD xalancbmk
@@ -195,21 +197,7 @@ fn get_flag(opts: &HashMap<String, String>, key: &str) -> bool {
 }
 
 fn scheduler_kind(name: &str) -> Result<SchedulerKind, String> {
-    Ok(match name {
-        "baseline" => SchedulerKind::Baseline,
-        "baseline-prefetch" => SchedulerKind::BaselinePrefetch,
-        "fs-rp" => SchedulerKind::FsRankPartitioned,
-        "fs-rp-prefetch" => SchedulerKind::FsRankPartitionedPrefetch,
-        "fs-bp" => SchedulerKind::FsBankPartitioned,
-        "fs-reordered-bp" => SchedulerKind::FsReorderedBankPartitioned,
-        "fs-np" => SchedulerKind::FsNoPartitionNaive,
-        "fs-ta" => SchedulerKind::FsTripleAlternation,
-        "tp-bp" => SchedulerKind::TpBankPartitioned { turn: 60 },
-        "tp-np" => SchedulerKind::TpNoPartition { turn: 172 },
-        "tp-fence" => SchedulerKind::TpFence { period: 300 },
-        "channel-part" => SchedulerKind::ChannelPartitioned,
-        other => return Err(format!("unknown scheduler {other:?}")),
-    })
+    fsmc::sim::spec::parse_scheduler(name).ok_or_else(|| format!("unknown scheduler {name:?}"))
 }
 
 /// `--device` wins over `FSMC_DEVICE`; both default to DDR3-1600. An
@@ -642,8 +630,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
         Some(raw) => JobSpec::parse_line(raw)?,
         None => {
             let sched = opts.get("scheduler").map(String::as_str).unwrap_or("fs-rp");
-            let scheduler = fsmc::sim::spec::parse_scheduler(sched)
-                .ok_or_else(|| format!("unknown scheduler {sched:?}"))?;
+            let scheduler = scheduler_kind(sched)?;
             let cores = u32::try_from(get_u64(opts, "cores", 8)?)
                 .map_err(|_| "--cores: too large".to_string())?;
             let wl = opts.get("workload").map(String::as_str).unwrap_or("mix1");

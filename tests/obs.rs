@@ -6,7 +6,9 @@
 
 use fsmc::core::sched::SchedulerKind as K;
 use fsmc::cpu::trace::TraceSource;
-use fsmc::obs::{ChromeTraceBuilder, DomainLatency, MetricsReport};
+use fsmc::dram::command::TimedCommand;
+use fsmc::dram::CommandKind;
+use fsmc::obs::{ChromeTraceBuilder, DomainLatency, MetricsReport, TraceEvent};
 use fsmc::sim::{Engine, ExperimentJob, ExperimentPlan, System, SystemConfig};
 use fsmc::workload::{BenchProfile, FloodTrace, IdleTrace, SyntheticTrace, WorkloadMix};
 
@@ -141,4 +143,55 @@ fn disabled_observability_yields_no_artifacts() {
     sys.run_cycles(2_000);
     assert!(sys.take_trace().is_empty());
     assert!(sys.metrics_report().is_none());
+}
+
+/// One issued command as `(cycle, kind, rank, bank, row)`; refreshes
+/// carry no bank or row.
+type CmdKey = (u64, String, u8, u8, u32);
+
+fn log_key(tc: &TimedCommand) -> CmdKey {
+    let c = tc.cmd;
+    let (bank, row) = if c.kind == CommandKind::Refresh { (0, 0) } else { (c.bank.0, c.row.0) };
+    (tc.cycle, format!("{:?}", c.kind), c.rank.0, bank, row)
+}
+
+fn trace_key(ev: &TraceEvent) -> Option<CmdKey> {
+    match *ev {
+        TraceEvent::Command { cycle, class, rank, bank, row, .. } => {
+            Some((cycle, format!("{class:?}"), rank, bank, row))
+        }
+        TraceEvent::Refresh { cycle, rank } => Some((cycle, "Refresh".into(), rank, 0, 0)),
+        _ => None,
+    }
+}
+
+/// The recorded command log and trace of one run, with the monitor and
+/// tracing armed beside the command log or not.
+fn recorded_run(kind: K, observed: bool) -> (Vec<TimedCommand>, Vec<TraceEvent>) {
+    let mut cfg = SystemConfig::with_cores(kind, 4);
+    cfg.record_commands = true;
+    cfg.monitor = observed;
+    let mut sys = System::try_from_mix(&cfg, &WorkloadMix::mix1_for(4), 5).expect("system builds");
+    if observed {
+        sys.enable_tracing();
+    }
+    sys.try_run_cycles(6_000).unwrap_or_else(|e| panic!("{kind}: {e}"));
+    let trace = sys.take_trace();
+    (sys.take_command_log(), trace)
+}
+
+/// The trace, the monitor and the command log read one device tap:
+/// the trace's commands are the log element for element, and arming
+/// the monitor and tracing never changes the recorded schedule.
+#[test]
+fn trace_and_command_log_are_one_stream() {
+    for kind in [K::FsRankPartitioned, K::Baseline, K::TpFence { period: 300 }] {
+        let (log, trace) = recorded_run(kind, true);
+        assert!(log.len() > 100, "{kind}: only {} commands", log.len());
+        let traced: Vec<CmdKey> = trace.iter().filter_map(trace_key).collect();
+        assert_eq!(traced, log.iter().map(log_key).collect::<Vec<_>>(), "{kind}");
+        let (plain, untraced) = recorded_run(kind, false);
+        assert!(untraced.is_empty());
+        assert_eq!(log, plain, "{kind}: observers changed the recorded schedule");
+    }
 }
