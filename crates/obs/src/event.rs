@@ -107,7 +107,9 @@ pub enum TraceEvent {
     /// The controller adopted a re-solved, re-certified schedule at a
     /// drained epoch boundary (persistent fault or domain churn).
     Reconfigured { cycle: Cycle, epoch: u64 },
-    /// The simulation fast path skipped or batch-ticked a span.
+    /// The simulation fast path skipped the cycles `from..to` without
+    /// stepping the cores; `batched` when the controller ticked inside
+    /// the span, rather than being proven idle throughout.
     FastPath { from: Cycle, to: Cycle, batched: bool },
 }
 

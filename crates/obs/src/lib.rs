@@ -21,7 +21,7 @@
 //! All metrics are *event-based*, never wall-clock- or poll-based:
 //! latencies are recorded when a transaction retires, row locality is
 //! classified from the drained command stream, queue occupancy is
-//! sampled at each arrival. The fast-path (`skip_ahead`/`batch_ticks`)
+//! sampled at each arrival. The fast-path (`skip_ahead`/`run_span`)
 //! and per-cycle simulation paths therefore produce identical reports,
 //! and because each engine slot computes its own report single-threaded,
 //! output is byte-identical at any `FSMC_THREADS`.

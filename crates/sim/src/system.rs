@@ -198,10 +198,11 @@ pub struct System {
     /// are pure and elision only drops proven no-op ticks, so results
     /// are bit-identical at any scan frequency.
     elide_armed: bool,
-    /// Telemetry: DRAM cycles handled without per-cycle stepping — jumped
-    /// outright or batch-ticked by [`System::skip_ahead`].
+    /// Telemetry: DRAM cycles inside [`System::skip_ahead`] spans, run
+    /// without per-cycle core stepping.
     fp_skipped: u64,
-    /// Telemetry: controller ticks elided inside stepped cycles.
+    /// Telemetry: controller ticks elided as proven no-ops, in
+    /// [`System::step`] or inside a span.
     fp_elided: u64,
     /// Telemetry: how CPU sub-cycles were simulated.
     core_counts: CoreCounters,
@@ -291,19 +292,15 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
     })
 }
 
-fn build_controller(cfg: &SystemConfig) -> Box<dyn MemoryController> {
-    try_build_controller(cfg).unwrap_or_else(|e| panic!("controller construction failed: {e}"))
-}
-
 impl System {
     /// Builds a system with one trace per core.
     ///
     /// # Panics
     ///
-    /// Panics if `traces.len() != cfg.cores`.
+    /// Panics if `traces.len() != cfg.cores`, or on any other error
+    /// [`System::try_new`] reports.
     pub fn new(cfg: &SystemConfig, traces: Vec<Box<dyn TraceSource>>) -> Self {
-        let mc = build_controller(cfg);
-        System::with_controller(cfg, traces, mc)
+        System::try_new(cfg, traces).unwrap_or_else(|e| panic!("system construction failed: {e}"))
     }
 
     /// Fallible [`System::new`]: solver and configuration failures come
@@ -418,31 +415,23 @@ impl System {
     }
 
     /// `cores` copies of one benchmark (the paper's rate mode).
+    ///
+    /// # Panics
+    ///
+    /// As for [`System::from_mix`].
     pub fn homogeneous(cfg: &SystemConfig, profile: BenchProfile, seed: u64) -> Self {
-        let traces: Vec<Box<dyn TraceSource>> = (0..cfg.cores)
-            .map(|i| {
-                Box::new(SyntheticTrace::new(profile, seed + i as u64)) as Box<dyn TraceSource>
-            })
-            .collect();
-        System::new(cfg, traces)
+        System::from_mix(cfg, &WorkloadMix::rate(profile, cfg.cores as usize), seed)
     }
 
     /// One core per profile in the mix.
     ///
     /// # Panics
     ///
-    /// Panics if the mix size differs from `cfg.cores`.
+    /// Panics if the mix size differs from `cfg.cores`, or on any other
+    /// error [`System::try_from_mix`] reports.
     pub fn from_mix(cfg: &SystemConfig, mix: &WorkloadMix, seed: u64) -> Self {
-        assert_eq!(mix.cores(), cfg.cores as usize, "mix size must match core count");
-        let traces: Vec<Box<dyn TraceSource>> = mix
-            .profiles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                Box::new(SyntheticTrace::new(*p, seed + i as u64)) as Box<dyn TraceSource>
-            })
-            .collect();
-        System::new(cfg, traces)
+        System::try_from_mix(cfg, mix, seed)
+            .unwrap_or_else(|e| panic!("system construction failed: {e}"))
     }
 
     pub fn config(&self) -> &SystemConfig {
@@ -601,9 +590,10 @@ impl System {
     }
 
     /// Fast-path effectiveness telemetry: `(skipped, elided)` — DRAM
-    /// cycles handled without per-cycle stepping (jumped or
-    /// batch-ticked), and controller ticks elided as proven no-ops.
-    /// Both are zero with the fast path off.
+    /// cycles inside skipped spans (no per-cycle core stepping; the
+    /// controller ticked only where needed), and controller ticks
+    /// elided as proven no-ops, in stepped cycles or inside spans. Both
+    /// are zero with the fast path off.
     pub fn fastpath_counters(&self) -> (u64, u64) {
         (self.fp_skipped, self.fp_elided)
     }
@@ -818,41 +808,11 @@ impl System {
             self.deliveries.pop();
             self.deliver(d.completion);
         }
-        // 3. This tick's completions: deliver due data directly (the
-        // common case — no heap traffic at all), stage only the future.
+        // 3. The tick itself, settled like every other tick.
         if ticked {
-            let mut buf = std::mem::take(&mut self.completion_buf);
-            buf.clear();
-            self.mc.tick_into(c, &mut buf);
-            if self.fastpath && self.mc.device().last_issue_at() != Some(c) {
-                // Quiet tick: pay for one next_event call to start (or
-                // extend) an elision span — but only while armed, so a
-                // dense burst costs one failed scan per issue rather
-                // than one per quiet tick. Issuing ticks skip the call —
-                // a busy controller would return `c + 1` anyway.
-                if self.elide_armed {
-                    self.mc_next_tick = self.mc.next_event(c);
-                    self.elide_armed = self.mc_next_tick > c + 1;
-                }
-            } else {
-                self.elide_armed = true;
-            }
-            for completion in buf.drain(..) {
-                if completion.finish <= c {
-                    self.deliver(completion);
-                } else {
-                    self.delivery_seq += 1;
-                    self.deliveries.push(Reverse(PendingDelivery {
-                        finish: completion.finish,
-                        seq: self.delivery_seq,
-                        completion,
-                    }));
-                }
-            }
-            self.completion_buf = buf;
-            if self.tap_on() {
-                self.drain();
-            }
+            self.completion_buf.clear();
+            self.mc.tick_into(c, &mut self.completion_buf);
+            self.settle_tick(c);
         }
         // 4. CPU cycles. Cores provably stalled for the whole DRAM cycle
         // (full ROB, nothing delivered above, head not retirable before
@@ -887,10 +847,56 @@ impl System {
         self.dram_cycle += 1;
     }
 
-    /// Event-driven time skipping: jumps `dram_cycle` forward over a
-    /// span in which *nothing observable can happen* between the cores
-    /// and the memory system, carrying each core across it on its own
-    /// ([`System::advance_cores`]).
+    /// Settles the controller tick at `c` (a `tick_into`, or the last
+    /// tick of a `fast_forward` that stopped at `c + 1`; its completions
+    /// wait in `completion_buf`) for both [`System::step`] and
+    /// [`System::run_span`]: a quiet tick pays for a
+    /// [`MemoryController::next_event`] rescan while `elide_armed` (a
+    /// scan that finds no gap disarms it, an issuing tick re-arms it, so
+    /// a dense burst costs one failed scan per issue, not per quiet
+    /// tick); completions due by `c` are delivered and the rest staged in
+    /// `(finish, seq)` order; the command tap drains. Returns the first
+    /// cycle a core may observe the tick: `c + 1` after a delivery, else
+    /// the earliest staged finish, else `u64::MAX`.
+    ///
+    /// Forced inline: left to the compiler it stays a call, which
+    /// measured about 2% slower on the secure-policy figures.
+    #[inline(always)]
+    fn settle_tick(&mut self, c: u64) -> u64 {
+        if self.fastpath && self.mc.device().last_issue_at() != Some(c) {
+            if self.elide_armed {
+                self.mc_next_tick = self.mc.next_event(c);
+                self.elide_armed = self.mc_next_tick > c + 1;
+            }
+        } else {
+            self.elide_armed = true;
+        }
+        let mut observable = u64::MAX;
+        let mut buf = std::mem::take(&mut self.completion_buf);
+        for completion in buf.drain(..) {
+            observable = observable.min(completion.finish.max(c + 1));
+            if completion.finish <= c {
+                self.deliver(completion);
+            } else {
+                self.delivery_seq += 1;
+                self.deliveries.push(Reverse(PendingDelivery {
+                    finish: completion.finish,
+                    seq: self.delivery_seq,
+                    completion,
+                }));
+            }
+        }
+        self.completion_buf = buf;
+        if self.tap_on() {
+            self.drain();
+        }
+        observable
+    }
+
+    /// Event-driven time skipping: moves `dram_cycle` forward over a
+    /// span in which *no core touches the memory system*, running the
+    /// controller alone ([`System::run_span`]) and then carrying each
+    /// core across the span on its own ([`System::advance_cores`]).
     ///
     /// Called after [`System::step`]; `limit` is the run loop's own
     /// bound (never skip past the end of the run), `health_checked`
@@ -899,10 +905,8 @@ impl System {
     /// `retire_cap` — `(core, n)` — keeps that core from retiring `n`
     /// more instructions inside the span (a profile's next bucket).
     ///
-    /// The jump target is the minimum of every source of future events:
+    /// The span ends at the minimum of every bound on core activity:
     ///
-    /// * the controller's [`MemoryController::next_event`] lower bound
-    ///   (sound by contract: `tick` is a no-op before it);
     /// * the earliest staged delivery (nothing can retire before it);
     /// * each core's next contact with the memory system — a core
     ///   blocked on memory imposes no bound, a core draining a
@@ -910,19 +914,19 @@ impl System {
     ///   cycle, and a computing core bounds the span at its
     ///   [`OooCore::compute_floor`] (or vetoes the skip when it has
     ///   none: its next cycle may read the trace or submit);
+    /// * the next reconfiguration promotion or adoption, both of which
+    ///   happen in `step`;
     /// * the monitor's next wall-clock deadline poll (a skipped poll
     ///   would latch a breach at a different cycle);
     /// * the watchdog's trigger point, so a starved run still aborts at
     ///   the exact per-cycle-identical cycle.
     ///
-    /// No core submits inside the span and nothing is delivered to one,
-    /// so the controller never sees a core, and each core's stall
-    /// charges or compute cycles reproduce per-cycle statistics bit for
-    /// bit ([`OooCore::skip_stalled`], [`OooCore::advance_compute`]).
-    ///
-    /// When the controller is hot (no cached no-op bound), the span is
-    /// handed to [`System::batch_ticks`] instead: the ticks still run,
-    /// only the per-step core and delivery machinery is dropped.
+    /// The span loop may end it earlier still, at the first cycle a
+    /// completion it produces could be observed. No core submits inside
+    /// the span and nothing is delivered to one, so the controller never
+    /// sees a core, and each core's stall charges or compute cycles
+    /// reproduce per-cycle statistics bit for bit
+    /// ([`OooCore::skip_stalled`], [`OooCore::advance_compute`]).
     fn skip_ahead(&mut self, limit: u64, health_checked: bool, retire_cap: Option<(usize, u64)>) {
         if !self.fastpath {
             return;
@@ -933,8 +937,7 @@ impl System {
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let mut target = limit;
         // A skipped span must not cross a reconfiguration point: event
-        // promotion and boundary adoption happen in `step`, so both the
-        // jump and the batch-tick path stop exactly there.
+        // promotion and boundary adoption happen in `step`.
         if let Some(&(at, _)) = self.reconfig_queue.first() {
             target = target.min(at);
         }
@@ -945,9 +948,9 @@ impl System {
             return;
         }
         // Cheapest veto next: an attached core that may read its trace
-        // or submit next cycle ends the attempt before the controller
-        // scan is even paid for. Detached cores are bulk-charged like
-        // stalled ones and never veto.
+        // or submit next cycle ends the attempt before anything else is
+        // paid for. Detached cores are bulk-charged like stalled ones
+        // and never veto.
         let now_cpu = now * ratio;
         for (i, core) in self.cores.iter().enumerate() {
             if !self.attached[i] {
@@ -987,28 +990,7 @@ impl System {
         if target <= now {
             return;
         }
-        // Controller side. With a cached no-op bound on file (from the
-        // last quiet tick, lowered by enqueue hints since), jump the
-        // clock outright. With none — the last tick issued a command,
-        // so the controller is hot and a fresh `next_event` scan would
-        // bound the skip at about one cycle, costing as much as the
-        // tick it saves — grind the controller alone instead: no core
-        // touches memory before `target`, so their per-cycle stepping
-        // machinery can be dropped even though the ticks cannot.
-        if self.mc_next_tick > now {
-            let target = target.min(self.mc_next_tick);
-            if target <= now {
-                return;
-            }
-            self.advance_cores(now, target);
-            self.fp_skipped += target - now;
-            self.dram_cycle = target;
-            if let Some(t) = &mut self.trace {
-                t.push(TraceEvent::FastPath { from: now, to: target, batched: false });
-            }
-        } else {
-            self.batch_ticks(target);
-        }
+        self.run_span(target);
         if health_checked && self.txn_meta.is_empty() {
             // health_check would have restarted the stall clock at every
             // skipped cycle; land it where per-cycle stepping would.
@@ -1016,99 +998,66 @@ impl System {
         }
     }
 
-    /// Controller-only execution over a span in which no core touches
-    /// the memory system but the controller itself is mid-burst: runs
-    /// the same ticks per-cycle stepping would (eliding proven no-op
-    /// ticks along the way) without the per-step core-classification
-    /// and delivery machinery, then carries the cores across the span
-    /// once, like a skip. Stops at `until`, or earlier as soon as a tick
-    /// produces a completion due inside the span (its delivery could
-    /// wake a core).
+    /// Controller-only execution of a span that no core touches: runs
+    /// exactly the ticks per-cycle stepping would, without the per-step
+    /// core-classification and delivery machinery, then carries the
+    /// cores across the span once. Each iteration first elides the
+    /// proven no-op ticks before the cached `next_event` bound (a span
+    /// with a bound past `until` is one jump and no tick); otherwise it
+    /// ticks and settles the tick ([`System::settle_tick`]), whose
+    /// rescan may open the next elision. Stops at `until`, or earlier
+    /// at the first cycle a produced completion could be observed.
     /// Observationally identical to stepping: the same ticks run at the
     /// same cycles, completions are staged with the same sequence
     /// numbers, and the command tap drains after every real tick.
     ///
     /// When no consumer of the command tap is armed (command log,
-    /// monitor, tracing, metrics), the span is first offered to the
-    /// controller's own
-    /// [`MemoryController::fast_forward`]: a supporting controller
-    /// (the pure-FS family) replays its event loop in one call —
-    /// stopping right after the first completion-producing tick, whose
-    /// completions then flow through the staging below unchanged —
-    /// while the default declines and the per-cycle grind proceeds.
-    fn batch_ticks(&mut self, mut until: u64) {
+    /// monitor, tracing, metrics), a tick is first offered to the
+    /// controller's own [`MemoryController::fast_forward`]: a supporting
+    /// controller (the pure-FS family) replays its event loop in one
+    /// call — stopping right after the first completion-producing tick,
+    /// which is then settled like any other — while the default
+    /// declines and the tick runs here.
+    fn run_span(&mut self, mut until: u64) {
         let start = self.dram_cycle;
         let mut c = start;
-        let mut buf = std::mem::take(&mut self.completion_buf);
+        let mut ticked = false;
         let opaque = !self.tap_on();
         while c < until {
+            if c < self.mc_next_tick {
+                let to = self.mc_next_tick.min(until);
+                self.fp_elided += to - c;
+                c = to;
+                continue;
+            }
+            ticked = true;
+            let buf = &mut self.completion_buf;
             buf.clear();
-            if opaque {
-                let r = self.mc.fast_forward(c, until, &mut buf);
-                if r == until && buf.is_empty() {
-                    // Clean hop to the span end: every tick in the span
-                    // ran (or was provably a no-op) without completing
-                    // anything. Re-arm the elision scan and finish.
-                    c = until;
-                    self.elide_armed = true;
-                    break;
-                }
-                if r > c {
-                    // The tick at `r - 1` produced completions (or a
-                    // fault); resume the per-tick bookkeeping there.
-                    c = r - 1;
-                } else {
-                    self.mc.tick_into(c, &mut buf);
-                }
-            } else {
-                self.mc.tick_into(c, &mut buf);
-            }
-            let quiet = self.mc.device().last_issue_at() != Some(c);
-            for completion in buf.drain(..) {
-                if completion.finish <= c {
-                    // Same-cycle data (impossible for real CAS timing,
-                    // but mirror `step` exactly): deliver now and stop —
-                    // a core may have woken.
-                    self.deliver(completion);
-                    until = c + 1;
-                } else {
-                    until = until.min(completion.finish);
-                    self.delivery_seq += 1;
-                    self.deliveries.push(Reverse(PendingDelivery {
-                        finish: completion.finish,
-                        seq: self.delivery_seq,
-                        completion,
-                    }));
-                }
-            }
-            if !opaque {
-                self.drain();
-                self.monitor_cycle(c);
-            }
-            if quiet {
-                if self.elide_armed {
-                    self.mc_next_tick = self.mc.next_event(c);
-                    self.elide_armed = self.mc_next_tick > c + 1;
-                    let jump = self.mc_next_tick.min(until);
-                    if jump > c + 1 {
-                        self.fp_elided += jump - c - 1;
-                        c = jump;
-                        continue;
-                    }
-                }
-            } else {
+            let r = if opaque { self.mc.fast_forward(c, until, buf) } else { c };
+            if r == until && buf.is_empty() {
+                // Clean hop to the span end: every tick in the span ran
+                // (or was provably a no-op) without completing anything.
+                // Re-arm the elision scan and finish.
+                c = until;
                 self.elide_armed = true;
+                break;
             }
+            if r > c {
+                // The tick at `r - 1` produced completions (or a fault);
+                // settle it there.
+                c = r - 1;
+            } else {
+                self.mc.tick_into(c, buf);
+            }
+            until = until.min(self.settle_tick(c));
+            self.monitor_cycle(c);
             c += 1;
         }
-        self.completion_buf = buf;
         self.advance_cores(start, c);
         self.fp_skipped += c - start;
         self.dram_cycle = c;
-        if c > start {
-            if let Some(t) = &mut self.trace {
-                t.push(TraceEvent::FastPath { from: start, to: c, batched: true });
-            }
+        if let Some(t) = &mut self.trace {
+            t.push(TraceEvent::FastPath { from: start, to: c, batched: ticked });
         }
     }
 
@@ -1421,26 +1370,8 @@ impl System {
     /// instructions, returning the CPU cycle at which each bucket
     /// boundary was crossed — the execution profile of Figure 4.
     pub fn run_profile(&mut self, core_idx: usize, bucket_instrs: u64, buckets: usize) -> Vec<u64> {
-        let mut boundaries = Vec::with_capacity(buckets);
-        let mut next_target = bucket_instrs;
-        let hard_stop = self.dram_cycle + 80_000_000;
-        while boundaries.len() < buckets && self.dram_cycle < hard_stop {
-            self.step();
-            while boundaries.len() < buckets
-                && self.cores[core_idx].stats().instructions_retired >= next_target
-            {
-                boundaries.push(self.dram_cycle * self.cfg.timing.cpu_ratio as u64);
-                next_target += bucket_instrs;
-            }
-            if boundaries.len() < buckets {
-                // A skip may run the profiled core through compute
-                // cycles, so cap the span short of its next bucket: no
-                // boundary can fall inside it.
-                let left = next_target - self.cores[core_idx].stats().instructions_retired;
-                self.skip_ahead(hard_stop, false, Some((core_idx, left)));
-            }
-        }
-        boundaries
+        self.profile(core_idx, bucket_instrs, buckets, false)
+            .expect("a profile without health checks cannot fail")
     }
 
     /// Fallible [`System::run_profile`] with the same health monitoring
@@ -1457,12 +1388,26 @@ impl System {
         bucket_instrs: u64,
         buckets: usize,
     ) -> Result<Vec<u64>, FsmcError> {
+        self.profile(core_idx, bucket_instrs, buckets, true)
+    }
+
+    /// The body of [`System::run_profile`] and [`System::try_run_profile`];
+    /// `health` runs [`System::health_check`] after every step.
+    fn profile(
+        &mut self,
+        core_idx: usize,
+        bucket_instrs: u64,
+        buckets: usize,
+        health: bool,
+    ) -> Result<Vec<u64>, FsmcError> {
         let mut boundaries = Vec::with_capacity(buckets);
         let mut next_target = bucket_instrs;
         let hard_stop = self.dram_cycle + 80_000_000;
         while boundaries.len() < buckets && self.dram_cycle < hard_stop {
             self.step();
-            self.health_check()?;
+            if health {
+                self.health_check()?;
+            }
             while boundaries.len() < buckets
                 && self.cores[core_idx].stats().instructions_retired >= next_target
             {
@@ -1470,8 +1415,11 @@ impl System {
                 next_target += bucket_instrs;
             }
             if boundaries.len() < buckets {
+                // A skip may run the profiled core through compute
+                // cycles, so cap the span short of its next bucket: no
+                // boundary can fall inside it.
                 let left = next_target - self.cores[core_idx].stats().instructions_retired;
-                self.skip_ahead(hard_stop, true, Some((core_idx, left)));
+                self.skip_ahead(hard_stop, health, Some((core_idx, left)));
             }
         }
         Ok(boundaries)

@@ -51,7 +51,13 @@ fn path_report(kind: K, fast: bool) -> MetricsReport {
 
 #[test]
 fn metrics_identical_on_fast_and_per_cycle_paths() {
-    for kind in [K::Baseline, K::FsRankPartitioned, K::FsNoPartitionNaive] {
+    for kind in [
+        K::Baseline,
+        K::FsRankPartitioned,
+        K::FsNoPartitionNaive,
+        K::TpBankPartitioned { turn: 60 },
+        K::TpFence { period: 300 },
+    ] {
         assert_eq!(path_report(kind, true), path_report(kind, false), "{kind}");
     }
 }
@@ -193,5 +199,36 @@ fn trace_and_command_log_are_one_stream() {
         let (plain, untraced) = recorded_run(kind, false);
         assert!(untraced.is_empty());
         assert_eq!(log, plain, "{kind}: observers changed the recorded schedule");
+    }
+}
+
+/// The traced fast-path spans of a run tile exactly the cycles the skip
+/// counter reports: in order, disjoint and inside the run. With the fast
+/// path off there are neither.
+#[test]
+fn fastpath_spans_tile_the_skipped_cycles() {
+    for kind in [K::FsRankPartitioned, K::Baseline, K::TpFence { period: 300 }] {
+        for fast in [true, false] {
+            let cfg = SystemConfig::with_cores(kind, 4);
+            let mut sys = System::try_from_mix(&cfg, &WorkloadMix::mix1_for(4), 5).expect("builds");
+            if !fast {
+                sys.disable_fastpath();
+            }
+            sys.enable_tracing();
+            sys.run_cycles(6_000);
+            let (mut end, mut covered, mut kinds) = (0, 0, [false; 2]);
+            for ev in sys.take_trace() {
+                if let TraceEvent::FastPath { from, to, batched } = ev {
+                    assert!(end <= from && from < to && to <= 6_000, "{kind}: span {from}..{to}");
+                    (end, covered) = (to, covered + to - from);
+                    kinds[batched as usize] = true;
+                }
+            }
+            assert_eq!(covered, sys.fastpath_counters().0, "{kind}: spans vs skip counter");
+            assert_eq!(covered > 0, fast, "{kind}: fast path {fast} skipped {covered}");
+            if kind == K::FsRankPartitioned {
+                assert_eq!(kinds, [fast; 2], "{kind}: batched and unbatched spans");
+            }
+        }
     }
 }
