@@ -454,12 +454,6 @@ impl MemoryController for BaselineScheduler {
         Ok(())
     }
 
-    fn tick(&mut self, now: Cycle) -> Vec<Completion> {
-        let mut completions = Vec::new();
-        self.tick_into(now, &mut completions);
-        completions
-    }
-
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
         // Provably-idle tick: the cached bound was a full `next_event`
         // scan of this exact state (every mutation since would have

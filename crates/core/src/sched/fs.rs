@@ -1223,12 +1223,6 @@ impl MemoryController for FsScheduler {
         self.queues[txn.domain.0 as usize].push(txn)
     }
 
-    fn tick(&mut self, now: Cycle) -> Vec<Completion> {
-        let mut completions = Vec::new();
-        self.tick_into(now, &mut completions);
-        completions
-    }
-
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
         if self.fault.is_some() {
             // Poisoned: degradation failed too. Nothing issues; the

@@ -1,23 +1,25 @@
 //! Memory-controller scheduling policies behind one trait.
 //!
-//! Three families are implemented:
+//! Four controller types implement every [`SchedulerKind`]:
 //!
 //! * [`baseline::BaselineScheduler`] — non-secure FR-FCFS open-page with
 //!   watermark-driven write drain (the normalisation denominator of every
 //!   figure in the paper).
 //! * [`tp::TpScheduler`] — Temporal Partitioning (Wang et al., HPCA 2014),
 //!   the prior secure scheme, in bank-partitioned and non-partitioned
-//!   forms with configurable turn lengths.
+//!   forms, plus the flush-based fence variant, all with configurable
+//!   turn lengths.
 //! * [`fs::FsScheduler`] — the paper's Fixed Service policies: rank
 //!   partitioning, bank partitioning, reordered bank partitioning, naive
 //!   no-partitioning and triple alternation, plus the prefetch and energy
 //!   optimisations.
+//! * [`sharded::ShardedController`] — domains split over private
+//!   channels, one inner controller each: channel partitioning (FR-FCFS
+//!   shards) and multi-channel FS (FS shards).
 
 pub mod baseline;
-pub mod channel_part;
-pub mod fence;
 pub mod fs;
-pub mod multi_channel;
+pub mod sharded;
 pub mod tp;
 
 use crate::domain::{DomainId, PartitionPolicy};
@@ -460,7 +462,7 @@ pub enum SchedEvent {
 /// The interface every scheduling policy implements.
 ///
 /// A controller owns one channel's [`DramDevice`]; the system simulator
-/// drives `tick` once per DRAM cycle and routes [`Completion`]s back to
+/// drives `tick_into` once per DRAM cycle and routes [`Completion`]s back to
 /// the cores.
 pub trait MemoryController {
     /// Whether `domain` may enqueue another transaction (back-pressure).
@@ -473,15 +475,17 @@ pub trait MemoryController {
     /// Returns [`QueueFull`] if the domain's queue is at capacity.
     fn enqueue(&mut self, txn: Transaction) -> Result<(), QueueFull>;
 
-    /// Advances one DRAM cycle, issuing commands as the policy dictates.
-    /// Completions may carry `finish` cycles in the future.
-    fn tick(&mut self, now: Cycle) -> Vec<Completion>;
+    /// Advances one DRAM cycle, issuing commands as the policy dictates,
+    /// and appends this cycle's completions to `out` (the caller's
+    /// reusable buffer). Completions may carry `finish` cycles in the
+    /// future.
+    fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>);
 
-    /// Allocation-free variant of [`MemoryController::tick`]: appends this
-    /// cycle's completions to `out` instead of returning a fresh `Vec`.
-    /// The default delegates to `tick`; hot-path controllers override it.
-    fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
-        out.extend(self.tick(now));
+    /// [`MemoryController::tick_into`] returning a fresh `Vec`.
+    fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.tick_into(now, &mut out);
+        out
     }
 
     /// A *lower bound* on the next cycle at which `tick` may change any

@@ -8,6 +8,7 @@ use fsmc_core::domain::{DomainId, PartitionPolicy};
 use fsmc_core::error::ConfigError;
 use fsmc_core::sched::baseline::BaselineScheduler;
 use fsmc_core::sched::fs::{FsScheduler, FsVariant};
+use fsmc_core::sched::sharded::ShardedController;
 use fsmc_core::sched::tp::TpScheduler;
 use fsmc_core::sched::{
     Completion, MemoryController, ReconfigEvent, SchedEvent, SchedulerKind, SlotGrantKind,
@@ -243,8 +244,9 @@ impl std::fmt::Debug for System {
     }
 }
 
-/// Builds the controller `cfg` describes; FS variants report solver or
-/// configuration failures instead of panicking.
+/// Builds the controller `cfg` describes; FS, TP and multi-channel
+/// variants report solver or configuration failures instead of
+/// panicking.
 pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryController>, FsmcError> {
     let g = cfg.geometry;
     let t = cfg.timing;
@@ -257,13 +259,9 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
     Ok(match cfg.scheduler {
         SchedulerKind::Baseline => Box::new(BaselineScheduler::new(g, t, n, false)),
         SchedulerKind::BaselinePrefetch => Box::new(BaselineScheduler::new(g, t, n, true)),
-        SchedulerKind::TpBankPartitioned { turn } => {
-            Box::new(TpScheduler::new(g, t, n, true, turn))
-        }
-        SchedulerKind::TpNoPartition { turn } => Box::new(TpScheduler::new(g, t, n, false, turn)),
-        SchedulerKind::TpFence { period } => {
-            Box::new(fsmc_core::sched::fence::FenceScheduler::new(g, t, n, period))
-        }
+        SchedulerKind::TpBankPartitioned { .. }
+        | SchedulerKind::TpNoPartition { .. }
+        | SchedulerKind::TpFence { .. } => Box::new(TpScheduler::try_new(g, t, n, cfg.scheduler)?),
         SchedulerKind::FsRankPartitioned => fs(FsVariant::RankPartitioned, false)?,
         SchedulerKind::FsRankPartitionedPrefetch => fs(FsVariant::RankPartitioned, true)?,
         SchedulerKind::FsBankPartitioned => fs(FsVariant::BankPartitioned, false)?,
@@ -273,21 +271,21 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
         SchedulerKind::FsNoPartitionNaive => fs(FsVariant::NoPartitionNaive, false)?,
         SchedulerKind::FsTripleAlternation => fs(FsVariant::TripleAlternation, false)?,
         SchedulerKind::ChannelPartitioned => {
-            Box::new(fsmc_core::sched::channel_part::ChannelPartitionedController::new(g, t, n))
+            let channels = (0..n).map(|_| BaselineScheduler::new(g, t, 1, false)).collect();
+            Box::new(ShardedController::new(cfg.scheduler, channels))
         }
         SchedulerKind::FsMultiChannel { channels } => {
             if channels == 0 || !n.is_multiple_of(channels) {
                 let msg = format!("{n} cores do not shard evenly over {channels} channels");
                 return Err(ConfigError::new(msg).into());
             }
-            Box::new(fsmc_core::sched::multi_channel::MultiChannelFs::new(
-                g,
-                t,
-                n,
-                channels,
-                FsVariant::RankPartitioned,
-                cfg.energy_options,
-            ))
+            let variant = FsVariant::RankPartitioned;
+            let shards = (0..channels)
+                .map(|_| {
+                    FsScheduler::try_new(g, t, n / channels, variant, false, cfg.energy_options)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Box::new(ShardedController::new(cfg.scheduler, shards))
         }
     })
 }

@@ -22,6 +22,8 @@ fn simulate_rejects_malformed_schedulers_cleanly() {
     for (sched, message) in [
         ("fs-rp:3", "unknown scheduler \"fs-rp:3\""),
         ("fs-mc:3", "8 cores do not shard evenly over 3 channels"),
+        ("tp-bp:5", "turn length 5 leaves no usable issue window"),
+        ("tp-fence:50", "turn length 50 leaves no usable issue window"),
     ] {
         let out = fsmc(&["simulate", "--scheduler", sched, "--cycles", "2000"]);
         let stderr = String::from_utf8_lossy(&out.stderr);

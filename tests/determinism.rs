@@ -107,7 +107,9 @@ fn fast_path_is_bit_identical_for_every_policy() {
 /// The same contract on every device generation: the fast path's
 /// `next_event_bound` folds the bank-group CAS floors and the LPDDR4/HBM
 /// timing extremes into its skip bounds, so a single missed wake-up on
-/// any profile would surface here as a stats or command-log diff.
+/// any profile would surface here as a stats or command-log diff. The
+/// fence window and TP-NP's CAS-slot prediction also follow each
+/// device's timing.
 #[test]
 fn fast_path_is_bit_identical_on_every_device_generation() {
     for device in DeviceGeneration::all() {
@@ -117,6 +119,9 @@ fn fast_path_is_bit_identical_on_every_device_generation() {
             K::FsBankPartitioned,
             K::FsReorderedBankPartitioned,
             K::TpBankPartitioned { turn: 60 },
+            K::TpNoPartition { turn: 172 },
+            K::TpFence { period: 300 },
+            K::FsMultiChannel { channels: 2 },
         ] {
             let fast = run_both_ways_on(device, kind, 3, 8_000, true);
             let slow = run_both_ways_on(device, kind, 3, 8_000, false);
