@@ -14,10 +14,11 @@
 //! or `$FSMC_RESULTS_DIR`.
 
 use fsmc_core::sched::SchedulerKind;
+use fsmc_dram::DeviceGeneration;
 use fsmc_obs::MetricsReport;
 use fsmc_sim::engine::{Engine, ExperimentJob, ExperimentPlan};
 use fsmc_sim::runner::{RunResult, SuiteResult};
-use fsmc_sim::FaultPlan;
+use fsmc_sim::{FaultPlan, SystemConfig};
 use fsmc_workload::WorkloadMix;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -226,11 +227,26 @@ fn weighted_table(
     SuiteTable { columns: kinds.to_vec(), rows }
 }
 
-/// [`weighted_ipc_suite`] over explicit mixes, an explicit [`Engine`],
-/// and optional per-scheduler fault plans — the fully parameterised form
-/// the determinism and failure-isolation tests drive directly.
+/// One suite run of `mix` under `kind` on a Table-1 system built from
+/// `device`'s profile ([`SystemConfig::for_device`]).
+fn suite_job(
+    device: DeviceGeneration,
+    mix: &WorkloadMix,
+    kind: SchedulerKind,
+    cycles: u64,
+    seed: u64,
+) -> ExperimentJob {
+    let cfg = SystemConfig::for_device(device, kind, mix.cores() as u8);
+    ExperimentJob::new(mix.clone(), kind, cycles, seed).with_config(cfg)
+}
+
+/// [`weighted_ipc_suite`] over an explicit device generation, mixes,
+/// [`Engine`], and optional per-scheduler fault plans — the fully
+/// parameterised form `fsmc suite` and the determinism and
+/// failure-isolation tests drive directly.
 pub fn weighted_ipc_suite_with(
     engine: &Engine,
+    device: DeviceGeneration,
     mixes: &[WorkloadMix],
     kinds: &[SchedulerKind],
     cycles: u64,
@@ -242,9 +258,9 @@ pub fn weighted_ipc_suite_with(
     };
     let mut plan = ExperimentPlan::new();
     for mix in mixes {
-        plan.push(ExperimentJob::new(mix.clone(), SchedulerKind::Baseline, cycles, seed));
+        plan.push(suite_job(device, mix, SchedulerKind::Baseline, cycles, seed));
         for &k in kinds {
-            plan.push(ExperimentJob::new(mix.clone(), k, cycles, seed).with_faults(plan_for(k)));
+            plan.push(suite_job(device, mix, k, cycles, seed).with_faults(plan_for(k)));
         }
     }
     weighted_table(kinds, mixes, run_plan(engine, &plan))
@@ -277,6 +293,7 @@ pub fn metrics_csv(rows: &[MetricsRow], domains: usize) -> String {
 /// the rows, like the table, are byte-identical at any `FSMC_THREADS`.
 pub fn weighted_ipc_suite_metrics(
     engine: &Engine,
+    device: DeviceGeneration,
     mixes: &[WorkloadMix],
     kinds: &[SchedulerKind],
     cycles: u64,
@@ -284,11 +301,9 @@ pub fn weighted_ipc_suite_metrics(
 ) -> (SuiteTable, Vec<MetricsRow>) {
     let mut plan = ExperimentPlan::new();
     for mix in mixes {
-        plan.push(
-            ExperimentJob::new(mix.clone(), SchedulerKind::Baseline, cycles, seed).with_metrics(),
-        );
+        plan.push(suite_job(device, mix, SchedulerKind::Baseline, cycles, seed).with_metrics());
         for &k in kinds {
-            plan.push(ExperimentJob::new(mix.clone(), k, cycles, seed).with_metrics());
+            plan.push(suite_job(device, mix, k, cycles, seed).with_metrics());
         }
     }
     let results = engine.run(&plan);
@@ -318,7 +333,8 @@ pub fn weighted_ipc_suite_metrics(
 /// workload against the non-secure baseline with identical seeds). A
 /// failed run becomes a diagnostic cell; the other columns survive.
 pub fn weighted_ipc_suite(kinds: &[SchedulerKind], cycles: u64, seed: u64) -> SuiteTable {
-    weighted_ipc_suite_with(&Engine::from_env(), &WorkloadMix::suite(8), kinds, cycles, seed, &[])
+    let (engine, mixes) = (Engine::from_env(), WorkloadMix::suite(8));
+    weighted_ipc_suite_with(&engine, DeviceGeneration::Ddr3_1600, &mixes, kinds, cycles, seed, &[])
 }
 
 /// Runs the suite on the engine and returns the raw per-workload
@@ -465,6 +481,7 @@ mod tests {
             .with(FaultKind::PerturbTiming { field: TimingField::TRtrs, delta: 600 });
         let table = weighted_ipc_suite_with(
             &Engine::with_threads(2),
+            DeviceGeneration::Ddr3_1600,
             &mixes,
             &kinds,
             4_000,

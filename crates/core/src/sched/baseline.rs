@@ -7,54 +7,171 @@
 //! DESIGN.md for the substitution note.)
 
 use crate::domain::{DomainId, PartitionPolicy};
+use crate::error::ConfigError;
 use crate::prefetch::SandboxPrefetcher;
 use crate::queues::QueueFull;
 use crate::refresh::RefreshManager;
 use crate::sched::{Completion, McStats, MemoryController, SchedulerKind};
 use crate::txn::{Transaction, TxnId, TxnKind};
 use fsmc_dram::command::Command;
-use fsmc_dram::geometry::{BankId, Geometry, LineAddr, RankId};
+use fsmc_dram::geometry::{Geometry, LineAddr, RankId};
 use fsmc_dram::{Cycle, DramDevice, TimingParams, NO_ROW};
 
-/// Immutable per-tick view of the device and queue state shared by the
-/// (up to) two [`BaselineScheduler::try_issue`] attempts of one tick:
-/// a flat open-row table, rank-level legality floors, and the
-/// pending-row-hit bank mask for the FR-FCFS precharge guard. Nothing
-/// it caches can change between the attempts — the second runs only
-/// when the first issued no command — so one build serves both, and
-/// every queue entry is classified with plain array loads instead of
-/// per-entry device accessor calls.
-///
-/// `rows`/`hit_mask` are valid only when `!wide` (geometry fits 128
-/// banks; the paper's is 64); wide geometries keep the direct scans.
-struct IssueSnapshot {
-    rows: [u32; 128],
-    /// Per-bank command floors (`BankArrays` ready cycles), flat-indexed
-    /// like `rows`: the passes touch them once per candidate entry, so
-    /// one indexed load beats the accessor chain through the device.
-    cas_bank_f: [Cycle; 128],
-    act_bank_f: [Cycle; 128],
-    pre_bank_f: [Cycle; 128],
-    pre_f: [Cycle; 16],
-    act_f: [Cycle; 16],
-    /// Rank CAS floors by direction, indexed `[is_write][rank]` so the
-    /// branchless classification sweeps select without a branch.
-    cas_dir_f: [[Cycle; 16]; 2],
-    /// Lazily-built FR-FCFS precharge guard: banks with a pending row
-    /// hit. Only pass 2 reads it, and ticks that issue a CAS in pass 1
-    /// never reach pass 2 — so the two-queue sweep is deferred until
-    /// first use (`None` = not built yet).
-    hit_mask: std::cell::Cell<Option<u128>>,
-    bpr: u32,
-    prefilter: bool,
-    wide: bool,
-}
+/// Banks per channel the candidate masks cover (one `u128` bit each).
+const MAX_BANKS: usize = 128;
+/// Entries per queue; the per-queue row-hit mask is one `u64`.
+const QUEUE_CAPACITY: usize = 64;
 
 /// One queued transaction and its command progress.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     txn: Transaction,
+    /// Global bank index `rank * banks_per_rank + bank`.
+    gbi: u8,
     issued_act: bool,
+}
+
+/// Rank-level legality floors ([`DramDevice::rank_floor_parts`]), read
+/// once per tick: the issue passes reject candidates blocked by a
+/// rank-wide constraint (tCCD between row hits, tRRD/tFAW between ACTs,
+/// refresh recovery) with one compare instead of a full `can_issue`.
+#[derive(Debug, Clone, Copy, Default)]
+struct RankFloors {
+    pre: Cycle,
+    act: Cycle,
+    /// CAS floors indexed by direction (`is_write`).
+    cas: [Cycle; 2],
+}
+
+/// The two FR-FCFS queues and the per-bank candidate state derived from
+/// them and the device's row buffers. Every queue or row change goes
+/// through [`Candidates::push`], [`Candidates::remove`],
+/// [`Candidates::activate`] or [`Candidates::close`], which update only
+/// what that change touched, so the issue passes, the precharge guard
+/// and `next_event` read the classification instead of rebuilding it.
+#[derive(Debug)]
+struct Candidates {
+    /// `[reads, writes]`, each oldest first.
+    queues: [Vec<Pending>; 2],
+    /// Per queue: bit `i` set iff entry `i` targets its bank's open row.
+    hits: [u64; 2],
+    /// Open-row mirror by global bank index ([`NO_ROW`] = precharged).
+    rows: [u32; MAX_BANKS],
+    /// Queued entries per bank, and queued row hits per direction and bank.
+    occupancy: [u8; MAX_BANKS],
+    hit_count: [[u8; MAX_BANKS]; 2],
+    /// Banks with a queued entry, with an open row, and with a queued
+    /// read / write row hit (`[read, write]`).
+    occupied: u128,
+    open: u128,
+    hit_banks: [u128; 2],
+    bpr: u32,
+}
+
+impl Candidates {
+    fn new(bpr: u32) -> Self {
+        Candidates {
+            queues: [Vec::new(), Vec::new()],
+            hits: [0; 2],
+            rows: [NO_ROW; MAX_BANKS],
+            occupancy: [0; MAX_BANKS],
+            hit_count: [[0; MAX_BANKS]; 2],
+            occupied: 0,
+            open: 0,
+            hit_banks: [0; 2],
+            bpr,
+        }
+    }
+
+    /// The banks of `rank` as a mask.
+    fn rank_mask(&self, rank: RankId) -> u128 {
+        let width = if self.bpr >= 128 { u128::MAX } else { (1u128 << self.bpr) - 1 };
+        width << (rank.0 as u32 * self.bpr)
+    }
+
+    fn add_hit(&mut self, d: usize, g: usize) {
+        self.hit_count[d][g] += 1;
+        self.hit_banks[d] |= 1 << g;
+    }
+
+    /// Appends `txn` to its direction's queue.
+    fn push(&mut self, txn: Transaction) {
+        let l = txn.loc;
+        let g = (l.rank.0 as u32 * self.bpr + l.bank.0 as u32) as usize;
+        let d = txn.is_write as usize;
+        let i = self.queues[d].len();
+        self.queues[d].push(Pending { txn, gbi: g as u8, issued_act: false });
+        self.occupancy[g] += 1;
+        self.occupied |= 1 << g;
+        if self.rows[g] == l.row.0 {
+            self.hits[d] |= 1 << i;
+            self.add_hit(d, g);
+        }
+    }
+
+    /// Removes entry `i` of queue `d`, shifting the hit mask with the
+    /// queue.
+    fn remove(&mut self, d: usize, i: usize) -> Pending {
+        let p = self.queues[d].remove(i);
+        let g = p.gbi as usize;
+        let low = (1u64 << i) - 1;
+        let was_hit = self.hits[d] >> i & 1 != 0;
+        self.hits[d] = (self.hits[d] & low) | ((self.hits[d] >> 1) & !low);
+        if was_hit {
+            self.hit_count[d][g] -= 1;
+            if self.hit_count[d][g] == 0 {
+                self.hit_banks[d] &= !(1 << g);
+            }
+        }
+        self.occupancy[g] -= 1;
+        if self.occupancy[g] == 0 {
+            self.occupied &= !(1 << g);
+        }
+        p
+    }
+
+    /// Bank `g` opened `row`: its queued entries for that row become hits.
+    fn activate(&mut self, g: usize, row: u32) {
+        self.rows[g] = row;
+        self.open |= 1 << g;
+        for d in 0..2 {
+            for i in 0..self.queues[d].len() {
+                let p = &self.queues[d][i];
+                if p.gbi as usize == g && p.txn.loc.row.0 == row {
+                    self.hits[d] |= 1 << i;
+                    self.add_hit(d, g);
+                }
+            }
+        }
+    }
+
+    /// The banks in `banks` were precharged: their queued hits (only the
+    /// refresh quiesce closes a bank that still has some) stop being hits.
+    fn close(&mut self, banks: u128) {
+        let mut m = banks & self.open;
+        while m != 0 {
+            let g = m.trailing_zeros() as usize;
+            m &= m - 1;
+            self.rows[g] = NO_ROW;
+            self.hit_count[0][g] = 0;
+            self.hit_count[1][g] = 0;
+        }
+        self.open &= !banks;
+        for d in 0..2 {
+            if self.hit_banks[d] & banks == 0 {
+                continue;
+            }
+            self.hit_banks[d] &= !banks;
+            let mut m = self.hits[d];
+            while m != 0 {
+                let i = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if banks >> self.queues[d][i].gbi & 1 != 0 {
+                    self.hits[d] &= !(1 << i);
+                }
+            }
+        }
+    }
 }
 
 /// FR-FCFS open-page controller for one channel.
@@ -65,13 +182,13 @@ pub struct BaselineScheduler {
     refresh: RefreshManager,
     stats: McStats,
     kind: SchedulerKind,
-    reads: Vec<Pending>,
-    writes: Vec<Pending>,
-    read_capacity: usize,
-    write_capacity: usize,
+    cand: Candidates,
+    /// Per-rank floors of the current tick, one entry per rank.
+    floors: Vec<RankFloors>,
     drain_hi: usize,
     drain_lo: usize,
     draining: bool,
+    /// One sandbox prefetcher per domain; empty without prefetching.
     prefetchers: Vec<SandboxPrefetcher>,
     next_prefetch_id: u64,
     domains: u8,
@@ -81,34 +198,52 @@ pub struct BaselineScheduler {
     /// could create a new issue candidate — an enqueue, or any tick that
     /// touched the device. Queue contents and row state are constant
     /// while it holds, so both `tick_into` and `next_event` answer in
-    /// O(1) instead of rescanning two 64-entry queues per idle cycle.
+    /// O(1).
     idle_until: Cycle,
 }
 
 impl BaselineScheduler {
     /// Creates a baseline controller; `prefetch` enables the sandbox
     /// prefetcher (the `Baseline_Prefetch` design point of Figure 7).
-    pub fn new(geom: Geometry, t: TimingParams, domains: u8, prefetch: bool) -> Self {
-        let device = DramDevice::new(geom, t);
-        let refresh = RefreshManager::new(&t, geom.ranks_per_channel());
-        BaselineScheduler {
-            device,
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] if the channel has more than 128 banks, the width
+    /// of the per-bank candidate masks.
+    pub fn try_new(
+        geom: Geometry,
+        t: TimingParams,
+        domains: u8,
+        prefetch: bool,
+    ) -> Result<Self, ConfigError> {
+        let nranks = geom.ranks_per_channel() as usize;
+        let bpr = geom.banks_per_rank() as u32;
+        if nranks * bpr as usize > MAX_BANKS {
+            return Err(ConfigError::new(format!(
+                "{nranks} ranks x {bpr} banks exceed the FR-FCFS limit of {MAX_BANKS} banks per \
+                 channel"
+            )));
+        }
+        Ok(BaselineScheduler {
+            device: DramDevice::new(geom, t),
             t,
-            refresh,
+            refresh: RefreshManager::new(&t, geom.ranks_per_channel()),
             stats: McStats::new(domains as usize),
             kind: if prefetch { SchedulerKind::BaselinePrefetch } else { SchedulerKind::Baseline },
-            reads: Vec::new(),
-            writes: Vec::new(),
-            read_capacity: 64,
-            write_capacity: 64,
+            cand: Candidates::new(bpr),
+            floors: vec![RankFloors::default(); nranks],
             drain_hi: 40,
             drain_lo: 16,
             draining: false,
-            prefetchers: (0..domains).map(|_| SandboxPrefetcher::new()).collect(),
+            prefetchers: if prefetch {
+                (0..domains).map(|_| SandboxPrefetcher::new()).collect()
+            } else {
+                Vec::new()
+            },
             next_prefetch_id: 1 << 62,
             domains,
             idle_until: 0,
-        }
+        })
     }
 
     fn prefetch_enabled(&self) -> bool {
@@ -123,11 +258,12 @@ impl BaselineScheduler {
         let geom = *self.device.geometry();
         // Prefetches only ride on an otherwise lightly-loaded read queue;
         // under load they would steal bandwidth from demand misses.
+        let limit = (self.domains as usize).min(QUEUE_CAPACITY);
         for d in 0..self.domains {
-            while self.reads.len() < self.domains as usize {
+            while self.cand.queues[0].len() < limit {
                 let Some(local) = self.prefetchers[d as usize].next_prefetch() else { break };
                 let loc = PartitionPolicy::None.map(&geom, DomainId(d), local);
-                let txn = Transaction {
+                self.cand.push(Transaction {
                     id: TxnId(self.next_prefetch_id),
                     domain: DomainId(d),
                     loc,
@@ -135,9 +271,8 @@ impl BaselineScheduler {
                     is_write: false,
                     arrival: now,
                     kind: TxnKind::Prefetch,
-                };
+                });
                 self.next_prefetch_id += 1;
-                self.reads.push(Pending { txn, issued_act: false });
                 self.stats.domain_mut(DomainId(d)).prefetches += 1;
             }
         }
@@ -150,165 +285,69 @@ impl BaselineScheduler {
         if now + self.t.t_rp as Cycle > start {
             return; // too late for a precharge to recover before the REF
         }
-        let geom = *self.device.geometry();
-        for r in 0..geom.ranks_per_channel() {
-            let any_open = (0..geom.banks_per_rank())
-                .any(|b| self.device.open_row(RankId(r), BankId(b)).is_some());
-            if any_open {
+        for r in 0..self.device.geometry().ranks_per_channel() {
+            let banks = self.cand.rank_mask(RankId(r));
+            if self.cand.open & banks != 0 {
                 let pre = Command::precharge_all(RankId(r));
                 if self.device.can_issue(&pre, now).is_ok() {
                     self.device.issue(&pre, now).expect("validated precharge-all");
+                    self.cand.close(banks);
                     return;
                 }
             }
         }
     }
 
-    /// Builds the per-tick issue snapshot (see [`IssueSnapshot`]).
-    fn snapshot(&self) -> IssueSnapshot {
-        let geom = self.device.geometry();
-        let nranks = geom.ranks_per_channel() as usize;
-        let bpr = geom.banks_per_rank() as u32;
-        let wide = nranks as u32 * bpr > 128;
-        let mut s = IssueSnapshot {
-            rows: [NO_ROW; 128],
-            cas_bank_f: [0; 128],
-            act_bank_f: [0; 128],
-            pre_bank_f: [0; 128],
-            pre_f: [0; 16],
-            act_f: [0; 16],
-            cas_dir_f: [[0; 16]; 2],
-            hit_mask: std::cell::Cell::new(None),
-            bpr,
-            prefilter: nranks <= 16,
-            wide,
-        };
-        if s.prefilter {
-            for r in 0..nranks {
-                let (p, a, rd, wr) = self.device.rank_floor_parts(RankId(r as u8));
-                s.pre_f[r] = p;
-                s.act_f[r] = a;
-                s.cas_dir_f[0][r] = rd;
-                s.cas_dir_f[1][r] = wr;
-            }
-        }
-        if !wide {
-            for r in 0..nranks {
-                let banks = self.device.banks_of(RankId(r as u8));
-                let rows = banks.open_rows_slice();
-                let base = r * bpr as usize;
-                s.rows[base..][..rows.len()].copy_from_slice(rows);
-                s.cas_bank_f[base..][..rows.len()].copy_from_slice(banks.next_cas_slice());
-                s.act_bank_f[base..][..rows.len()].copy_from_slice(banks.next_activate_slice());
-                s.pre_bank_f[base..][..rows.len()].copy_from_slice(banks.next_precharge_slice());
-            }
-        }
-        s
-    }
-
-    /// The deferred pending-row-hit mask of `snap` (see
-    /// [`IssueSnapshot::hit_mask`]), building it on first use.
-    fn hit_mask_of(&self, snap: &IssueSnapshot) -> u128 {
-        if let Some(m) = snap.hit_mask.get() {
-            return m;
-        }
-        let mut m = 0u128;
-        for q in self.reads.iter().chain(self.writes.iter()) {
-            let l = q.txn.loc;
-            let gbi = l.rank.0 as u32 * snap.bpr + l.bank.0 as u32;
-            if snap.rows[gbi as usize] == l.row.0 {
-                m |= 1u128 << gbi;
-            }
-        }
-        snap.hit_mask.set(Some(m));
-        m
-    }
-
-    /// Attempts FR-FCFS issue from `queue`; returns a completion if a CAS
-    /// retired a transaction. At most one command is issued.
+    /// Attempts FR-FCFS issue from queue `d` (`is_write`); returns a
+    /// completion if a CAS retired a transaction. At most one command is
+    /// issued.
     ///
-    /// The rank-level floors in `snap` reject candidates blocked by a
-    /// rank-wide constraint (tCCD between row hits, tRRD/tFAW between
-    /// ACTs, refresh recovery) with one compare instead of a full
+    /// The rank floors and the per-bank floors (`BankArrays` ready
+    /// cycles) reject candidates with one compare before a full
     /// `can_issue` validation. Sound because a floor past `now` makes
     /// `can_issue` fail for that class — the same candidates are
     /// attempted, in the same order, with identical outcomes.
-    fn try_issue(
-        &mut self,
-        is_write_queue: bool,
-        now: Cycle,
-        act_allowed: bool,
-        snap: &IssueSnapshot,
-    ) -> (bool, Option<Completion>) {
-        // Pass 1: row hits, oldest first. On table-backed geometries the
-        // sweep is branchless — every entry contributes one candidate
-        // bit computed from indexed loads (no per-entry branch to
-        // mispredict on the irregular hit pattern) — and only the few
-        // floor-ready hits pay a `can_issue`, oldest first.
-        let queue = if is_write_queue { &self.writes } else { &self.reads };
+    fn try_issue(&mut self, d: usize, now: Cycle) -> (bool, Option<Completion>) {
+        // Pass 1: row hits, oldest first — only the hit bits are walked.
+        // Candidates that clear the rank/bank floors mostly fail on the
+        // data bus (cross-rank tRTRS gaps around in-flight bursts). That
+        // verdict depends only on (direction, rank, cycle), so probe it
+        // once per rank and skip the full validation for every candidate
+        // behind a blocked bus.
+        let is_write = d == 1;
+        let (mut probed, mut admits) = (0u128, 0u128);
+        let mut cand = self.cand.hits[d];
         let mut cas_idx = None;
-        if !snap.wide && snap.prefilter && queue.len() <= 64 {
-            let mut cand = 0u64;
-            for (i, p) in queue.iter().enumerate() {
-                let l = p.txn.loc;
-                let gbi = (l.rank.0 as u32 * snap.bpr + l.bank.0 as u32) as usize;
-                let hit = (snap.rows[gbi] == l.row.0) as u64;
-                let rank_floor = snap.cas_dir_f[p.txn.is_write as usize][l.rank.0 as usize];
-                let ready = (rank_floor.max(snap.cas_bank_f[gbi]) <= now) as u64;
-                cand |= (hit & ready) << i;
+        while cand != 0 {
+            let i = cand.trailing_zeros() as usize;
+            cand &= cand - 1;
+            let l = self.cand.queues[d][i].txn.loc;
+            let bank_floor = self.device.banks_of(l.rank).next_cas_slice()[l.bank.0 as usize];
+            if self.floors[l.rank.0 as usize].cas[d].max(bank_floor) > now {
+                continue;
             }
-            // Candidates that clear the rank/bank floors mostly fail on
-            // the data bus (cross-rank tRTRS gaps around in-flight
-            // bursts). That verdict depends only on (direction, rank,
-            // cycle), so probe it once per pair and skip the full
-            // validation for every candidate behind a blocked bus.
-            let mut bus = [[0u8; 16]; 2]; // 0 unknown, 1 admits, 2 blocked
-            while cand != 0 {
-                let i = cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                let p = &queue[i];
-                let l = p.txn.loc;
-                let d = p.txn.is_write as usize;
-                let r = l.rank.0 as usize;
-                let admits = match bus[d][r] {
-                    0 => {
-                        let a = self.device.data_bus_admits(!p.txn.is_write, l.rank, now);
-                        bus[d][r] = if a { 1 } else { 2 };
-                        a
-                    }
-                    m => m == 1,
-                };
-                if !admits {
-                    continue;
-                }
-                let cas = if p.txn.is_write {
-                    Command::write(l.rank, l.bank, l.row, l.col)
-                } else {
-                    Command::read(l.rank, l.bank, l.row, l.col)
-                };
-                if self.device.can_issue(&cas, now).is_ok() {
-                    cas_idx = Some((i, cas));
-                    break;
+            let rbit = 1u128 << l.rank.0;
+            if probed & rbit == 0 {
+                probed |= rbit;
+                if self.device.data_bus_admits(!is_write, l.rank, now) {
+                    admits |= rbit;
                 }
             }
-        } else {
-            for (i, p) in queue.iter().enumerate() {
-                let l = p.txn.loc;
-                if self.device.open_row(l.rank, l.bank) == Some(l.row) {
-                    let cas = if p.txn.is_write {
-                        Command::write(l.rank, l.bank, l.row, l.col)
-                    } else {
-                        Command::read(l.rank, l.bank, l.row, l.col)
-                    };
-                    if self.device.can_issue(&cas, now).is_ok() {
-                        cas_idx = Some((i, cas));
-                        break;
-                    }
-                }
+            if admits & rbit == 0 {
+                continue;
+            }
+            let cas = if is_write {
+                Command::write(l.rank, l.bank, l.row, l.col)
+            } else {
+                Command::read(l.rank, l.bank, l.row, l.col)
+            };
+            if self.device.can_issue(&cas, now).is_ok() {
+                cas_idx = Some((i, cas));
+                break;
             }
         }
         if let Some((i, cas)) = cas_idx {
-            let p = if is_write_queue { self.writes.remove(i) } else { self.reads.remove(i) };
+            let p = self.cand.remove(d, i);
             let out = self.device.issue(&cas, now).expect("validated CAS");
             if p.issued_act {
                 self.stats.row_misses += 1;
@@ -326,94 +365,42 @@ impl BaselineScheduler {
             return (true, Some(Completion { txn: p.txn, finish }));
         }
 
-        // Pass 2: oldest transaction whose next command (PRE or ACT) can
-        // issue. Never precharge a row some pending transaction still hits.
-        // The guard is answered with the snapshot's bitmask (row state
-        // is constant until a command issues, and pass 2 returns as
-        // soon as it issues); geometries too wide for a u128 fall back
-        // to the direct scan.
-        let queue_len = if is_write_queue { self.writes.len() } else { self.reads.len() };
-        if !snap.wide && snap.prefilter && queue_len <= 64 {
-            // Branchless class sweep: one candidate bit per entry whose
-            // PRE (conflict) or ACT (closed bank) clears its floors.
-            // The FR-FCFS precharge guard and the full validation run
-            // only per candidate, oldest first.
-            let mut cand = 0u64;
-            {
-                let queue = if is_write_queue { &self.writes } else { &self.reads };
-                for (i, p) in queue.iter().enumerate() {
-                    let l = p.txn.loc;
-                    let r = l.rank.0 as usize;
-                    let gbi = (l.rank.0 as u32 * snap.bpr + l.bank.0 as u32) as usize;
-                    let open = snap.rows[gbi];
-                    let closed = open == NO_ROW;
-                    let conflict = !closed & (open != l.row.0);
-                    let act_ready = act_allowed & (snap.act_f[r].max(snap.act_bank_f[gbi]) <= now);
-                    let pre_ready = snap.pre_f[r].max(snap.pre_bank_f[gbi]) <= now;
-                    cand |= (((closed & act_ready) | (conflict & pre_ready)) as u64) << i;
+        // Pass 2: oldest non-hit transaction whose next command (ACT on
+        // a closed bank, PRE on a conflicting row) clears its floors and
+        // validates. Never precharge a row some pending transaction
+        // still hits (the FR-FCFS guard).
+        let guard = self.cand.hit_banks[0] | self.cand.hit_banks[1];
+        let live = ((1u128 << self.cand.queues[d].len()) - 1) as u64;
+        let mut rest = live & !self.cand.hits[d];
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let p = &self.cand.queues[d][i];
+            let (l, g) = (p.txn.loc, p.gbi as usize);
+            let (f, b) = (&self.floors[l.rank.0 as usize], l.bank.0 as usize);
+            if self.cand.rows[g] == NO_ROW {
+                if f.act.max(self.device.banks_of(l.rank).next_activate_slice()[b]) > now {
+                    continue;
                 }
-            }
-            while cand != 0 {
-                let i = cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                let loc =
-                    if is_write_queue { self.writes[i].txn.loc } else { self.reads[i].txn.loc };
-                let gbi = (loc.rank.0 as u32 * snap.bpr + loc.bank.0 as u32) as usize;
-                if snap.rows[gbi] == NO_ROW {
-                    let act = Command::activate(loc.rank, loc.bank, loc.row);
-                    if self.device.can_issue(&act, now).is_ok() {
-                        self.device.issue(&act, now).expect("validated activate");
-                        if is_write_queue {
-                            self.writes[i].issued_act = true;
-                        } else {
-                            self.reads[i].issued_act = true;
-                        }
-                        return (true, None);
-                    }
-                } else {
-                    if self.hit_mask_of(snap) & (1u128 << gbi) != 0 {
-                        continue; // deferred: some pending txn still hits
-                    }
-                    let pre = Command::precharge(loc.rank, loc.bank);
-                    if self.device.can_issue(&pre, now).is_ok() {
-                        self.device.issue(&pre, now).expect("validated precharge");
-                        return (true, None);
-                    }
+                let act = Command::activate(l.rank, l.bank, l.row);
+                if self.device.can_issue(&act, now).is_ok() {
+                    self.device.issue(&act, now).expect("validated activate");
+                    self.cand.queues[d][i].issued_act = true;
+                    self.cand.activate(g, l.row.0);
+                    return (true, None);
                 }
-            }
-            return (false, None);
-        }
-        for i in 0..queue_len {
-            let loc = if is_write_queue { self.writes[i].txn.loc } else { self.reads[i].txn.loc };
-            match self.device.open_row(loc.rank, loc.bank) {
-                Some(r) if r == loc.row => { /* covered by pass 1; bus busy */ }
-                Some(open_row) => {
-                    let someone_hits = self.reads.iter().chain(self.writes.iter()).any(|q| {
-                        q.txn.loc.rank == loc.rank
-                            && q.txn.loc.bank == loc.bank
-                            && q.txn.loc.row == open_row
-                    });
-                    if !someone_hits {
-                        let pre = Command::precharge(loc.rank, loc.bank);
-                        if self.device.can_issue(&pre, now).is_ok() {
-                            self.device.issue(&pre, now).expect("validated precharge");
-                            return (true, None);
-                        }
-                    }
+            } else {
+                if guard >> g & 1 != 0 {
+                    continue; // deferred: some pending txn still hits
                 }
-                None => {
-                    if act_allowed {
-                        let act = Command::activate(loc.rank, loc.bank, loc.row);
-                        if self.device.can_issue(&act, now).is_ok() {
-                            self.device.issue(&act, now).expect("validated activate");
-                            if is_write_queue {
-                                self.writes[i].issued_act = true;
-                            } else {
-                                self.reads[i].issued_act = true;
-                            }
-                            return (true, None);
-                        }
-                    }
+                if f.pre.max(self.device.banks_of(l.rank).next_precharge_slice()[b]) > now {
+                    continue;
+                }
+                let pre = Command::precharge(l.rank, l.bank);
+                if self.device.can_issue(&pre, now).is_ok() {
+                    self.device.issue(&pre, now).expect("validated precharge");
+                    self.cand.close(1 << g);
+                    return (true, None);
                 }
             }
         }
@@ -423,16 +410,11 @@ impl BaselineScheduler {
 
 impl MemoryController for BaselineScheduler {
     fn can_accept(&self, _domain: DomainId) -> bool {
-        self.reads.len() < self.read_capacity && self.writes.len() < self.write_capacity
+        self.cand.queues.iter().all(|q| q.len() < QUEUE_CAPACITY)
     }
 
     fn enqueue(&mut self, txn: Transaction) -> Result<(), QueueFull> {
-        let queue_full = if txn.is_write {
-            self.writes.len() >= self.write_capacity
-        } else {
-            self.reads.len() >= self.read_capacity
-        };
-        if queue_full {
+        if self.cand.queues[txn.is_write as usize].len() >= QUEUE_CAPACITY {
             return Err(QueueFull { domain: txn.domain });
         }
         let ds = self.stats.domain_mut(txn.domain);
@@ -444,22 +426,17 @@ impl MemoryController for BaselineScheduler {
                 self.prefetchers[txn.domain.0 as usize].on_access(txn.local_addr);
             }
         }
-        let pending = Pending { txn, issued_act: false };
-        if txn.is_write {
-            self.writes.push(pending);
-        } else {
-            self.reads.push(pending);
-        }
+        self.cand.push(txn);
         self.idle_until = 0;
         Ok(())
     }
 
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
         // Provably-idle tick: the cached bound was a full `next_event`
-        // scan of this exact state (every mutation since would have
-        // cleared it), and that scan folded in the refresh command
-        // cycles, the quiesce onset, and every FR-FCFS candidate — so
-        // nothing below could fire either. Skip the queue scans.
+        // of this exact state (every mutation since would have cleared
+        // it), and that bound folded in the refresh command cycles, the
+        // quiesce onset, and every FR-FCFS candidate — so nothing below
+        // could fire either.
         if now < self.idle_until {
             return;
         }
@@ -472,8 +449,7 @@ impl MemoryController for BaselineScheduler {
         if self.refresh.in_window(now) {
             return;
         }
-        let act_allowed = self.refresh.allows_transaction(now);
-        if !act_allowed {
+        if !self.refresh.allows_transaction(now) {
             self.quiesce_precharge(now);
             // CAS to already-open rows could run past the window; stop
             // everything except the precharges above. The quiesce may
@@ -485,43 +461,43 @@ impl MemoryController for BaselineScheduler {
         self.pump_prefetches(now);
 
         // Write-drain hysteresis.
-        if self.writes.len() >= self.drain_hi {
+        let writes = self.cand.queues[1].len();
+        if writes >= self.drain_hi {
             self.draining = true;
-        } else if self.writes.len() <= self.drain_lo {
+        } else if writes <= self.drain_lo {
             self.draining = false;
         }
-        let drain = self.draining || self.reads.is_empty();
+        let drain = self.draining || self.cand.queues[0].is_empty();
 
-        let snap = self.snapshot();
-        let (issued, c) = self.try_issue(drain, now, act_allowed, &snap);
-        if let Some(c) = c {
-            out.push(c);
+        for (r, f) in self.floors.iter_mut().enumerate() {
+            let (pre, act, rd, wr) = self.device.rank_floor_parts(RankId(r as u8));
+            *f = RankFloors { pre, act, cas: [rd, wr] };
         }
+        let (issued, c) = self.try_issue(drain as usize, now);
+        out.extend(c);
         let mut any = issued;
         if !issued {
             // Opportunistic issue from the other queue (device and
-            // queue state unchanged — the first attempt issued
-            // nothing — so the snapshot is still exact).
-            let (issued2, c2) = self.try_issue(!drain, now, act_allowed, &snap);
+            // queue state unchanged — the first attempt issued nothing
+            // — so the floors are still exact).
+            let (issued2, c2) = self.try_issue(!drain as usize, now);
             any = issued2;
-            if let Some(c2) = c2 {
-                out.push(c2);
-            }
+            out.extend(c2);
         }
         self.idle_until = if any {
             0
         } else {
             // Nothing issued and nothing mutated: the state this tick
-            // scanned stays exactly as-is until the bound (or an
-            // enqueue clears it), so the scans need not repeat.
+            // read stays exactly as-is until the bound (or an enqueue
+            // clears it), so the passes need not repeat.
             self.next_event(now)
         };
     }
 
     fn next_event(&self, now: Cycle) -> Cycle {
         // Same reasoning as in `tick_into`: the cached bound is the
-        // result of scanning this exact (unchanged) state, so a fresh
-        // scan could only return the same cycle.
+        // result of evaluating this exact (unchanged) state, so a fresh
+        // evaluation could only return the same cycle.
         if now < self.idle_until {
             return self.idle_until;
         }
@@ -549,88 +525,21 @@ impl MemoryController for BaselineScheduler {
         // command issues (the simulator lowers the cached bound via
         // `enqueue_event_hint` on every enqueue), so no tick before the
         // minimum over all candidates can issue anything — those cycles
-        // are provable no-ops. A precharge
-        // deferred because pending row hits still target the open row is
-        // excluded: it stays deferred until one of those hits' CAS — a
-        // candidate in its own right — issues first.
-        // Candidate legality is row- and column-independent within each
-        // command class (ACT gates on the bank being closed, CAS on the
-        // row already matching, PRE on the bank being open), so the
-        // per-transaction candidate set dedupes to one representative
-        // command per populated (bank, class): a single classification
-        // pass over both queues builds read-hit / write-hit / conflict /
-        // closed bitmasks — they fit a u128 for any realistic geometry
-        // (the paper's is 8 ranks x 8 banks) — then each set bit costs
-        // one device probe instead of one per queued transaction.
-        let geom = *self.device.geometry();
-        let bpr = geom.banks_per_rank() as u32;
-        if geom.ranks_per_channel() as u32 * bpr > 128 {
-            // Geometry too wide for the bitmasks: per-transaction scan.
-            for p in self.reads.iter().chain(self.writes.iter()) {
-                let loc = p.txn.loc;
-                let cmd = match self.device.open_row(loc.rank, loc.bank) {
-                    Some(r) if r == loc.row => {
-                        if p.txn.is_write {
-                            Command::write(loc.rank, loc.bank, loc.row, loc.col)
-                        } else {
-                            Command::read(loc.rank, loc.bank, loc.row, loc.col)
-                        }
-                    }
-                    Some(open_row) => {
-                        let someone_hits = self.reads.iter().chain(self.writes.iter()).any(|q| {
-                            q.txn.loc.rank == loc.rank
-                                && q.txn.loc.bank == loc.bank
-                                && q.txn.loc.row == open_row
-                        });
-                        if someone_hits {
-                            continue;
-                        }
-                        Command::precharge(loc.rank, loc.bank)
-                    }
-                    None => Command::activate(loc.rank, loc.bank, loc.row),
-                };
-                next = next.min(self.device.next_legal_at(&cmd, now + 1));
-                if next <= now + 1 {
-                    return now + 1;
-                }
-            }
-            return next.max(now + 1);
-        }
-        // Flat open-row table once, then one indexed load per entry —
-        // the classification sweep touches up to 128 queue entries.
-        let nranks = geom.ranks_per_channel() as usize;
-        let mut rows = [NO_ROW; 128];
-        for r in 0..nranks {
-            let src = self.device.banks_of(RankId(r as u8)).open_rows_slice();
-            rows[r * bpr as usize..][..src.len()].copy_from_slice(src);
-        }
-        let (mut read_hit, mut write_hit, mut conflict, mut closed) = (0u128, 0u128, 0u128, 0u128);
-        for q in self.reads.iter().chain(self.writes.iter()) {
-            let l = q.txn.loc;
-            let gbi = l.rank.0 as u32 * bpr + l.bank.0 as u32;
-            let bit = 1u128 << gbi;
-            match rows[gbi as usize] {
-                r if r == l.row.0 => {
-                    if q.txn.is_write {
-                        write_hit |= bit;
-                    } else {
-                        read_hit |= bit;
-                    }
-                }
-                NO_ROW => closed |= bit,
-                _ => conflict |= bit,
-            }
-        }
-        // One fused device scan evaluates every candidate: a bank with
-        // any pending row hit never precharges (the FR-FCFS guard), so
-        // conflicted banks only contribute a PRE candidate when no hit
-        // shares the bank.
+        // are provable no-ops. Candidate legality is row- and
+        // column-independent within each command class, so the
+        // candidate set dedupes to one command per populated (bank,
+        // class) — exactly the per-bank masks the scheduler keeps. A
+        // bank with any pending row hit never precharges (the FR-FCFS
+        // guard), so an open bank contributes a PRE candidate only when
+        // no hit shares it.
+        let c = &self.cand;
+        let hits = c.hit_banks[0] | c.hit_banks[1];
         next = next.min(self.device.next_event_bound(
             now + 1,
-            read_hit,
-            write_hit,
-            conflict & !(read_hit | write_hit),
-            closed,
+            c.hit_banks[0],
+            c.hit_banks[1],
+            c.occupied & c.open & !hits,
+            c.occupied & !c.open,
         ));
         next.max(now + 1)
     }
@@ -701,17 +610,77 @@ pub fn map_local(geom: &Geometry, domain: DomainId, local: LineAddr) -> fsmc_dra
 }
 
 #[cfg(test)]
+impl BaselineScheduler {
+    /// Rebuilds, from the device's row buffers and the queues, every
+    /// piece of candidate state the scheduler keeps incrementally, and
+    /// asserts it equals what the scheduler holds.
+    fn check_candidates(&self) {
+        use fsmc_dram::geometry::BankId;
+        let c = &self.cand;
+        let geom = self.device.geometry();
+        let bpr = geom.banks_per_rank() as usize;
+        let mut rows = [NO_ROW; MAX_BANKS];
+        let mut open = 0u128;
+        for r in 0..geom.ranks_per_channel() {
+            for b in 0..geom.banks_per_rank() {
+                if let Some(row) = self.device.open_row(RankId(r), BankId(b)) {
+                    let g = r as usize * bpr + b as usize;
+                    rows[g] = row.0;
+                    open |= 1 << g;
+                }
+            }
+        }
+        let mut hits = [0u64; 2];
+        let mut occupancy = [0u8; MAX_BANKS];
+        let mut hit_count = [[0u8; MAX_BANKS]; 2];
+        let (mut occupied, mut hit_banks) = (0u128, [0u128; 2]);
+        for (d, q) in c.queues.iter().enumerate() {
+            for (i, p) in q.iter().enumerate() {
+                let l = p.txn.loc;
+                let g = l.rank.0 as usize * bpr + l.bank.0 as usize;
+                assert_eq!(p.gbi as usize, g, "cached bank index of queue {d} entry {i}");
+                assert_eq!(p.txn.is_write, d == 1, "queue {d} entry {i} in the wrong queue");
+                occupancy[g] += 1;
+                occupied |= 1 << g;
+                if rows[g] == l.row.0 {
+                    hits[d] |= 1 << i;
+                    hit_count[d][g] += 1;
+                    hit_banks[d] |= 1 << g;
+                }
+            }
+        }
+        assert_eq!(c.rows, rows, "open-row mirror");
+        assert_eq!(c.open, open, "open mask");
+        assert_eq!(c.hits, hits, "per-queue hit masks");
+        assert_eq!(c.occupancy, occupancy, "per-bank occupancy");
+        assert_eq!(c.hit_count, hit_count, "per-bank hit counts");
+        assert_eq!(c.occupied, occupied, "occupied mask");
+        assert_eq!(c.hit_banks, hit_banks, "hit-bank masks");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use fsmc_dram::TimingChecker;
+    use fsmc_dram::geometry::{BankId, ChannelId, ColId, RowId};
+    use fsmc_dram::{DeviceGeneration, Location, TimingChecker};
+    use proptest::prelude::*;
 
     fn mk() -> BaselineScheduler {
-        BaselineScheduler::new(Geometry::paper_default(), TimingParams::ddr3_1600(), 8, false)
+        mk_on(DeviceGeneration::Ddr3_1600, false)
+    }
+
+    fn mk_on(generation: DeviceGeneration, prefetch: bool) -> BaselineScheduler {
+        let p = generation.profile();
+        BaselineScheduler::try_new(p.geometry, p.timing, 8, prefetch).unwrap()
     }
 
     fn txn(id: u64, domain: u8, local: u64, write: bool) -> Transaction {
-        let geom = Geometry::paper_default();
-        let loc = PartitionPolicy::None.map(&geom, DomainId(domain), LineAddr(local));
+        txn_on(&Geometry::paper_default(), id, domain, local, write)
+    }
+
+    fn txn_on(geom: &Geometry, id: u64, domain: u8, local: u64, write: bool) -> Transaction {
+        let loc = PartitionPolicy::None.map(geom, DomainId(domain), LineAddr(local));
         if write {
             Transaction::write(TxnId(id), DomainId(domain), loc, 0)
         } else {
@@ -833,43 +802,102 @@ mod tests {
         // A steady mixed read/write stream keeps the queues busy across
         // refresh windows, write-drain flips, row conflicts and tFAW
         // pressure — exercising the per-transaction earliest-issue bound
-        // rather than the idle wall-clock one. The sparse loop also wakes
-        // at arrival cycles, mirroring the simulator (which never skips
-        // while any core could enqueue).
-        let (mut dense, mut sparse) = (mk(), mk());
-        dense.record_commands();
-        sparse.record_commands();
-        let arrivals: Vec<(u64, Transaction)> = (0..120u64)
-            .map(|i| (40 * (i / 4), txn(i, (i % 8) as u8, i * 97, i % 4 == 3)))
-            .collect();
-        let horizon = 14_000u64;
-        let mut dense_done = Vec::new();
-        let mut ai = 0;
-        for c in 0..horizon {
-            while ai < arrivals.len() && arrivals[ai].0 <= c {
-                dense.enqueue(arrivals[ai].1).unwrap();
-                ai += 1;
+        // rather than the idle wall-clock one — while a sequential read
+        // stream trains the sandbox prefetcher. The sparse loop also
+        // wakes at arrival cycles, mirroring the simulator (which never
+        // skips while any core could enqueue). Every device generation,
+        // with and without prefetching.
+        for generation in DeviceGeneration::all() {
+            for prefetch in [false, true] {
+                let geom = generation.profile().geometry;
+                let mut arrivals: Vec<(u64, Transaction)> = (0..120u64)
+                    .map(|i| (40 * (i / 4), txn_on(&geom, i, (i % 8) as u8, i * 97, i % 4 == 3)))
+                    .collect();
+                arrivals
+                    .extend((0..600u64).map(|i| (12 * i, txn_on(&geom, 1000 + i, 0, i, false))));
+                arrivals.sort_by_key(|a| a.0);
+                let (mut dense, mut sparse) =
+                    (mk_on(generation, prefetch), mk_on(generation, prefetch));
+                dense.record_commands();
+                sparse.record_commands();
+                let horizon = 14_000u64;
+                // Arrivals meeting a full queue are dropped, by the same
+                // rule in both loops.
+                let offer = |mc: &mut BaselineScheduler, t: Transaction| {
+                    if mc.can_accept(t.domain) {
+                        mc.enqueue(t).unwrap();
+                    }
+                };
+                let mut dense_done = Vec::new();
+                let mut ai = 0;
+                for c in 0..horizon {
+                    while ai < arrivals.len() && arrivals[ai].0 <= c {
+                        offer(&mut dense, arrivals[ai].1);
+                        ai += 1;
+                    }
+                    dense_done.extend(dense.tick(c));
+                }
+                let mut sparse_done = Vec::new();
+                let mut ai = 0;
+                let mut c = 0u64;
+                while c < horizon {
+                    while ai < arrivals.len() && arrivals[ai].0 <= c {
+                        offer(&mut sparse, arrivals[ai].1);
+                        ai += 1;
+                    }
+                    sparse_done.extend(sparse.tick(c));
+                    let mut next = sparse.next_event(c);
+                    if ai < arrivals.len() {
+                        next = next.min(arrivals[ai].0.max(c + 1));
+                    }
+                    c = next;
+                }
+                let what = format!("{generation} prefetch={prefetch}");
+                assert!(dense_done.len() > 500, "{what}: {} completions", dense_done.len());
+                let prefetches = dense.stats().domain(DomainId(0)).prefetches;
+                assert_eq!(prefetches > 0, prefetch, "{what}: {prefetches} prefetches");
+                assert_eq!(dense_done, sparse_done, "{what}");
+                assert_eq!(dense.take_command_log(), sparse.take_command_log(), "{what}");
+                assert_eq!(dense.stats(), sparse.stats(), "{what}");
             }
-            dense_done.extend(dense.tick(c));
         }
-        let mut sparse_done = Vec::new();
-        let mut ai = 0;
-        let mut c = 0u64;
-        while c < horizon {
-            while ai < arrivals.len() && arrivals[ai].0 <= c {
-                sparse.enqueue(arrivals[ai].1).unwrap();
-                ai += 1;
+    }
+
+    #[test]
+    fn quiesce_clears_pending_hits_on_the_banks_it_closes() {
+        // A burst of row hits to one bank is still queued when the
+        // pre-refresh quiesce starts; the precharge-all closes the bank
+        // under them, so they must stop counting as hits (and become ACT
+        // candidates again) — then all of them complete after the window.
+        for generation in DeviceGeneration::all() {
+            let mut mc = mk_on(generation, false);
+            let onset = mc.refresh.next_blocked_cycle(1);
+            let start = onset - 40;
+            for i in 0..40u64 {
+                let loc = Location {
+                    channel: ChannelId(0),
+                    rank: RankId(0),
+                    bank: BankId(1),
+                    row: RowId(5),
+                    col: ColId(i as u16),
+                };
+                mc.enqueue(Transaction::read(TxnId(i), DomainId(0), loc, start)).unwrap();
             }
-            sparse_done.extend(sparse.tick(c));
-            let mut next = sparse.next_event(c);
-            if ai < arrivals.len() {
-                next = next.min(arrivals[ai].0.max(c + 1));
+            let bank = 1u128 << 1; // rank 0, bank 1
+            let mut done = 0;
+            let mut closed_under_hits = false;
+            for c in start..onset + generation.profile().timing.t_refi as u64 / 2 {
+                let hits_before = mc.cand.hit_banks[0] & bank;
+                done += mc.tick(c).len();
+                mc.check_candidates();
+                if hits_before != 0 && mc.cand.open & bank == 0 {
+                    assert!(!mc.cand.queues[0].is_empty(), "{generation}");
+                    closed_under_hits = true;
+                }
             }
-            c = next;
+            assert!(closed_under_hits, "{generation}: the quiesce never closed a bank with hits");
+            assert_eq!(done, 40, "{generation}");
         }
-        assert_eq!(dense_done, sparse_done);
-        assert_eq!(dense.take_command_log(), sparse.take_command_log());
-        assert_eq!(dense.stats(), sparse.stats());
     }
 
     #[test]
@@ -884,8 +912,7 @@ mod tests {
 
     #[test]
     fn prefetcher_injects_prefetch_reads_on_streaming_pattern() {
-        let mut mc =
-            BaselineScheduler::new(Geometry::paper_default(), TimingParams::ddr3_1600(), 8, true);
+        let mut mc = mk_on(DeviceGeneration::Ddr3_1600, true);
         let mut cycle = 0u64;
         for i in 0..600u64 {
             mc.enqueue(txn(i, 0, i, false)).unwrap();
@@ -896,5 +923,101 @@ mod tests {
         }
         let pf = mc.stats().domain(DomainId(0)).prefetches;
         assert!(pf > 0, "sandbox prefetcher never activated");
+    }
+
+    #[test]
+    fn rejects_channels_wider_than_the_candidate_masks() {
+        let t = TimingParams::ddr3_1600();
+        let wide = Geometry::new(1, 16, 16, 32768, 128);
+        let err = BaselineScheduler::try_new(wide, t, 8, false).unwrap_err();
+        assert!(err.message.contains("16 ranks x 16 banks"), "{err}");
+        assert!(BaselineScheduler::try_new(Geometry::new(1, 8, 16, 32768, 128), t, 8, true).is_ok());
+    }
+
+    /// One step of a random interleaving: enqueue transactions, or tick
+    /// some cycles (densely, or hopping `next_event` bounds).
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// `n` transactions of one domain and direction to one row,
+        /// `(domain, rank, bank, row, n, write)`; coordinates are taken
+        /// modulo the geometry and rows are few, so hits and conflicts
+        /// are both common.
+        Burst(u8, u8, u8, u32, u16, bool),
+        /// 16 sequential demand reads of `domain` (trains the prefetcher).
+        Stream(u8),
+        Tick(u64),
+        Hop(u8),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..10, 0u8..8, 0u8..16, 0u32..3, 0u16..64, any::<bool>()).prop_map(
+            |(k, rank, bank, row, n, write)| match k {
+                0..=3 => Op::Burst(rank, rank, bank, row, 1 + n % 8, write),
+                4..=6 => Op::Stream(rank % 2),
+                7 | 8 => Op::Tick(1 + n as u64 * (1 + row as u64) * 4),
+                _ => Op::Hop(1 + n as u8 % 8),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn incremental_candidates_equal_a_recompute(ops in prop::collection::vec(op(), 250..350)) {
+            for generation in DeviceGeneration::all() {
+                for prefetch in [false, true] {
+                    let geom = generation.profile().geometry;
+                    let mut mc = mk_on(generation, prefetch);
+                    let (mut now, mut id, mut streamed) = (0u64, 0u64, [0u64; 2]);
+                    for &op in &ops {
+                        match op {
+                            Op::Burst(domain, rank, bank, row, n, write) => {
+                                for col in 0..n {
+                                    let loc = Location {
+                                        channel: ChannelId(0),
+                                        rank: RankId(rank % geom.ranks_per_channel()),
+                                        bank: BankId(bank % geom.banks_per_rank()),
+                                        row: RowId(row),
+                                        col: ColId(col),
+                                    };
+                                    let (d, id) = (DomainId(domain), TxnId(id + col as u64));
+                                    let _ = mc.enqueue(if write {
+                                        Transaction::write(id, d, loc, now)
+                                    } else {
+                                        Transaction::read(id, d, loc, now)
+                                    });
+                                    mc.check_candidates();
+                                }
+                            }
+                            Op::Stream(domain) => {
+                                for j in 0..16 {
+                                    let local = streamed[domain as usize];
+                                    streamed[domain as usize] += 1;
+                                    let t = txn_on(&geom, id + j, domain, local, false);
+                                    let _ = mc.enqueue(t);
+                                    mc.check_candidates();
+                                }
+                            }
+                            Op::Tick(n) => {
+                                for _ in 0..n {
+                                    mc.tick(now);
+                                    mc.check_candidates();
+                                    now += 1;
+                                }
+                            }
+                            Op::Hop(n) => {
+                                for _ in 0..n {
+                                    mc.tick(now);
+                                    mc.check_candidates();
+                                    now = mc.next_event(now);
+                                }
+                            }
+                        }
+                        id += 16;
+                    }
+                }
+            }
+        }
     }
 }

@@ -185,7 +185,8 @@ mod tests {
     /// Channel partitioning: one private FR-FCFS channel per domain.
     fn channel_part(domains: u8) -> ShardedController<BaselineScheduler> {
         let (g, t) = (Geometry::paper_default(), TimingParams::ddr3_1600());
-        let channels = (0..domains).map(|_| BaselineScheduler::new(g, t, 1, false)).collect();
+        let channels =
+            (0..domains).map(|_| BaselineScheduler::try_new(g, t, 1, false).unwrap()).collect();
         ShardedController::new(SchedulerKind::ChannelPartitioned, channels)
     }
 

@@ -257,8 +257,8 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
             .map_err(FsmcError::from)
     };
     Ok(match cfg.scheduler {
-        SchedulerKind::Baseline => Box::new(BaselineScheduler::new(g, t, n, false)),
-        SchedulerKind::BaselinePrefetch => Box::new(BaselineScheduler::new(g, t, n, true)),
+        SchedulerKind::Baseline => Box::new(BaselineScheduler::try_new(g, t, n, false)?),
+        SchedulerKind::BaselinePrefetch => Box::new(BaselineScheduler::try_new(g, t, n, true)?),
         SchedulerKind::TpBankPartitioned { .. }
         | SchedulerKind::TpNoPartition { .. }
         | SchedulerKind::TpFence { .. } => Box::new(TpScheduler::try_new(g, t, n, cfg.scheduler)?),
@@ -271,7 +271,9 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
         SchedulerKind::FsNoPartitionNaive => fs(FsVariant::NoPartitionNaive, false)?,
         SchedulerKind::FsTripleAlternation => fs(FsVariant::TripleAlternation, false)?,
         SchedulerKind::ChannelPartitioned => {
-            let channels = (0..n).map(|_| BaselineScheduler::new(g, t, 1, false)).collect();
+            let channels = (0..n)
+                .map(|_| BaselineScheduler::try_new(g, t, 1, false))
+                .collect::<Result<Vec<_>, _>>()?;
             Box::new(ShardedController::new(cfg.scheduler, channels))
         }
         SchedulerKind::FsMultiChannel { channels } => {
@@ -1474,6 +1476,23 @@ mod tests {
         assert!(s.reads_completed > 500, "reads {}", s.reads_completed);
         for (i, c) in s.cores.iter().enumerate() {
             assert!(c.ipc() > 0.05, "core {i} ipc {}", c.ipc());
+        }
+    }
+
+    #[test]
+    fn fr_fcfs_controllers_reject_channels_wider_than_128_banks() {
+        for kind in [
+            SchedulerKind::Baseline,
+            SchedulerKind::BaselinePrefetch,
+            SchedulerKind::ChannelPartitioned,
+        ] {
+            let mut cfg = SystemConfig::paper_default(kind);
+            cfg.geometry = fsmc_dram::Geometry::new(1, 16, 16, 32768, 128);
+            match try_build_controller(&cfg) {
+                Err(FsmcError::Config(e)) => assert!(e.message.contains("128 banks"), "{e}"),
+                Err(e) => panic!("{kind}: expected a configuration error, got {e}"),
+                Ok(_) => panic!("{kind}: a 256-bank channel was accepted"),
+            }
         }
     }
 

@@ -348,10 +348,12 @@ fn cmd_suite(opts: &HashMap<String, String>) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let cycles = get_u64(opts, "cycles", 60_000)?;
     let seed = get_u64(opts, "seed", 42)?;
+    let device = device_gen(opts)?;
     let mixes = WorkloadMix::suite(8);
+    let engine = Engine::from_env();
     let table = if get_flag(opts, "metrics") {
         let (table, rows) =
-            weighted_ipc_suite_metrics(&Engine::from_env(), &mixes, &kinds, cycles, seed);
+            weighted_ipc_suite_metrics(&engine, device, &mixes, &kinds, cycles, seed);
         println!("Sum of weighted IPCs vs the non-secure baseline ({cycles} DRAM cycles)\n");
         print!("{}", table.render("weighted IPC"));
         let domains = rows.first().map(|r| r.report.domains.len()).unwrap_or(0);
@@ -359,7 +361,7 @@ fn cmd_suite(opts: &HashMap<String, String>) -> Result<(), String> {
         print!("{}", metrics_csv(&rows, domains));
         table
     } else {
-        let table = weighted_ipc_suite_with(&Engine::from_env(), &mixes, &kinds, cycles, seed, &[]);
+        let table = weighted_ipc_suite_with(&engine, device, &mixes, &kinds, cycles, seed, &[]);
         println!("Sum of weighted IPCs vs the non-secure baseline ({cycles} DRAM cycles)\n");
         print!("{}", table.render("weighted IPC"));
         table

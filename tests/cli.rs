@@ -1,10 +1,21 @@
 //! The `fsmc` binary parses scheduler names with the same grammar as
-//! service job specs: `KIND[:param]`.
+//! service job specs (`KIND[:param]`), and `fsmc suite` runs on the
+//! device generation `--device` or `FSMC_DEVICE` names.
 
 use std::process::{Command, Output};
 
 fn fsmc(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fsmc")).args(args).output().expect("spawn fsmc")
+    fsmc_with(args, None)
+}
+
+/// Runs `fsmc` with `FSMC_DEVICE` set to `device`, or unset.
+fn fsmc_with(args: &[&str], device: Option<&str>) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fsmc"));
+    cmd.args(args).env_remove("FSMC_DEVICE").env_remove("FSMC_SERVE");
+    if let Some(d) = device {
+        cmd.env("FSMC_DEVICE", d);
+    }
+    cmd.output().expect("spawn fsmc")
 }
 
 #[test]
@@ -31,4 +42,21 @@ fn simulate_rejects_malformed_schedulers_cleanly() {
         assert!(stderr.starts_with("error: ") && stderr.contains(message), "{sched}: {stderr}");
         assert!(!stderr.contains("panicked"), "{sched}: {stderr}");
     }
+}
+
+#[test]
+fn suite_runs_on_the_requested_device() {
+    let suite = |flag: &[&str], env: Option<&str>| {
+        let mut args = vec!["suite", "--schedulers", "tp-bp", "--cycles", "2000"];
+        args.extend_from_slice(flag);
+        let out = fsmc_with(&args, env);
+        assert!(out.status.success(), "{flag:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8 table")
+    };
+    let ddr3 = suite(&[], None);
+    let hbm2 = suite(&["--device", "hbm2"], None);
+    assert!(ddr3.contains("AM") && hbm2.contains("AM"), "{ddr3}\n{hbm2}");
+    assert_ne!(ddr3, hbm2, "--device hbm2 printed the DDR3-1600 table");
+    assert_eq!(suite(&["--device", "ddr3-1600"], None), ddr3);
+    assert_eq!(suite(&[], Some("hbm2")), hbm2, "FSMC_DEVICE=hbm2 differs from --device hbm2");
 }

@@ -234,8 +234,11 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
 fn suite_output_is_byte_identical_across_thread_counts() {
     let mixes = [WorkloadMix::mix1(), WorkloadMix::mix2()];
     let kinds = [K::FsRankPartitioned, K::TpBankPartitioned { turn: 60 }];
-    let t1 = weighted_ipc_suite_with(&Engine::with_threads(1), &mixes, &kinds, 4_000, 11, &[]);
-    let t8 = weighted_ipc_suite_with(&Engine::with_threads(8), &mixes, &kinds, 4_000, 11, &[]);
+    let suite = |threads| {
+        let (engine, device) = (Engine::with_threads(threads), DeviceGeneration::Ddr3_1600);
+        weighted_ipc_suite_with(&engine, device, &mixes, &kinds, 4_000, 11, &[])
+    };
+    let (t1, t8) = (suite(1), suite(8));
     assert_eq!(t1.render("weighted IPC"), t8.render("weighted IPC"));
     assert_eq!(t1.to_csv(), t8.to_csv());
 }

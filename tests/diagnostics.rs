@@ -5,6 +5,7 @@
 
 use fsmc::bench::weighted_ipc_suite_with;
 use fsmc::core::sched::SchedulerKind as K;
+use fsmc::dram::DeviceGeneration;
 use fsmc::sim::{Engine, FaultKind, FaultPlan, TimingField};
 use fsmc::workload::{BenchProfile, WorkloadMix};
 
@@ -23,6 +24,7 @@ fn failing_table(threads: usize) -> String {
         FaultPlan::new(5).with(FaultKind::PerturbTiming { field: TimingField::TRtrs, delta: 600 });
     let table = weighted_ipc_suite_with(
         &Engine::with_threads(threads),
+        DeviceGeneration::Ddr3_1600,
         &mixes,
         &kinds,
         4_000,
