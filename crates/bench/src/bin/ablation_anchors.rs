@@ -8,7 +8,7 @@
 //! through a controller factory.
 
 use fsmc_bench::{run_cycles, seed};
-use fsmc_core::sched::fs::{EnergyOptions, FsScheduler, FsVariant};
+use fsmc_core::sched::fs::{EnergyOptions, FsScheduler};
 use fsmc_core::sched::SchedulerKind as K;
 use fsmc_core::solver::{solve, Anchor, PartitionLevel};
 use fsmc_dram::TimingParams;
@@ -44,10 +44,10 @@ fn main() -> ExitCode {
                 cfg.geometry,
                 cfg.timing,
                 8,
-                FsVariant::RankPartitioned,
+                K::FsRankPartitioned,
                 sol,
                 EnergyOptions::default(),
-            )))
+            )?))
         });
         for mix in &suite {
             plan.push(

@@ -7,47 +7,25 @@
 //! experiment engine; a solver failure becomes a diagnostic instead of
 //! a panic.
 
-use fsmc_core::solver::{
-    certify_reordered, certify_uniform, solve, solve_for_threads, Anchor, CertifyReport,
-    PartitionLevel, ReorderedBpSchedule, SlotSchedule,
-};
+use fsmc_core::sched::fs::FsPipeline;
+use fsmc_core::sched::SchedulerKind as K;
+use fsmc_core::solver::CertifyReport;
 use fsmc_dram::DeviceGeneration;
 use fsmc_sim::Engine;
 use std::process::ExitCode;
 
-const CASES: [&str; 5] = [
-    "FS rank-partitioned",
-    "FS bank-partitioned",
-    "FS no-partitioning naive",
-    "FS triple alternation",
-    "FS reordered bank-partitioned",
+const CASES: [(K, &str); 5] = [
+    (K::FsRankPartitioned, "FS rank-partitioned"),
+    (K::FsBankPartitioned, "FS bank-partitioned"),
+    (K::FsNoPartitionNaive, "FS no-partitioning naive"),
+    (K::FsTripleAlternation, "FS triple alternation"),
+    (K::FsReorderedBankPartitioned, "FS reordered bank-partitioned"),
 ];
 
-fn certify_case(idx: usize, device: DeviceGeneration) -> Result<CertifyReport, String> {
+fn certify_case(kind: K, device: DeviceGeneration) -> Result<CertifyReport, String> {
     let p = device.profile();
-    let (t, geom) = (&p.timing, &p.geometry);
-    let err = |e| format!("{e}");
-    Ok(match idx {
-        0 => {
-            let sol = solve(t, Anchor::FixedPeriodicData, PartitionLevel::Rank).map_err(err)?;
-            certify_uniform(&SlotSchedule::uniform(sol, 8), PartitionLevel::Rank, t, geom, 4)
-        }
-        1 => {
-            let sol = solve_for_threads(t, Anchor::FixedPeriodicRas, PartitionLevel::Bank, 8)
-                .map_err(err)?;
-            certify_uniform(&SlotSchedule::uniform(sol, 8), PartitionLevel::Bank, t, geom, 4)
-        }
-        2 => {
-            let sol = solve_for_threads(t, Anchor::FixedPeriodicRas, PartitionLevel::None, 8)
-                .map_err(err)?;
-            certify_uniform(&SlotSchedule::uniform(sol, 8), PartitionLevel::None, t, geom, 4)
-        }
-        3 => {
-            let s = SlotSchedule::triple_alternation(t, 8).map_err(err)?;
-            certify_uniform(&s, PartitionLevel::None, t, geom, 3)
-        }
-        _ => certify_reordered(&ReorderedBpSchedule::new(t, 8), t, geom, 3),
-    })
+    let pipeline = FsPipeline::for_kind(kind, &p.timing, 8).map_err(|e| e.to_string())?;
+    Ok(pipeline.certify(&p.timing, &p.geometry))
 }
 
 fn main() -> ExitCode {
@@ -57,10 +35,10 @@ fn main() -> ExitCode {
         .into_iter()
         .flat_map(|d| (0..CASES.len()).map(move |i| (d, i)))
         .collect();
-    let reports = Engine::from_env().map(&grid, |_, &(d, i)| certify_case(i, d));
+    let reports = Engine::from_env().map(&grid, |_, &(d, i)| certify_case(CASES[i].0, d));
     let mut all_certified = true;
     for ((device, idx), report) in grid.iter().zip(&reports) {
-        let name = format!("{device} {}", CASES[*idx]);
+        let name = format!("{device} {}", CASES[*idx].1);
         all_certified &= matches!(report, Ok(r) if r.certified());
         match report {
             Ok(r) => {

@@ -138,24 +138,6 @@ impl PartitionPolicy {
     }
 }
 
-/// Per-domain configuration: SLA issue slots and queue depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DomainConfig {
-    pub id: DomainId,
-    /// Issue slots this domain receives per FS interval (SLA). The paper's
-    /// experiments use one slot per domain.
-    pub slots_per_interval: u8,
-    /// Transaction-queue capacity for this domain.
-    pub queue_capacity: usize,
-}
-
-impl DomainConfig {
-    /// The default equal-service configuration: one slot, 16-deep queue.
-    pub fn equal_service(id: DomainId) -> Self {
-        DomainConfig { id, slots_per_interval: 1, queue_capacity: 16 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

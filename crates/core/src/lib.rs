@@ -12,8 +12,7 @@
 //!   trait: the non-secure FR-FCFS baseline, Temporal Partitioning (TP,
 //!   the prior state of the art), and Fixed Service (FS) in all the
 //!   paper's variants.
-//! * [`domain`] — security domains, SLA slot allocation and spatial
-//!   partition assignment.
+//! * [`domain`] — security domains and spatial partition assignment.
 //! * [`txn`] / [`queues`] — memory transactions and the per-domain
 //!   transaction queues of the proposed microarchitecture.
 //! * [`prefetch`] — the sandbox prefetcher used to turn dummy slots into
@@ -43,7 +42,7 @@ pub mod sched;
 pub mod solver;
 pub mod txn;
 
-pub use domain::{DomainConfig, DomainId, PartitionPolicy};
+pub use domain::{DomainId, PartitionPolicy};
 pub use error::{ConfigError, CoreError};
 pub use sched::{
     CadenceSpec, Completion, MemoryController, SchedEvent, SchedulerKind, SlotGrantKind,

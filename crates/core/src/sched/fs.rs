@@ -8,12 +8,15 @@
 //! executable form of the paper's non-interference proof, which the
 //! `fsmc-security` crate verifies end to end.
 //!
-//! Variants: rank partitioning (l = 7), basic bank partitioning (l = 15),
-//! reordered bank partitioning (Q = 63, reads before writes, en-masse
-//! read release), naive no-partitioning (l = 43) and triple alternation
-//! (l = 15 with rotating bank-group masks). Optional features: sandbox
-//! prefetching into dummy slots, suppressed dummies, row-hit energy
-//! boosting, and rank power-down (energy optimisations 1–3).
+//! Design points, one [`SchedulerKind`] each: rank partitioning (l = 7,
+//! optionally with sandbox prefetching into dummy slots), basic bank
+//! partitioning (l = 15), reordered bank partitioning (Q = 63, reads
+//! before writes, en-masse read release), naive no-partitioning (l = 43)
+//! and triple alternation (l = 15 with rotating bank-group masks). The
+//! pipeline table [`FsPipeline::for_kind`] solves each one, and
+//! [`FsPipeline::certify`] certifies it; [`FsScheduler::try_new`] is the
+//! one constructor. Energy optimisations 1–3: suppressed dummies,
+//! row-hit energy boosting and rank power-down.
 
 use crate::domain::{DomainId, PartitionPolicy};
 use crate::error::{ConfigError, CoreError};
@@ -26,7 +29,8 @@ use crate::sched::{
 };
 use crate::solver::{
     certify_reordered, certify_uniform, conservative_pipeline, solve, solve_for_threads, Anchor,
-    PartitionLevel, PipelineSolution, ReorderedBpSchedule, SlotSchedule, SolveError,
+    CertifyReport, PartitionLevel, PipelineSolution, ReorderedBpSchedule, ScheduleVariant,
+    SlotSchedule, SolveError,
 };
 use crate::txn::{Transaction, TxnId, TxnKind};
 use fsmc_dram::checker::Violation;
@@ -35,25 +39,98 @@ use fsmc_dram::geometry::{BankId, Geometry, LineAddr, Location, RankId, RowId};
 use fsmc_dram::{Cycle, DramDevice, TimingParams};
 use std::collections::HashMap;
 
-/// FS design points (Figure 3).
+/// A solved FS pipeline: the slot schedule every design point but
+/// reordered bank partitioning runs (and the conservative fallback), or
+/// reordered BP's interval schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsVariant {
-    RankPartitioned,
-    BankPartitioned,
-    ReorderedBankPartitioned,
-    NoPartitionNaive,
-    TripleAlternation,
+pub enum FsPipeline {
+    Slots(SlotSchedule),
+    Reordered(ReorderedBpSchedule),
 }
 
-impl FsVariant {
-    /// The spatial partition each variant assumes.
-    pub fn partition_policy(&self) -> PartitionPolicy {
-        match self {
-            FsVariant::RankPartitioned => PartitionPolicy::Rank,
-            FsVariant::BankPartitioned | FsVariant::ReorderedBankPartitioned => {
-                PartitionPolicy::BankStriped
+impl FsPipeline {
+    /// The FS pipeline table: the pipeline design point `kind` runs with
+    /// `slots` issue slots per interval, solved from Eq. 1–4 for `t`.
+    /// Controller construction, re-certification, `certify_all` and
+    /// `fsmc certify` all read their pipelines from here.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] when `kind` is not a single-channel FS
+    /// design point, [`CoreError::Solve`] when it admits no pipeline
+    /// for `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is zero.
+    pub fn for_kind(kind: SchedulerKind, t: &TimingParams, slots: u8) -> Result<Self, CoreError> {
+        let uniform = |sol| FsPipeline::Slots(SlotSchedule::uniform(sol, slots));
+        let ras = |level| solve_for_threads(t, Anchor::FixedPeriodicRas, level, slots);
+        Ok(match kind {
+            // The pitch stays at the idealised l = 7 for *any* thread
+            // count; same-rank hazards at low thread counts (the Section 7
+            // phenomenon) are handled dynamically by the rank-hazard
+            // tracker: the scheduler picks a different transaction or
+            // inserts a bubble, based only on the domain's own history.
+            SchedulerKind::FsRankPartitioned | SchedulerKind::FsRankPartitionedPrefetch => {
+                uniform(solve(t, Anchor::FixedPeriodicData, PartitionLevel::Rank)?)
             }
-            FsVariant::NoPartitionNaive | FsVariant::TripleAlternation => PartitionPolicy::None,
+            SchedulerKind::FsBankPartitioned => uniform(ras(PartitionLevel::Bank)?),
+            SchedulerKind::FsNoPartitionNaive => uniform(ras(PartitionLevel::None)?),
+            SchedulerKind::FsTripleAlternation => {
+                FsPipeline::Slots(SlotSchedule::triple_alternation(t, slots)?)
+            }
+            SchedulerKind::FsReorderedBankPartitioned => {
+                FsPipeline::Reordered(ReorderedBpSchedule::new(t, slots))
+            }
+            other => {
+                let msg = format!("{other} is not a single-channel FS design point");
+                return Err(ConfigError::new(msg).into());
+            }
+        })
+    }
+
+    /// The conservative fallback every design point degrades onto: at
+    /// construction when its own pipeline does not solve, and after a
+    /// runtime timing violation.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError`] when not even the conservative pipeline solves.
+    pub fn conservative(t: &TimingParams, slots: u8) -> Result<SlotSchedule, SolveError> {
+        Ok(SlotSchedule::uniform(conservative_pipeline(t, slots)?, slots))
+    }
+
+    /// Certifies the pipeline conflict-free on `geom`, pairwise over
+    /// every slot pair and direction mix: uniform schedules at their
+    /// solution's partition level over four intervals, triple
+    /// alternation and reordered BP over three.
+    pub fn certify(&self, t: &TimingParams, geom: &Geometry) -> CertifyReport {
+        match self {
+            FsPipeline::Slots(s) => {
+                let span = match s.variant() {
+                    ScheduleVariant::Uniform => 4,
+                    ScheduleVariant::TripleAlternation => 3,
+                };
+                certify_uniform(s, s.solution().level, t, geom, span)
+            }
+            FsPipeline::Reordered(r) => certify_reordered(r, t, geom, 3),
+        }
+    }
+
+    /// The per-domain guaranteed service interval Q in DRAM cycles.
+    pub fn q(&self) -> u64 {
+        match self {
+            FsPipeline::Slots(s) => s.q(),
+            FsPipeline::Reordered(r) => r.q(),
+        }
+    }
+
+    /// The decision cycle of slot (or reordered-BP interval) `k`.
+    fn decision_cycle(&self, k: u64) -> Cycle {
+        match self {
+            FsPipeline::Slots(s) => s.plan(k).decision_cycle,
+            FsPipeline::Reordered(r) => r.decision_cycle(k),
         }
     }
 }
@@ -163,21 +240,21 @@ struct CmdEvent {
 ///
 /// ```
 /// use fsmc_core::domain::{DomainId, PartitionPolicy};
-/// use fsmc_core::sched::fs::{EnergyOptions, FsScheduler, FsVariant};
-/// use fsmc_core::sched::MemoryController;
+/// use fsmc_core::sched::fs::{EnergyOptions, FsScheduler};
+/// use fsmc_core::sched::{MemoryController, SchedulerKind};
 /// use fsmc_core::txn::{Transaction, TxnId};
 /// use fsmc_dram::geometry::LineAddr;
 /// use fsmc_dram::{Geometry, TimingParams};
 ///
 /// let geom = Geometry::paper_default();
-/// let mut mc = FsScheduler::new(
+/// let mut mc = FsScheduler::try_new(
 ///     geom,
 ///     TimingParams::ddr3_1600(),
-///     8,
-///     FsVariant::RankPartitioned,
-///     false,
+///     &[1; 8], // eight equally served domains
+///     SchedulerKind::FsRankPartitioned,
 ///     EnergyOptions::default(),
-/// );
+/// )
+/// .unwrap();
 /// assert_eq!(mc.interval_q(), 56); // one slot per domain every Q cycles
 /// let loc = PartitionPolicy::Rank.map(&geom, DomainId(0), LineAddr(42));
 /// mc.enqueue(Transaction::read(TxnId(1), DomainId(0), loc, 0)).unwrap();
@@ -193,15 +270,13 @@ pub struct FsScheduler {
     t: TimingParams,
     refresh: RefreshManager,
     stats: McStats,
-    variant: FsVariant,
-    policy: PartitionPolicy,
+    kind: SchedulerKind,
     queues: Vec<TransactionQueue>,
     prefetchers: Option<Vec<SandboxPrefetcher>>,
     energy: EnergyOptions,
-    schedule: Option<SlotSchedule>,
-    reordered: Option<ReorderedBpSchedule>,
-    next_slot: u64,
-    next_interval: u64,
+    pipeline: FsPipeline,
+    /// The next slot (reordered BP: interval) to decide.
+    next: u64,
     events: Vec<CmdEvent>,
     dummy_rotor: Vec<u64>,
     last_row: HashMap<(RankId, BankId), RowId>,
@@ -269,221 +344,89 @@ impl CmdFaultTracker {
 }
 
 impl FsScheduler {
-    /// Creates an FS controller for `domains` equally-served domains.
+    /// Creates an FS controller for design point `kind` with a
+    /// per-domain SLA: domain *d* receives `weights[d]` issue slots per
+    /// interval (Section 5.1 — "each transaction queue receives a fixed
+    /// level of service, as determined by the OS and a service-level
+    /// agreement"); `&[1; n]` serves `n` domains equally. Slots are
+    /// spread through the interval with a smooth weighted round-robin so
+    /// a multi-slot domain's accesses are maximally separated. The slot
+    /// *pattern* is fixed at construction by the SLA alone, so weighted
+    /// service leaks nothing: every slot still carries exactly one
+    /// (possibly dummy) transaction.
     ///
-    /// `prefetch` enables the sandbox prefetcher in dummy slots
-    /// (`FS_RP-Prefetch`); `energy` selects the Section 5.2 optimisations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domains` is zero or not even the conservative fallback
-    /// pipeline solves for the given timing parameters (see
-    /// [`FsScheduler::try_new`]).
-    pub fn new(
-        geom: Geometry,
-        t: TimingParams,
-        domains: u8,
-        variant: FsVariant,
-        prefetch: bool,
-        energy: EnergyOptions,
-    ) -> Self {
-        FsScheduler::try_new(geom, t, domains, variant, prefetch, energy)
-            .unwrap_or_else(|e| panic!("FS controller construction failed: {e}"))
-    }
-
-    /// Fallible form of [`FsScheduler::new`]. If the requested variant's
-    /// pipeline does not solve, the controller falls back to the
-    /// conservative pipeline and starts degraded (recorded in
-    /// [`McStats::solver_fallbacks`]); only when even that fails is a
-    /// [`CoreError::Solve`] returned.
+    /// `kind` also selects the sandbox prefetcher in dummy slots
+    /// (`FS_RP-Prefetch`); `energy` selects the Section 5.2
+    /// optimisations. If the kind's pipeline
+    /// ([`FsPipeline::for_kind`]) does not solve, the controller starts
+    /// degraded on the conservative fallback (recorded in
+    /// [`McStats::solver_fallbacks`]).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Config`] for invalid arguments, [`CoreError::Solve`]
-    /// when no pipeline (including the fallback) solves.
+    /// [`CoreError::Config`] for an empty SLA, a zero weight, more than
+    /// 255 slots, unequal weights under reordered bank partitioning, or
+    /// a `kind` that is not a single-channel FS design point;
+    /// [`CoreError::Solve`] when no pipeline (including the fallback)
+    /// solves.
     pub fn try_new(
         geom: Geometry,
         t: TimingParams,
-        domains: u8,
-        variant: FsVariant,
-        prefetch: bool,
-        energy: EnergyOptions,
-    ) -> Result<Self, CoreError> {
-        if domains == 0 {
-            return Err(ConfigError::new("domains must be non-zero").into());
-        }
-        FsScheduler::try_with_slot_weights(
-            geom,
-            t,
-            &vec![1u8; domains as usize],
-            variant,
-            prefetch,
-            energy,
-        )
-    }
-
-    /// Creates an FS controller with a per-domain SLA: domain *d*
-    /// receives `weights[d]` issue slots per interval (Section 5.1 —
-    /// "each transaction queue receives a fixed level of service, as
-    /// determined by the OS and a service-level agreement"). Slots are
-    /// spread through the interval with a smooth weighted round-robin so
-    /// a multi-slot domain's accesses are maximally separated.
-    ///
-    /// The slot *pattern* is fixed at construction by the SLA alone, so
-    /// weighted service leaks nothing: every slot still carries exactly
-    /// one (possibly dummy) transaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty, any weight is zero, or no pipeline
-    /// (including the conservative fallback) can be solved.
-    pub fn with_slot_weights(
-        geom: Geometry,
-        t: TimingParams,
         weights: &[u8],
-        variant: FsVariant,
-        prefetch: bool,
-        energy: EnergyOptions,
-    ) -> Self {
-        FsScheduler::try_with_slot_weights(geom, t, weights, variant, prefetch, energy)
-            .unwrap_or_else(|e| panic!("FS controller construction failed: {e}"))
-    }
-
-    /// Either the variant's solved schedule, or the conservative fallback
-    /// when the variant is infeasible for these timing parameters.
-    fn schedule_or_fallback(
-        sol: Result<PipelineSolution, SolveError>,
-        t: &TimingParams,
-        slots: u8,
-        fell_back: &mut bool,
-    ) -> Result<SlotSchedule, CoreError> {
-        let sol = match sol {
-            Ok(s) => s,
-            Err(_) => {
-                *fell_back = true;
-                conservative_pipeline(t, slots)?
-            }
-        };
-        Ok(SlotSchedule::uniform(sol, slots))
-    }
-
-    /// Fallible form of [`FsScheduler::with_slot_weights`], with the same
-    /// degraded-start fallback as [`FsScheduler::try_new`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Config`] for invalid arguments, [`CoreError::Solve`]
-    /// when no pipeline (including the fallback) solves.
-    pub fn try_with_slot_weights(
-        geom: Geometry,
-        t: TimingParams,
-        weights: &[u8],
-        variant: FsVariant,
-        prefetch: bool,
+        kind: SchedulerKind,
         energy: EnergyOptions,
     ) -> Result<Self, CoreError> {
         if weights.is_empty() {
-            return Err(ConfigError::new("at least one domain required").into());
+            return Err(ConfigError::new("domains must be non-zero").into());
         }
         if weights.contains(&0) {
             return Err(ConfigError::new("every domain needs at least one slot").into());
         }
-        let domains = weights.len() as u8;
         let total_slots: u16 = weights.iter().map(|&w| w as u16).sum();
         if total_slots > 255 {
             return Err(ConfigError::new("slot pattern too long (more than 255 slots)").into());
         }
-        let slot_pattern = smooth_weighted_round_robin(weights);
-        let device = DramDevice::new(geom, t);
-        let refresh = RefreshManager::new(&t, geom.ranks_per_channel());
-        let mut fell_back = false;
-        let (schedule, reordered) = match variant {
-            FsVariant::RankPartitioned => {
-                // The pitch stays at the idealised l = 7 for *any* thread
-                // count; same-rank hazards at low thread counts (the
-                // Section 7 phenomenon) are handled dynamically by the
-                // rank-hazard tracker: the scheduler picks a different
-                // transaction or inserts a bubble, based only on the
-                // domain's own history.
-                let sol = solve(&t, Anchor::FixedPeriodicData, PartitionLevel::Rank);
-                (
-                    Some(Self::schedule_or_fallback(sol, &t, total_slots as u8, &mut fell_back)?),
-                    None,
-                )
+        if kind == SchedulerKind::FsReorderedBankPartitioned && weights.iter().any(|&w| w != 1) {
+            let msg = "reordered bank partitioning supports equal service only";
+            return Err(ConfigError::new(msg).into());
+        }
+        let total_slots = total_slots as u8;
+        let (pipeline, fell_back) = match FsPipeline::for_kind(kind, &t, total_slots) {
+            Ok(p) => (p, false),
+            Err(CoreError::Solve(_)) => {
+                (FsPipeline::Slots(FsPipeline::conservative(&t, total_slots)?), true)
             }
-            FsVariant::BankPartitioned => {
-                let sol = solve_for_threads(
-                    &t,
-                    Anchor::FixedPeriodicRas,
-                    PartitionLevel::Bank,
-                    total_slots as u8,
-                );
-                (
-                    Some(Self::schedule_or_fallback(sol, &t, total_slots as u8, &mut fell_back)?),
-                    None,
-                )
-            }
-            FsVariant::NoPartitionNaive => {
-                let sol = solve_for_threads(
-                    &t,
-                    Anchor::FixedPeriodicRas,
-                    PartitionLevel::None,
-                    total_slots as u8,
-                );
-                (
-                    Some(Self::schedule_or_fallback(sol, &t, total_slots as u8, &mut fell_back)?),
-                    None,
-                )
-            }
-            FsVariant::TripleAlternation => {
-                let schedule = match SlotSchedule::triple_alternation(&t, total_slots as u8) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        fell_back = true;
-                        SlotSchedule::uniform(
-                            conservative_pipeline(&t, total_slots as u8)?,
-                            total_slots as u8,
-                        )
-                    }
-                };
-                (Some(schedule), None)
-            }
-            FsVariant::ReorderedBankPartitioned => {
-                if weights.iter().any(|&w| w != 1) {
-                    return Err(ConfigError::new(
-                        "reordered bank partitioning supports equal service only",
-                    )
-                    .into());
-                }
-                (None, Some(ReorderedBpSchedule::new(&t, domains)))
-            }
+            Err(e) => return Err(e),
         };
-        let free_phases = schedule.map(|s| Self::compute_free_phases(&s)).unwrap_or_default();
+        let free_phases = match &pipeline {
+            FsPipeline::Slots(s) => Self::compute_free_phases(s),
+            FsPipeline::Reordered(_) => Vec::new(),
+        };
+        let domains = weights.len() as u8;
         let mut stats = McStats::new(domains as usize);
         if fell_back {
             stats.solver_fallbacks += 1;
             stats.degraded = true;
         }
+        let ranks = geom.ranks_per_channel() as usize;
+        let prefetch = kind == SchedulerKind::FsRankPartitionedPrefetch;
         Ok(FsScheduler {
-            device,
+            device: DramDevice::new(geom, t),
             t,
-            refresh,
+            refresh: RefreshManager::new(&t, geom.ranks_per_channel()),
             stats,
-            variant,
-            policy: variant.partition_policy(),
+            kind,
             queues: (0..domains).map(|d| TransactionQueue::new(DomainId(d), 16)).collect(),
             prefetchers: prefetch.then(|| (0..domains).map(|_| SandboxPrefetcher::new()).collect()),
             energy,
-            schedule,
-            reordered,
-            next_slot: 0,
-            next_interval: 0,
+            pipeline,
+            next: 0,
             events: Vec::new(),
             dummy_rotor: vec![0; domains as usize],
             last_row: HashMap::new(),
-            rank_powered_down: vec![false; geom.ranks_per_channel() as usize],
-            hazards: RankHazardTracker::new(geom.ranks_per_channel() as usize),
-            slot_pattern,
+            rank_powered_down: vec![false; ranks],
+            hazards: RankHazardTracker::new(ranks),
+            slot_pattern: smooth_weighted_round_robin(weights),
             free_phases,
             next_synth_id: 1 << 61,
             domains,
@@ -493,76 +436,45 @@ impl FsScheduler {
             obs_events: Vec::new(),
             epoch: 0,
             stuck_banks: Vec::new(),
-            dead_ranks: vec![false; geom.ranks_per_channel() as usize],
+            dead_ranks: vec![false; ranks],
         })
-    }
-
-    /// Creates an FS controller from per-domain [`crate::domain::DomainConfig`]s (the
-    /// OS/SLA view of Section 5.1): slot weights and queue depths are
-    /// taken from the configs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty, ids are not dense `0..n`, or any
-    /// slot weight is zero.
-    pub fn from_domain_configs(
-        geom: Geometry,
-        t: TimingParams,
-        configs: &[crate::domain::DomainConfig],
-        variant: FsVariant,
-        prefetch: bool,
-        energy: EnergyOptions,
-    ) -> Self {
-        assert!(!configs.is_empty(), "at least one domain required");
-        for (i, c) in configs.iter().enumerate() {
-            assert_eq!(c.id.0 as usize, i, "domain ids must be dense and ordered");
-        }
-        let weights: Vec<u8> = configs.iter().map(|c| c.slots_per_interval).collect();
-        let mut mc = FsScheduler::with_slot_weights(geom, t, &weights, variant, prefetch, energy);
-        mc.queues = configs.iter().map(|c| TransactionQueue::new(c.id, c.queue_capacity)).collect();
-        mc
     }
 
     /// Creates an FS controller around a caller-supplied pipeline
     /// solution — the ablation hook for comparing anchor disciplines or
-    /// custom pitches under the same scheduler machinery. The partition
-    /// policy is taken from `variant`; the solution's pitch must have
-    /// been produced (or certified) for a compatible partition level, or
-    /// command issue will panic at runtime when the pipeline math is
-    /// violated.
+    /// custom pitches under the same scheduler machinery. The controller
+    /// is built by [`FsScheduler::try_new`] for `domains` equally served
+    /// domains of `kind`, whose pipeline `solution` then replaces. A
+    /// solution that breaks a Table-1 rule for `kind`'s partition is
+    /// caught at command issue and degrades the controller onto the
+    /// conservative pipeline, like any other runtime violation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `domains` is zero.
+    /// As [`FsScheduler::try_new`].
     pub fn with_pipeline(
         geom: Geometry,
         t: TimingParams,
         domains: u8,
-        variant: FsVariant,
-        solution: crate::solver::PipelineSolution,
+        kind: SchedulerKind,
+        solution: PipelineSolution,
         energy: EnergyOptions,
-    ) -> Self {
-        assert!(domains > 0, "domains must be non-zero");
-        let mut mc = FsScheduler::new(geom, t, domains, variant, false, energy);
+    ) -> Result<Self, CoreError> {
+        let mut mc = FsScheduler::try_new(geom, t, &vec![1; domains as usize], kind, energy)?;
         let schedule = SlotSchedule::uniform(solution, domains);
         mc.free_phases = Self::compute_free_phases(&schedule);
-        mc.schedule = Some(schedule);
-        mc.reordered = None;
-        mc
+        mc.pipeline = FsPipeline::Slots(schedule);
+        Ok(mc)
     }
 
-    /// The slot schedule (uniform variants), for inspection/diagrams.
-    pub fn schedule(&self) -> Option<&SlotSchedule> {
-        self.schedule.as_ref()
+    /// The pipeline this controller runs, for inspection/diagrams.
+    pub fn pipeline(&self) -> &FsPipeline {
+        &self.pipeline
     }
 
     /// The per-thread guaranteed service interval Q in DRAM cycles.
     pub fn interval_q(&self) -> u64 {
-        match (&self.schedule, &self.reordered) {
-            (Some(s), _) => s.q(),
-            (_, Some(r)) => r.q(),
-            _ => unreachable!("one schedule form always exists"),
-        }
+        self.pipeline.q()
     }
 
     fn compute_free_phases(s: &SlotSchedule) -> Vec<u64> {
@@ -590,7 +502,7 @@ impl FsScheduler {
         now: Cycle,
     ) -> Option<Transaction> {
         let geom = *self.device.geometry();
-        let banks = self.policy.banks_of(&geom, domain);
+        let banks = self.kind.partition_policy().banks_of(&geom, domain);
         let n = banks.len() as u64;
         let start = self.dummy_rotor[domain.0 as usize];
         for i in 0..n {
@@ -646,7 +558,8 @@ impl FsScheduler {
             }
             p.next_prefetch()?
         };
-        let loc = self.remap_unhealthy(domain, self.policy.map(&geom, domain, local));
+        let loc =
+            self.remap_unhealthy(domain, self.kind.partition_policy().map(&geom, domain, local));
         if self.dead_ranks[loc.rank.0 as usize] {
             return None;
         }
@@ -787,7 +700,7 @@ impl FsScheduler {
             return true;
         }
         if self.energy.power_down
-            && self.variant == FsVariant::RankPartitioned
+            && self.kind.partition_policy() == PartitionPolicy::Rank
             && self.try_power_down(domain, &plan, now)
         {
             self.note_slot(now, plan.slot, domain, SlotGrantKind::PowerDown);
@@ -824,7 +737,7 @@ impl FsScheduler {
         plan: &crate::solver::SlotPlan,
         now: Cycle,
     ) -> bool {
-        let Some(schedule) = self.schedule else { return false };
+        let FsPipeline::Slots(schedule) = self.pipeline else { return false };
         if self.free_phases.len() < 2 {
             return false;
         }
@@ -881,8 +794,7 @@ impl FsScheduler {
 
     /// Reordered-BP interval commit: snapshot one transaction (or dummy)
     /// per domain, order reads before writes, release read data en masse.
-    fn fill_interval(&mut self, k: u64, now: Cycle) {
-        let r = self.reordered.expect("reordered schedule");
+    fn fill_interval(&mut self, r: ReorderedBpSchedule, k: u64, now: Cycle) {
         let ready_by = {
             let (act0, _, _) = r.slot_times(k, 0, false);
             act0
@@ -990,8 +902,9 @@ impl FsScheduler {
     /// that clears every in-flight bank/bus state. Returns `false` when
     /// even the conservative pipeline cannot be solved.
     fn enter_degraded(&mut self, now: Cycle) -> bool {
-        let total_slots = self.slot_pattern.len() as u8;
-        let Ok(sol) = conservative_pipeline(&self.t, total_slots) else { return false };
+        let Ok(schedule) = FsPipeline::conservative(&self.t, self.slot_pattern.len() as u8) else {
+            return false;
+        };
         self.degraded = true;
         self.stats.degraded = true;
         self.stats.solver_fallbacks += 1;
@@ -1034,11 +947,9 @@ impl FsScheduler {
                 completion: None,
             });
         }
-        let schedule = SlotSchedule::uniform(sol, total_slots);
-        self.next_slot = schedule.first_slot_from(prea_at + ranks as Cycle + self.t.t_rp as Cycle);
+        self.next = schedule.first_slot_from(prea_at + ranks as Cycle + self.t.t_rp as Cycle);
         self.free_phases = Self::compute_free_phases(&schedule);
-        self.schedule = Some(schedule);
-        self.reordered = None;
+        self.pipeline = FsPipeline::Slots(schedule);
         // Power-down interacts with slot phases solved for the old pitch;
         // keep degraded mode simple and certified.
         self.energy.power_down = false;
@@ -1063,7 +974,7 @@ impl FsScheduler {
             return loc;
         }
         let geom = *self.device.geometry();
-        let banks = self.policy.banks_of(&geom, domain);
+        let banks = self.kind.partition_policy().banks_of(&geom, domain);
         let Some(pos) = banks.iter().position(|&(r, b)| r == loc.rank && b == loc.bank) else {
             return loc;
         };
@@ -1079,75 +990,28 @@ impl FsScheduler {
 
     /// Re-solves the committed pipeline for the (masked) topology and
     /// re-certifies it against Table 1. The FS reconfiguration contract
-    /// requires the re-solve to reproduce the committed slot pitch —
-    /// masks change *which* banks slots may touch, never *when* slots
-    /// fire — so any pitch divergence or certification failure rejects
-    /// the reconfiguration.
+    /// requires the re-solve to reproduce the committed pipeline — masks
+    /// change *which* banks slots may touch, never *when* slots fire — so
+    /// any divergence or certification failure rejects the
+    /// reconfiguration.
     fn recertify(&self) -> Result<(), ConfigError> {
-        if let Some(r) = &self.reordered {
-            if !certify_reordered(r, &self.t, self.device.geometry(), 3).certified() {
-                return Err(ConfigError::new(
-                    "reconfigured reordered-BP schedule failed Table-1 re-certification",
-                ));
-            }
-            return Ok(());
-        }
-        let Some(s) = &self.schedule else { return Ok(()) };
         // The conservative fallback is certified by construction and is
         // already the widest pitch available — nothing to re-solve.
         if self.degraded {
             return Ok(());
         }
-        let total_slots = self.slot_pattern.len() as u8;
-        let (level, span, solved) = match self.variant {
-            FsVariant::RankPartitioned => (
-                PartitionLevel::Rank,
-                4,
-                Some(solve(&self.t, Anchor::FixedPeriodicData, PartitionLevel::Rank)),
-            ),
-            FsVariant::BankPartitioned => (
-                PartitionLevel::Bank,
-                4,
-                Some(solve_for_threads(
-                    &self.t,
-                    Anchor::FixedPeriodicRas,
-                    PartitionLevel::Bank,
-                    total_slots,
-                )),
-            ),
-            FsVariant::NoPartitionNaive => (
-                PartitionLevel::None,
-                4,
-                Some(solve_for_threads(
-                    &self.t,
-                    Anchor::FixedPeriodicRas,
-                    PartitionLevel::None,
-                    total_slots,
-                )),
-            ),
-            // Triple alternation's schedule is built (not solved); only
-            // the certification step applies.
-            FsVariant::TripleAlternation => (PartitionLevel::None, 3, None),
-            FsVariant::ReorderedBankPartitioned => unreachable!("handled above"),
-        };
-        if let Some(sol) = solved {
-            match sol {
-                Ok(sol) if sol.l as u64 == s.slot_pitch() as u64 => {}
-                Ok(sol) => {
-                    return Err(ConfigError::new(format!(
-                        "reconfigured pitch {} diverged from committed pitch {}",
-                        sol.l,
-                        s.slot_pitch()
-                    )));
-                }
-                Err(_) => {
-                    return Err(ConfigError::new(
-                        "degraded topology admits no pipeline at the committed anchors",
-                    ));
-                }
-            }
+        let fresh = FsPipeline::for_kind(self.kind, &self.t, self.slot_pattern.len() as u8)
+            .map_err(|_| {
+                ConfigError::new("degraded topology admits no pipeline at the committed anchors")
+            })?;
+        if fresh != self.pipeline {
+            return Err(ConfigError::new(format!(
+                "re-solved pipeline (Q = {}) diverged from the committed one (Q = {})",
+                fresh.q(),
+                self.pipeline.q()
+            )));
         }
-        if !certify_uniform(s, level, &self.t, self.device.geometry(), span).certified() {
+        if !self.pipeline.certify(&self.t, self.device.geometry()).certified() {
             return Err(ConfigError::new(
                 "degraded-topology schedule failed Table-1 re-certification",
             ));
@@ -1236,13 +1100,13 @@ impl MemoryController for FsScheduler {
             return;
         }
         // Slot/interval decisions.
-        if let Some(schedule) = self.schedule {
-            loop {
-                let mut plan = schedule.plan(self.next_slot);
+        match self.pipeline {
+            FsPipeline::Slots(schedule) => loop {
+                let mut plan = schedule.plan(self.next);
                 // SLA slot ownership: the schedule indexes virtual slots;
                 // the fixed pattern maps them to domains.
                 plan.domain =
-                    self.slot_pattern[(self.next_slot % self.slot_pattern.len() as u64) as usize];
+                    self.slot_pattern[(self.next % self.slot_pattern.len() as u64) as usize];
                 if plan.decision_cycle > now {
                     break;
                 }
@@ -1252,11 +1116,10 @@ impl MemoryController for FsScheduler {
                     self.stats.bubbles += 1;
                     self.note_slot(now, plan.slot, plan.domain, SlotGrantKind::Bubble);
                 }
-                self.next_slot += 1;
-            }
-        } else if let Some(r) = self.reordered {
-            loop {
-                let dec = r.decision_cycle(self.next_interval);
+                self.next += 1;
+            },
+            FsPipeline::Reordered(r) => loop {
+                let dec = r.decision_cycle(self.next);
                 if dec > now {
                     break;
                 }
@@ -1264,15 +1127,15 @@ impl MemoryController for FsScheduler {
                     && self.refresh.allows_transaction(now + r.q())
                     && self.refresh.allows_transaction(now)
                 {
-                    self.fill_interval(self.next_interval, now);
+                    self.fill_interval(r, self.next, now);
                 } else if dec == now {
                     self.stats.bubbles += self.domains as u64;
                     for d in 0..self.domains {
-                        self.note_slot(now, self.next_interval, DomainId(d), SlotGrantKind::Bubble);
+                        self.note_slot(now, self.next, DomainId(d), SlotGrantKind::Bubble);
                     }
                 }
-                self.next_interval += 1;
-            }
+                self.next += 1;
+            },
         }
         self.pump_events(now, out);
     }
@@ -1285,12 +1148,8 @@ impl MemoryController for FsScheduler {
         if self.fault.is_some() {
             return Cycle::MAX;
         }
-        let mut next = self.refresh.next_command_cycle(now);
-        if let Some(s) = &self.schedule {
-            next = next.min(s.plan(self.next_slot).decision_cycle);
-        } else if let Some(r) = &self.reordered {
-            next = next.min(r.decision_cycle(self.next_interval));
-        }
+        let mut next =
+            self.refresh.next_command_cycle(now).min(self.pipeline.decision_cycle(self.next));
         for ev in &self.events {
             next = next.min(ev.cycle);
         }
@@ -1338,14 +1197,7 @@ impl MemoryController for FsScheduler {
     }
 
     fn kind(&self) -> SchedulerKind {
-        match (self.variant, self.prefetchers.is_some()) {
-            (FsVariant::RankPartitioned, false) => SchedulerKind::FsRankPartitioned,
-            (FsVariant::RankPartitioned, true) => SchedulerKind::FsRankPartitionedPrefetch,
-            (FsVariant::BankPartitioned, _) => SchedulerKind::FsBankPartitioned,
-            (FsVariant::ReorderedBankPartitioned, _) => SchedulerKind::FsReorderedBankPartitioned,
-            (FsVariant::NoPartitionNaive, _) => SchedulerKind::FsNoPartitionNaive,
-            (FsVariant::TripleAlternation, _) => SchedulerKind::FsTripleAlternation,
-        }
+        self.kind
     }
 
     fn record_obs(&mut self) {
@@ -1388,13 +1240,13 @@ impl MemoryController for FsScheduler {
         // The reordered-BP variant runs an interval discipline with no
         // per-slot anchors, and a poisoned controller issues nothing
         // worth monitoring; both report no cadence.
-        let s = self.schedule.as_ref()?;
+        let FsPipeline::Slots(s) = &self.pipeline else { return None };
         if self.fault.is_some() {
             return None;
         }
         let p0 = s.plan(0);
         let ranks = self.device.geometry().ranks_per_channel();
-        let owners = (self.policy == PartitionPolicy::Rank)
+        let owners = (self.kind.partition_policy() == PartitionPolicy::Rank)
             .then(|| self.slot_pattern.iter().map(|d| d.0 % ranks).collect());
         Some(CadenceSpec {
             slot_pitch: s.slot_pitch() as Cycle,
@@ -1415,21 +1267,22 @@ impl MemoryController for FsScheduler {
         // (or reveal) anyone.
         let margin = (self.t.t_rfc + self.t.t_rc + 64) as Cycle;
         let target = now + margin;
-        if let Some(s) = &self.schedule {
-            let len = self.slot_pattern.len() as u64;
-            let mut slot = s.first_slot_from(target).max(self.next_slot);
-            while !slot.is_multiple_of(len) {
-                slot += 1;
+        match &self.pipeline {
+            FsPipeline::Slots(s) => {
+                let len = self.slot_pattern.len() as u64;
+                let mut slot = s.first_slot_from(target).max(self.next);
+                while !slot.is_multiple_of(len) {
+                    slot += 1;
+                }
+                s.plan(slot).decision_cycle
             }
-            s.plan(slot).decision_cycle
-        } else if let Some(r) = &self.reordered {
-            let mut k = self.next_interval;
-            while r.decision_cycle(k) < target {
-                k += 1;
+            FsPipeline::Reordered(r) => {
+                let mut k = self.next;
+                while r.decision_cycle(k) < target {
+                    k += 1;
+                }
+                r.decision_cycle(k)
             }
-            r.decision_cycle(k)
-        } else {
-            target
         }
     }
 
@@ -1509,15 +1362,15 @@ mod tests {
     use fsmc_dram::geometry::ColId;
     use fsmc_dram::TimingChecker;
 
-    fn mk(variant: FsVariant) -> FsScheduler {
-        FsScheduler::new(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            8,
-            variant,
-            false,
-            EnergyOptions::default(),
-        )
+    use SchedulerKind as K;
+
+    fn mk_with(weights: &[u8], kind: SchedulerKind, energy: EnergyOptions) -> FsScheduler {
+        let (geom, t) = (Geometry::paper_default(), TimingParams::ddr3_1600());
+        FsScheduler::try_new(geom, t, weights, kind, energy).unwrap()
+    }
+
+    fn mk(kind: SchedulerKind) -> FsScheduler {
+        mk_with(&[1; 8], kind, EnergyOptions::default())
     }
 
     fn txn(id: u64, domain: u8, local: u64, write: bool, policy: PartitionPolicy) -> Transaction {
@@ -1541,7 +1394,7 @@ mod tests {
 
     #[test]
     fn rank_partitioned_serves_every_domain_every_q() {
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         assert_eq!(mc.interval_q(), 56);
         for d in 0..8u8 {
             mc.enqueue(txn(d as u64, d, 0, false, PartitionPolicy::Rank)).unwrap();
@@ -1556,7 +1409,7 @@ mod tests {
 
     #[test]
     fn dummies_fill_idle_slots() {
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         run(&mut mc, 56 * 4);
         // ~4 intervals x 8 slots, all dummies (no demand traffic).
         let dummies: u64 = (0..8).map(|d| mc.stats().domain(DomainId(d)).dummies).sum();
@@ -1566,7 +1419,7 @@ mod tests {
 
     #[test]
     fn rank_partitioned_stream_is_conflict_free_for_any_mix() {
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         mc.record_commands();
         for i in 0..64u64 {
             mc.enqueue(txn(i, (i % 8) as u8, i * 17, i % 3 == 0, PartitionPolicy::Rank)).unwrap();
@@ -1581,11 +1434,11 @@ mod tests {
 
     #[test]
     fn bank_partitioned_and_naive_np_streams_are_conflict_free() {
-        for (variant, policy) in [
-            (FsVariant::BankPartitioned, PartitionPolicy::BankStriped),
-            (FsVariant::NoPartitionNaive, PartitionPolicy::None),
+        for (kind, policy) in [
+            (K::FsBankPartitioned, PartitionPolicy::BankStriped),
+            (K::FsNoPartitionNaive, PartitionPolicy::None),
         ] {
-            let mut mc = mk(variant);
+            let mut mc = mk(kind);
             mc.record_commands();
             for i in 0..48u64 {
                 mc.enqueue(txn(i, (i % 8) as u8, i * 17, i % 3 == 0, policy)).unwrap();
@@ -1593,13 +1446,13 @@ mod tests {
             run(&mut mc, 4000);
             let checker = TimingChecker::new(Geometry::paper_default(), TimingParams::ddr3_1600());
             let v = checker.check(&mc.take_command_log());
-            assert!(v.is_empty(), "{variant:?}: {v:?}");
+            assert!(v.is_empty(), "{kind:?}: {v:?}");
         }
     }
 
     #[test]
     fn triple_alternation_stream_is_conflict_free() {
-        let mut mc = mk(FsVariant::TripleAlternation);
+        let mut mc = mk(K::FsTripleAlternation);
         mc.record_commands();
         for i in 0..64u64 {
             mc.enqueue(txn(i, (i % 8) as u8, i * 31, i % 4 == 0, PartitionPolicy::None)).unwrap();
@@ -1612,7 +1465,7 @@ mod tests {
 
     #[test]
     fn reordered_bp_releases_reads_en_masse() {
-        let mut mc = mk(FsVariant::ReorderedBankPartitioned);
+        let mut mc = mk(K::FsReorderedBankPartitioned);
         assert_eq!(mc.interval_q(), 63);
         for d in 0..4u8 {
             mc.enqueue(txn(d as u64, d, 0, false, PartitionPolicy::BankStriped)).unwrap();
@@ -1626,7 +1479,7 @@ mod tests {
 
     #[test]
     fn reordered_bp_stream_is_conflict_free() {
-        let mut mc = mk(FsVariant::ReorderedBankPartitioned);
+        let mut mc = mk(K::FsReorderedBankPartitioned);
         mc.record_commands();
         for i in 0..64u64 {
             mc.enqueue(txn(i, (i % 8) as u8, i * 13, i % 2 == 0, PartitionPolicy::BankStriped))
@@ -1643,15 +1496,15 @@ mod tests {
         // Two identical controllers: one ticks every cycle, the other
         // ticks only at the cycles next_event admits. Completions,
         // command logs and stats must match exactly.
-        for variant in [
-            FsVariant::RankPartitioned,
-            FsVariant::BankPartitioned,
-            FsVariant::ReorderedBankPartitioned,
-            FsVariant::NoPartitionNaive,
-            FsVariant::TripleAlternation,
+        for kind in [
+            K::FsRankPartitioned,
+            K::FsBankPartitioned,
+            K::FsReorderedBankPartitioned,
+            K::FsNoPartitionNaive,
+            K::FsTripleAlternation,
         ] {
-            let policy = variant.partition_policy();
-            let (mut dense, mut sparse) = (mk(variant), mk(variant));
+            let policy = kind.partition_policy();
+            let (mut dense, mut sparse) = (mk(kind), mk(kind));
             dense.record_commands();
             sparse.record_commands();
             for i in 0..16u64 {
@@ -1670,15 +1523,15 @@ mod tests {
                 sparse_done.extend(sparse.tick(c));
                 c = sparse.next_event(c);
             }
-            assert_eq!(dense_done, sparse_done, "{variant:?}");
-            assert_eq!(dense.take_command_log(), sparse.take_command_log(), "{variant:?}");
-            assert_eq!(dense.stats(), sparse.stats(), "{variant:?}");
+            assert_eq!(dense_done, sparse_done, "{kind:?}");
+            assert_eq!(dense.take_command_log(), sparse.take_command_log(), "{kind:?}");
+            assert_eq!(dense.stats(), sparse.stats(), "{kind:?}");
         }
     }
 
     #[test]
     fn refresh_windows_do_not_break_the_pipeline() {
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         mc.record_commands();
         let mut id = 0u64;
         for c in 0..13_000u64 {
@@ -1696,12 +1549,9 @@ mod tests {
 
     #[test]
     fn suppressed_dummies_do_not_count_as_array_activity() {
-        let mut mc = FsScheduler::new(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            8,
-            FsVariant::RankPartitioned,
-            false,
+        let mut mc = mk_with(
+            &[1; 8],
+            K::FsRankPartitioned,
             EnergyOptions { suppress_dummies: true, ..Default::default() },
         );
         run(&mut mc, 56 * 4);
@@ -1713,12 +1563,9 @@ mod tests {
 
     #[test]
     fn power_down_engages_on_idle_ranks_and_stream_stays_legal() {
-        let mut mc = FsScheduler::new(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            8,
-            FsVariant::RankPartitioned,
-            false,
+        let mut mc = mk_with(
+            &[1; 8],
+            K::FsRankPartitioned,
             EnergyOptions { power_down: true, ..Default::default() },
         );
         mc.record_commands();
@@ -1734,12 +1581,9 @@ mod tests {
 
     #[test]
     fn row_hit_boost_detects_repeated_rows() {
-        let mut mc = FsScheduler::new(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            8,
-            FsVariant::RankPartitioned,
-            false,
+        let mut mc = mk_with(
+            &[1; 8],
+            K::FsRankPartitioned,
             EnergyOptions { row_hit_boost: true, ..Default::default() },
         );
         // Two reads to the same row of domain 0.
@@ -1755,15 +1599,8 @@ mod tests {
         // the 15-cycle write-to-read turnaround) bite; the scheduler must
         // pick different transactions or insert bubbles rather than
         // violate timing. The stream must stay legal for a write-heavy mix.
-        let mut mc = FsScheduler::new(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            2,
-            FsVariant::RankPartitioned,
-            false,
-            EnergyOptions::default(),
-        );
-        assert_eq!(mc.schedule().unwrap().slot_pitch(), 7);
+        let mut mc = mk_with(&[1; 2], K::FsRankPartitioned, EnergyOptions::default());
+        assert!(matches!(mc.pipeline(), FsPipeline::Slots(s) if s.slot_pitch() == 7));
         mc.record_commands();
         for i in 0..24u64 {
             mc.enqueue(txn(i, (i % 2) as u8, i * 17, i % 2 == 0, PartitionPolicy::Rank)).unwrap();
@@ -1779,14 +1616,7 @@ mod tests {
     fn weighted_sla_gives_proportional_service() {
         // Section 5.1: a domain's SLA decides its issue slots. Domain 0
         // gets 3 slots per interval, domains 1 and 2 get 1 each.
-        let mut mc = FsScheduler::with_slot_weights(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            &[3, 1, 1],
-            FsVariant::RankPartitioned,
-            false,
-            EnergyOptions::default(),
-        );
+        let mut mc = mk_with(&[3, 1, 1], K::FsRankPartitioned, EnergyOptions::default());
         mc.record_commands();
         // Saturate every domain.
         let mut done = vec![0u64; 3];
@@ -1812,39 +1642,8 @@ mod tests {
     }
 
     #[test]
-    fn domain_configs_drive_slots_and_queue_depths() {
-        use crate::domain::DomainConfig;
-        let configs = [
-            DomainConfig { id: DomainId(0), slots_per_interval: 2, queue_capacity: 4 },
-            DomainConfig::equal_service(DomainId(1)),
-        ];
-        let mut mc = FsScheduler::from_domain_configs(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            &configs,
-            FsVariant::RankPartitioned,
-            false,
-            EnergyOptions::default(),
-        );
-        assert_eq!(mc.slot_pattern.len(), 3);
-        // Queue capacity of domain 0 is 4: the fifth enqueue back-pressures.
-        for i in 0..4 {
-            mc.enqueue(txn(i, 0, i * 997, false, PartitionPolicy::Rank)).unwrap();
-        }
-        assert!(!mc.can_accept(DomainId(0)));
-        assert!(mc.can_accept(DomainId(1)));
-    }
-
-    #[test]
     fn weighted_sla_slots_are_spread_not_clumped() {
-        let mc = FsScheduler::with_slot_weights(
-            Geometry::paper_default(),
-            TimingParams::ddr3_1600(),
-            &[2, 1, 1],
-            FsVariant::RankPartitioned,
-            false,
-            EnergyOptions::default(),
-        );
+        let mc = mk_with(&[2, 1, 1], K::FsRankPartitioned, EnergyOptions::default());
         let p = &mc.slot_pattern;
         assert_eq!(p.len(), 4);
         // Domain 0's two slots must not be adjacent (smooth WRR).
@@ -1860,7 +1659,7 @@ mod tests {
         // The executable non-interference core: domain 0's completion
         // times must be identical whether co-runners are idle or flooding.
         let run_domain0 = |others_busy: bool| -> Vec<Cycle> {
-            let mut mc = mk(FsVariant::RankPartitioned);
+            let mut mc = mk(K::FsRankPartitioned);
             let mut id = 100;
             for i in 0..8u64 {
                 mc.enqueue(txn(i, 0, i * 3, false, PartitionPolicy::Rank)).unwrap();
@@ -1892,7 +1691,7 @@ mod tests {
         // One delayed command knocks the pipeline off its certified
         // phases: the controller must degrade (not panic), requeue the
         // in-flight work and keep serving on the conservative pitch.
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         // l = 7 and tBURST = 4: a 5-cycle slip leaves only 2 cycles to the
         // next slot's data burst, an overlap the device must reject.
         mc.inject_command_faults(CmdFaultSpec {
@@ -1926,7 +1725,7 @@ mod tests {
         // conflict-free (commands up to the violation are legal by
         // construction; the checker sees the whole log minus the one
         // rejected command, which the device never applied).
-        let mut mc = mk(FsVariant::BankPartitioned);
+        let mut mc = mk(K::FsBankPartitioned);
         mc.record_commands();
         // l = 15: a 13-cycle slip lands the burst 2 cycles before the next
         // slot's, violating the data bus.
@@ -1962,7 +1761,7 @@ mod tests {
         // Unbounded injected delays keep violating even on the
         // conservative pipeline: after the single repair attempt the
         // controller must stop and expose the violation.
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         // A 40-cycle slip violates even the conservative 43-cycle pitch
         // (the burst lands 3 cycles before the next slot's), so the repair
         // attempt cannot hold.
@@ -1991,24 +1790,39 @@ mod tests {
     }
 
     #[test]
-    fn stretched_trc_widens_triple_alternation_instead_of_falling_back() {
+    fn fs_kinds_start_undegraded_and_certified_even_with_a_stretched_trc() {
+        // Every FS kind on every generation starts on its own pipeline,
+        // and the pipeline table's certification of it passes.
+        for gen in fsmc_dram::DeviceGeneration::all() {
+            let p = gen.profile();
+            for kind in [
+                K::FsRankPartitioned,
+                K::FsRankPartitionedPrefetch,
+                K::FsBankPartitioned,
+                K::FsReorderedBankPartitioned,
+                K::FsNoPartitionNaive,
+                K::FsTripleAlternation,
+            ] {
+                let mc =
+                    FsScheduler::try_new(p.geometry, p.timing, &[1; 8], kind, Default::default())
+                        .unwrap_or_else(|e| panic!("{gen} {kind}: {e}"));
+                assert!(!mc.is_degraded(), "{gen} {kind} started degraded");
+                assert_eq!(mc.kind(), kind);
+                let report = mc.pipeline().certify(&p.timing, &p.geometry);
+                assert!(report.certified(), "{gen} {kind}: {:?}", report.violations.first());
+            }
+        }
         // A huge tRC used to break triple alternation's distance-3
         // same-bank argument outright; the schedule now widens its own
-        // pitch to ceil(tRC / 3) = 67 and stays on the variant.
+        // pitch to ceil(tRC / 3) = 67 and stays on triple alternation.
         let mut t = TimingParams::ddr3_1600();
         t.t_rc = 200;
-        let mc = FsScheduler::try_new(
-            Geometry::paper_default(),
-            t,
-            8,
-            FsVariant::TripleAlternation,
-            false,
-            EnergyOptions::default(),
-        )
-        .expect("widened triple alternation should solve for a stretched tRC");
+        let geom = Geometry::paper_default();
+        let mc = FsScheduler::try_new(geom, t, &[1; 8], K::FsTripleAlternation, Default::default())
+            .expect("widened triple alternation should solve for a stretched tRC");
         assert!(!mc.is_degraded());
         assert_eq!(mc.stats().solver_fallbacks, 0);
-        assert_eq!(mc.schedule().unwrap().slot_pitch(), 67);
+        assert!(matches!(mc.pipeline(), FsPipeline::Slots(s) if s.slot_pitch() == 67));
     }
 
     #[test]
@@ -2020,15 +1834,9 @@ mod tests {
         // panic or hand back an uncertified schedule.
         let mut t = TimingParams::ddr3_1600();
         t.t_rtrs = 600;
-        let e = FsScheduler::try_new(
-            Geometry::paper_default(),
-            t,
-            8,
-            FsVariant::RankPartitioned,
-            false,
-            EnergyOptions::default(),
-        )
-        .expect_err("no pipeline solves with a 600-cycle tRTRS");
+        let geom = Geometry::paper_default();
+        let e = FsScheduler::try_new(geom, t, &[1; 8], K::FsRankPartitioned, Default::default())
+            .expect_err("no pipeline solves with a 600-cycle tRTRS");
         assert!(matches!(e, CoreError::Solve(_)), "{e}");
     }
 
@@ -2036,36 +1844,17 @@ mod tests {
     fn invalid_configs_are_reported_not_panicked() {
         let geom = Geometry::paper_default();
         let t = TimingParams::ddr3_1600();
-        let e = FsScheduler::try_new(
-            geom,
-            t,
-            0,
-            FsVariant::RankPartitioned,
-            false,
-            EnergyOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(e, CoreError::Config(_)), "{e}");
-        let e = FsScheduler::try_with_slot_weights(
-            geom,
-            t,
-            &[1, 0],
-            FsVariant::RankPartitioned,
-            false,
-            EnergyOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(e, CoreError::Config(_)), "{e}");
-        let e = FsScheduler::try_with_slot_weights(
-            geom,
-            t,
-            &[2, 1],
-            FsVariant::ReorderedBankPartitioned,
-            false,
-            EnergyOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(e, CoreError::Config(_)), "{e}");
+        for (weights, kind) in [
+            (&[][..], K::FsRankPartitioned),
+            (&[1, 0], K::FsRankPartitioned),
+            (&[2, 1], K::FsReorderedBankPartitioned),
+            (&[1; 8], K::TpBankPartitioned { turn: 60 }),
+            (&[1; 8], K::FsMultiChannel { channels: 2 }),
+        ] {
+            let e = FsScheduler::try_new(geom, t, weights, kind, EnergyOptions::default())
+                .expect_err("invalid configuration accepted");
+            assert!(matches!(e, CoreError::Config(_)), "{weights:?} {kind:?}: {e}");
+        }
     }
 
     #[test]
@@ -2073,7 +1862,7 @@ mod tests {
         // Device refreshes take twice as long as certified. The slot
         // filler's bank-readiness guard sees the slow device directly, so
         // the overrun costs bubbles, not violations.
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         let mut slow = TimingParams::ddr3_1600();
         slow.t_rfc *= 2;
         mc.set_device_timing(slow);
@@ -2097,7 +1886,7 @@ mod tests {
         // the next window's REF arrives while the previous refresh is
         // still in progress. The first collision degrades; refresh cadence
         // is unchanged in degraded mode, so the next REF poisons.
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         let mut slow = TimingParams::ddr3_1600();
         slow.t_rfc *= 40;
         mc.set_device_timing(slow);
@@ -2123,7 +1912,7 @@ mod tests {
         // leaves a 3-cycle gap between bursts of different ranks, so a
         // tRTRS of 20 violates immediately — but the conservative 43-cycle
         // pitch leaves 39, so the degraded controller keeps serving.
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         let mut slow = TimingParams::ddr3_1600();
         slow.t_rtrs = 20;
         mc.set_device_timing(slow);
@@ -2145,19 +1934,19 @@ mod tests {
     fn cadence_spec_accepts_every_recorded_command() {
         // The advertised cadence must describe the controller's actual
         // issue behaviour: an un-faulted run may not contain a single
-        // command the spec rejects, across every slot-shaped variant.
-        for variant in [
-            FsVariant::RankPartitioned,
-            FsVariant::BankPartitioned,
-            FsVariant::NoPartitionNaive,
-            FsVariant::TripleAlternation,
+        // command the spec rejects, across every slot-shaped kind.
+        for kind in [
+            K::FsRankPartitioned,
+            K::FsBankPartitioned,
+            K::FsNoPartitionNaive,
+            K::FsTripleAlternation,
         ] {
-            let mut mc = mk(variant);
-            let policy = variant.partition_policy();
+            let mut mc = mk(kind);
+            let policy = kind.partition_policy();
             mc.record_commands();
             let spec = MemoryController::cadence_spec(&mc)
                 .expect("slot-shaped FS variants advertise a cadence");
-            if variant == FsVariant::RankPartitioned {
+            if kind == K::FsRankPartitioned {
                 assert!(spec.slot_owner_ranks.is_some(), "RP must carry slot ownership");
             }
             let mut id = 0u64;
@@ -2169,12 +1958,12 @@ mod tests {
                 }
                 mc.tick(c);
             }
-            assert!(mc.fault().is_none(), "{variant:?} faulted: {:?}", mc.fault());
+            assert!(mc.fault().is_none(), "{kind:?} faulted: {:?}", mc.fault());
             let log = MemoryController::take_command_log(&mut mc);
-            assert!(log.iter().any(|tc| tc.cmd.kind.is_cas()), "{variant:?}: empty log");
+            assert!(log.iter().any(|tc| tc.cmd.kind.is_cas()), "{kind:?}: empty log");
             for tc in &log {
                 if let Err(name) = spec.check(tc) {
-                    panic!("{variant:?}: {tc} rejected by its own cadence: {name}");
+                    panic!("{kind:?}: {tc} rejected by its own cadence: {name}");
                 }
             }
         }
@@ -2182,7 +1971,7 @@ mod tests {
 
     #[test]
     fn reconfigure_keeps_the_cadence_and_bumps_the_epoch() {
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         mc.record_commands();
         let before = MemoryController::cadence_spec(&mc).unwrap();
         for c in 0..200u64 {
@@ -2219,7 +2008,7 @@ mod tests {
 
     #[test]
     fn dead_rank_slots_become_bubbles_and_demand_is_dropped() {
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         // Queue demand for domain 2 (rank 2 under rank partitioning).
         for i in 0..4u64 {
             mc.enqueue(txn(i, 2, i * 5, false, PartitionPolicy::Rank)).unwrap();
@@ -2236,7 +2025,7 @@ mod tests {
 
     #[test]
     fn stuck_bank_demand_is_remapped_within_the_partition() {
-        let mut mc = mk(FsVariant::RankPartitioned);
+        let mut mc = mk(K::FsRankPartitioned);
         mc.reconfigure(&[ReconfigEvent::StuckBank { rank: 0, bank: 1 }], 0).unwrap();
         // A read mapping onto the stuck bank lands on a healthy bank of
         // the same rank instead.
@@ -2253,8 +2042,7 @@ mod tests {
 
     #[test]
     fn thermal_refresh_reconfig_refreshes_more_often() {
-        let (mut nominal, mut hot) =
-            (mk(FsVariant::RankPartitioned), mk(FsVariant::RankPartitioned));
+        let (mut nominal, mut hot) = (mk(K::FsRankPartitioned), mk(K::FsRankPartitioned));
         hot.reconfigure(&[ReconfigEvent::ThermalRefresh { factor: 2 }], 0).unwrap();
         assert_eq!(MemoryController::epoch(&hot), 1);
         for c in 0..14_000u64 {
@@ -2269,7 +2057,7 @@ mod tests {
 
     #[test]
     fn cadence_spec_flags_off_phase_and_foreign_slot() {
-        let mc = mk(FsVariant::RankPartitioned);
+        let mc = mk(K::FsRankPartitioned);
         let spec = MemoryController::cadence_spec(&mc).unwrap();
         // A read CAS one cycle off its anchor phase is rejected.
         let on = TimedCommand::new(

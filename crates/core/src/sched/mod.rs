@@ -12,7 +12,9 @@
 //! * [`fs::FsScheduler`] — the paper's Fixed Service policies: rank
 //!   partitioning, bank partitioning, reordered bank partitioning, naive
 //!   no-partitioning and triple alternation, plus the prefetch and energy
-//!   optimisations.
+//!   optimisations. One constructor, `FsScheduler::try_new`, takes the
+//!   kind; each kind's pipeline comes from the table
+//!   [`fs::FsPipeline::for_kind`].
 //! * [`sharded::ShardedController`] — domains split over private
 //!   channels, one inner controller each: channel partitioning (FR-FCFS
 //!   shards) and multi-channel FS (FS shards).
@@ -276,27 +278,6 @@ impl SchedulerKind {
             SchedulerKind::FsTripleAlternation => "FS_NP_Optimized".into(),
             SchedulerKind::ChannelPartitioned => "Channel_Partitioned".into(),
             SchedulerKind::FsMultiChannel { channels } => format!("FS_RP_{channels}ch"),
-        }
-    }
-
-    /// The stable `--scheduler` token for this kind, used in printed
-    /// repro command lines. Parameterised kinds (TP turn lengths,
-    /// channel counts) map back to their default parameters on parse.
-    pub fn cli_name(&self) -> &'static str {
-        match self {
-            SchedulerKind::Baseline => "baseline",
-            SchedulerKind::BaselinePrefetch => "baseline-prefetch",
-            SchedulerKind::TpBankPartitioned { .. } => "tp-bp",
-            SchedulerKind::TpNoPartition { .. } => "tp-np",
-            SchedulerKind::TpFence { .. } => "tp-fence",
-            SchedulerKind::FsRankPartitioned => "fs-rp",
-            SchedulerKind::FsRankPartitionedPrefetch => "fs-rp-prefetch",
-            SchedulerKind::FsBankPartitioned => "fs-bp",
-            SchedulerKind::FsReorderedBankPartitioned => "fs-reordered-bp",
-            SchedulerKind::FsNoPartitionNaive => "fs-np",
-            SchedulerKind::FsTripleAlternation => "fs-ta",
-            SchedulerKind::ChannelPartitioned => "channel-part",
-            SchedulerKind::FsMultiChannel { .. } => "fs-mc",
         }
     }
 }

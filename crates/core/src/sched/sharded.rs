@@ -177,7 +177,7 @@ mod tests {
     use super::*;
     use crate::domain::PartitionPolicy;
     use crate::sched::baseline::BaselineScheduler;
-    use crate::sched::fs::{EnergyOptions, FsScheduler, FsVariant};
+    use crate::sched::fs::{EnergyOptions, FsScheduler};
     use crate::txn::TxnId;
     use fsmc_dram::geometry::{Geometry, LineAddr};
     use fsmc_dram::{TimingChecker, TimingParams};
@@ -195,8 +195,9 @@ mod tests {
         let (g, t) = (Geometry::paper_default(), TimingParams::ddr3_1600());
         let shards = (0..channels)
             .map(|_| {
-                let variant = FsVariant::RankPartitioned;
-                FsScheduler::new(g, t, domains / channels, variant, false, EnergyOptions::default())
+                let weights = vec![1; (domains / channels) as usize];
+                let kind = SchedulerKind::FsRankPartitioned;
+                FsScheduler::try_new(g, t, &weights, kind, EnergyOptions::default()).unwrap()
             })
             .collect();
         ShardedController::new(SchedulerKind::FsMultiChannel { channels }, shards)

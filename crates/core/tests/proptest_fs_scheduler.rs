@@ -2,8 +2,8 @@
 //! non-interference under adversarial (randomised) traffic.
 
 use fsmc_core::domain::DomainId;
-use fsmc_core::sched::fs::{EnergyOptions, FsScheduler, FsVariant};
-use fsmc_core::sched::MemoryController;
+use fsmc_core::sched::fs::{EnergyOptions, FsScheduler};
+use fsmc_core::sched::{MemoryController, SchedulerKind as K};
 use fsmc_core::txn::{Transaction, TxnId};
 use fsmc_dram::geometry::{Geometry, LineAddr};
 use fsmc_dram::{Cycle, TimingChecker, TimingParams};
@@ -23,15 +23,9 @@ fn arrival() -> impl Strategy<Value = Arrival> {
         .prop_map(|(domain, local, is_write, gap)| Arrival { domain, local, is_write, gap })
 }
 
-fn mk(variant: FsVariant) -> FsScheduler {
-    FsScheduler::new(
-        Geometry::paper_default(),
-        TimingParams::ddr3_1600(),
-        8,
-        variant,
-        false,
-        EnergyOptions::default(),
-    )
+fn mk(kind: K) -> FsScheduler {
+    let (geom, t) = (Geometry::paper_default(), TimingParams::ddr3_1600());
+    FsScheduler::try_new(geom, t, &[1; 8], kind, EnergyOptions::default()).unwrap()
 }
 
 fn drive(mc: &mut FsScheduler, arrivals: &[Arrival], cycles: u64) -> Vec<(u64, Cycle)> {
@@ -75,11 +69,11 @@ proptest! {
         variant_sel in 0usize..5,
     ) {
         let variant = [
-            FsVariant::RankPartitioned,
-            FsVariant::BankPartitioned,
-            FsVariant::ReorderedBankPartitioned,
-            FsVariant::NoPartitionNaive,
-            FsVariant::TripleAlternation,
+            K::FsRankPartitioned,
+            K::FsBankPartitioned,
+            K::FsReorderedBankPartitioned,
+            K::FsNoPartitionNaive,
+            K::FsTripleAlternation,
         ][variant_sel];
         let mut mc = mk(variant);
         mc.record_commands();
@@ -99,9 +93,9 @@ proptest! {
         variant_sel in 0usize..3,
     ) {
         let variant = [
-            FsVariant::RankPartitioned,
-            FsVariant::BankPartitioned,
-            FsVariant::TripleAlternation,
+            K::FsRankPartitioned,
+            K::FsBankPartitioned,
+            K::FsTripleAlternation,
         ][variant_sel];
         let run = |others: &[Arrival]| -> Vec<(u64, Cycle)> {
             // Interleave: victim arrivals on domain 0 (ids < 1000),

@@ -241,8 +241,8 @@ fn same_group_cas_pair_is_flagged_on_every_grouped_generation() {
 // monitor's detection power for every Table-1 constraint, so a clean
 // replay here means the accepted schedule genuinely satisfies them all.
 
-use fsmc_core::sched::fs::{EnergyOptions, FsScheduler, FsVariant};
-use fsmc_core::sched::{MemoryController, ReconfigEvent};
+use fsmc_core::sched::fs::{EnergyOptions, FsPipeline, FsScheduler};
+use fsmc_core::sched::{MemoryController, ReconfigEvent, SchedulerKind};
 use proptest::prelude::*;
 
 /// Worst-case ACT/CAS stream for `schedule` on the masked topology:
@@ -254,7 +254,7 @@ use proptest::prelude::*;
 fn degraded_stream(
     schedule: &fsmc_core::solver::SlotSchedule,
     geom: &Geometry,
-    variant: FsVariant,
+    kind: SchedulerKind,
     stuck: &[(u8, u8)],
     dead: &[u8],
 ) -> Vec<TimedCommand> {
@@ -266,8 +266,8 @@ fn degraded_stream(
         let p = schedule.plan(i);
         let owner = (i % n) as u8;
         let interval = i / n;
-        let spot = match variant {
-            FsVariant::RankPartitioned => {
+        let spot = match kind {
+            SchedulerKind::FsRankPartitioned => {
                 // Domain owns rank `owner`; banks rotate over the rank's
                 // healthy banks so consecutive own-slots avoid stuck ones.
                 let rank = owner % ranks;
@@ -338,28 +338,22 @@ proptest! {
         if events.is_empty() {
             return;
         }
-        for variant in [FsVariant::RankPartitioned, FsVariant::BankPartitioned] {
-            let mut fs = FsScheduler::try_new(
-                geom,
-                t,
-                domains,
-                variant,
-                false,
-                EnergyOptions::default(),
-            )
-            .expect("every profile's undegraded topology must solve");
+        for kind in [SchedulerKind::FsRankPartitioned, SchedulerKind::FsBankPartitioned] {
+            let weights = vec![1; domains as usize];
+            let mut fs = FsScheduler::try_new(geom, t, &weights, kind, EnergyOptions::default())
+                .expect("every profile's undegraded topology must solve");
             if fs.reconfigure(&events, 0).is_err() {
                 // The re-certifier rejected this topology: nothing to replay.
                 continue;
             }
             prop_assert!(fs.epoch() >= 1, "accepted reconfiguration must advance the epoch");
-            let Some(s) = fs.schedule() else { continue };
-            let stream = degraded_stream(s, &geom, variant, &stuck, &dead);
+            let FsPipeline::Slots(s) = fs.pipeline() else { continue };
+            let stream = degraded_stream(s, &geom, kind, &stuck, &dead);
             let mut mon = StreamMonitor::new(geom, t);
             let vs: Vec<_> = stream.iter().flat_map(|c| mon.observe(c)).collect();
             prop_assert!(
                 vs.is_empty(),
-                "accepted degraded solve ({} {variant:?}, stuck {stuck:?}, dead {dead:?}) \
+                "accepted degraded solve ({} {kind:?}, stuck {stuck:?}, dead {dead:?}) \
                  violated Table-1: {vs:?}",
                 p.generation
             );

@@ -19,6 +19,7 @@ use crate::protocol::{default_secret, Protocol};
 use fsmc_core::sched::SchedulerKind;
 use fsmc_cpu::trace::TraceSource;
 use fsmc_dram::DeviceGeneration;
+use fsmc_sim::spec::scheduler_spec;
 use fsmc_sim::{Engine, FaultKind, FaultPlan, Outcome, SplitMix64, System, SystemConfig};
 use fsmc_workload::{IdleTrace, ProbeTrace};
 
@@ -232,10 +233,13 @@ pub fn shrink_leak(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> FaultPlan {
 /// The CLI line that replays one (shrunk) leak.
 pub fn repro_line(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> String {
     format!(
-        "fsmc leak --device {} --scheduler {} --protocol {} --fault-seed {} --faults '{}'",
-        cfg.device.cli_name(),
-        cfg.scheduler.cli_name(),
+        "fsmc leak --device {} --scheduler {} --protocol {} --window {} --windows {} \
+         --fault-seed {} --faults '{}'",
+        cfg.device,
+        scheduler_spec(cfg.scheduler),
         cfg.protocol,
+        cfg.window_cycles,
+        cfg.windows,
         plan.seed,
         plan.spec(),
     )

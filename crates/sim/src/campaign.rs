@@ -40,6 +40,7 @@ use crate::engine::{Engine, ExperimentJob};
 use crate::error::FsmcError;
 use crate::faults::{FaultKind, FaultPlan, TimingField};
 use crate::runner::RunResult;
+use crate::spec::scheduler_spec;
 use fsmc_core::domain::PartitionPolicy;
 use fsmc_core::sched::{ReconfigEvent, SchedulerKind};
 use fsmc_dram::DeviceGeneration;
@@ -378,7 +379,9 @@ impl CaseReport {
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     pub scheduler: SchedulerKind,
+    pub device: DeviceGeneration,
     pub mix_name: &'static str,
+    pub cores: usize,
     pub cycles: u64,
     pub run_seed: u64,
     pub seed: u64,
@@ -401,10 +404,12 @@ impl CampaignReport {
     pub fn repro_line(&self, case: &CaseReport) -> String {
         let plan = case.minimal_plan();
         format!(
-            "fsmc chaos --scheduler {} --workload {} --cycles {} --run-seed {} \
-             --fault-seed {} --faults '{}'",
-            self.scheduler.cli_name(),
+            "fsmc chaos --scheduler {} --device {} --workload {} --cores {} --cycles {} \
+             --run-seed {} --fault-seed {} --faults '{}'",
+            scheduler_spec(self.scheduler),
+            self.device,
             self.mix_name,
+            self.cores,
             self.cycles,
             self.run_seed,
             plan.seed,
@@ -505,7 +510,9 @@ pub fn run_campaign(engine: &Engine, cfg: &CampaignConfig) -> Result<CampaignRep
     });
     Ok(CampaignReport {
         scheduler: cfg.scheduler,
+        device: cfg.device,
         mix_name: cfg.mix.name,
+        cores: cfg.mix.cores(),
         cycles: cfg.cycles,
         run_seed: cfg.run_seed,
         seed: cfg.seed,

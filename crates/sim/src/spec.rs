@@ -60,15 +60,24 @@ pub struct JobSpec {
     pub seed: u64,
 }
 
-/// Renders a scheduler with its parameters, so `tp-bp:60` and
-/// `tp-bp:90` are different experiments (and different cache keys).
+/// The `--scheduler` spelling of a scheduler, parameters included, so
+/// `tp-bp:60` and `tp-bp:90` are different experiments (and different
+/// cache keys) and printed repro lines replay the exact scheduler.
 pub fn scheduler_spec(kind: SchedulerKind) -> String {
     match kind {
+        SchedulerKind::Baseline => "baseline".into(),
+        SchedulerKind::BaselinePrefetch => "baseline-prefetch".into(),
         SchedulerKind::TpBankPartitioned { turn } => format!("tp-bp:{turn}"),
         SchedulerKind::TpNoPartition { turn } => format!("tp-np:{turn}"),
         SchedulerKind::TpFence { period } => format!("tp-fence:{period}"),
+        SchedulerKind::FsRankPartitioned => "fs-rp".into(),
+        SchedulerKind::FsRankPartitionedPrefetch => "fs-rp-prefetch".into(),
+        SchedulerKind::FsBankPartitioned => "fs-bp".into(),
+        SchedulerKind::FsReorderedBankPartitioned => "fs-reordered-bp".into(),
+        SchedulerKind::FsNoPartitionNaive => "fs-np".into(),
+        SchedulerKind::FsTripleAlternation => "fs-ta".into(),
+        SchedulerKind::ChannelPartitioned => "channel-part".into(),
         SchedulerKind::FsMultiChannel { channels } => format!("fs-mc:{channels}"),
-        other => other.cli_name().to_string(),
     }
 }
 

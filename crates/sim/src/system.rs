@@ -7,7 +7,7 @@ use crate::stats::SystemStats;
 use fsmc_core::domain::{DomainId, PartitionPolicy};
 use fsmc_core::error::ConfigError;
 use fsmc_core::sched::baseline::BaselineScheduler;
-use fsmc_core::sched::fs::{FsScheduler, FsVariant};
+use fsmc_core::sched::fs::FsScheduler;
 use fsmc_core::sched::sharded::ShardedController;
 use fsmc_core::sched::tp::TpScheduler;
 use fsmc_core::sched::{
@@ -251,10 +251,8 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
     let g = cfg.geometry;
     let t = cfg.timing;
     let n = cfg.cores;
-    let fs = |variant, prefetch| {
-        FsScheduler::try_new(g, t, n, variant, prefetch, cfg.energy_options)
-            .map(|s| Box::new(s) as Box<dyn MemoryController>)
-            .map_err(FsmcError::from)
+    let fs = |kind, domains: u8| {
+        FsScheduler::try_new(g, t, &vec![1; domains as usize], kind, cfg.energy_options)
     };
     Ok(match cfg.scheduler {
         SchedulerKind::Baseline => Box::new(BaselineScheduler::try_new(g, t, n, false)?),
@@ -262,14 +260,12 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
         SchedulerKind::TpBankPartitioned { .. }
         | SchedulerKind::TpNoPartition { .. }
         | SchedulerKind::TpFence { .. } => Box::new(TpScheduler::try_new(g, t, n, cfg.scheduler)?),
-        SchedulerKind::FsRankPartitioned => fs(FsVariant::RankPartitioned, false)?,
-        SchedulerKind::FsRankPartitionedPrefetch => fs(FsVariant::RankPartitioned, true)?,
-        SchedulerKind::FsBankPartitioned => fs(FsVariant::BankPartitioned, false)?,
-        SchedulerKind::FsReorderedBankPartitioned => {
-            fs(FsVariant::ReorderedBankPartitioned, false)?
-        }
-        SchedulerKind::FsNoPartitionNaive => fs(FsVariant::NoPartitionNaive, false)?,
-        SchedulerKind::FsTripleAlternation => fs(FsVariant::TripleAlternation, false)?,
+        SchedulerKind::FsRankPartitioned
+        | SchedulerKind::FsRankPartitionedPrefetch
+        | SchedulerKind::FsBankPartitioned
+        | SchedulerKind::FsReorderedBankPartitioned
+        | SchedulerKind::FsNoPartitionNaive
+        | SchedulerKind::FsTripleAlternation => Box::new(fs(cfg.scheduler, n)?),
         SchedulerKind::ChannelPartitioned => {
             let channels = (0..n)
                 .map(|_| BaselineScheduler::try_new(g, t, 1, false))
@@ -281,11 +277,8 @@ pub fn try_build_controller(cfg: &SystemConfig) -> Result<Box<dyn MemoryControll
                 let msg = format!("{n} cores do not shard evenly over {channels} channels");
                 return Err(ConfigError::new(msg).into());
             }
-            let variant = FsVariant::RankPartitioned;
             let shards = (0..channels)
-                .map(|_| {
-                    FsScheduler::try_new(g, t, n / channels, variant, false, cfg.energy_options)
-                })
+                .map(|_| fs(SchedulerKind::FsRankPartitioned, n / channels))
                 .collect::<Result<Vec<_>, _>>()?;
             Box::new(ShardedController::new(cfg.scheduler, shards))
         }
@@ -349,8 +342,8 @@ impl System {
     }
 
     /// Builds a system around a caller-supplied controller — e.g. an
-    /// [`FsScheduler`] with a weighted SLA
-    /// ([`FsScheduler::with_slot_weights`]), or a custom policy
+    /// [`FsScheduler`] with a weighted SLA (the slot weights of
+    /// [`FsScheduler::try_new`]), or a custom policy
     /// implementing [`MemoryController`]. `cfg.scheduler` should still
     /// describe the controller so address mapping matches its partition
     /// policy.

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example cloud_consolidation`
 
-use fsmc::core::sched::fs::EnergyOptions;
+use fsmc::core::sched::fs::{EnergyOptions, FsScheduler};
 use fsmc::core::sched::SchedulerKind;
 use fsmc::sim::{System, SystemConfig};
 use fsmc::workload::{BenchProfile, WorkloadMix};
@@ -31,14 +31,16 @@ fn main() {
     // The SLA: the database tenant pays for double memory bandwidth —
     // two issue slots per interval for each of its vCPUs (Section 5.1).
     let weights = [2u8, 2, 1, 1, 1, 1, 1, 1];
-    let controller = Box::new(fsmc::core::sched::fs::FsScheduler::with_slot_weights(
-        cfg.geometry,
-        cfg.timing,
-        &weights,
-        fsmc::core::sched::fs::FsVariant::RankPartitioned,
-        false,
-        cfg.energy_options,
-    ));
+    let controller = Box::new(
+        FsScheduler::try_new(
+            cfg.geometry,
+            cfg.timing,
+            &weights,
+            SchedulerKind::FsRankPartitioned,
+            cfg.energy_options,
+        )
+        .expect("the SLA solves on the paper's DDR3-1600 part"),
+    );
     let traces: Vec<Box<dyn fsmc::cpu::trace::TraceSource>> = mix
         .profiles
         .iter()

@@ -13,12 +13,10 @@
 //! ```
 
 use fsmc::bench::{metrics_csv, weighted_ipc_suite_metrics, weighted_ipc_suite_with};
+use fsmc::core::sched::fs::FsPipeline;
 use fsmc::core::sched::SchedulerKind;
 use fsmc::core::solver::diagram::render_uniform;
-use fsmc::core::solver::{
-    certify_reordered, certify_uniform, solve, solve_best, solve_for_threads, Anchor,
-    PartitionLevel, ReorderedBpSchedule, SlotSchedule,
-};
+use fsmc::core::solver::{solve, solve_best, Anchor, PartitionLevel, SlotSchedule};
 use fsmc::cpu::trace_file::record_trace;
 use fsmc::dram::DeviceGeneration;
 use fsmc::leak::{
@@ -256,31 +254,21 @@ fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
         );
         all_ok &= r.certified();
     };
-    let sol =
-        solve(&t, Anchor::FixedPeriodicData, PartitionLevel::Rank).map_err(|e| e.to_string())?;
-    show(
-        &format!("rank-partitioned (l={})", sol.l),
-        &certify_uniform(&SlotSchedule::uniform(sol, 8), PartitionLevel::Rank, &t, &geom, 4),
-    );
-    let sol = solve_for_threads(&t, Anchor::FixedPeriodicRas, PartitionLevel::Bank, 8)
-        .map_err(|e| e.to_string())?;
-    show(
-        &format!("bank-partitioned (l={})", sol.l),
-        &certify_uniform(&SlotSchedule::uniform(sol, 8), PartitionLevel::Bank, &t, &geom, 4),
-    );
-    let sol = solve_for_threads(&t, Anchor::FixedPeriodicRas, PartitionLevel::None, 8)
-        .map_err(|e| e.to_string())?;
-    show(
-        &format!("no-partitioning naive (l={})", sol.l),
-        &certify_uniform(&SlotSchedule::uniform(sol, 8), PartitionLevel::None, &t, &geom, 4),
-    );
-    let ta = SlotSchedule::triple_alternation(&t, 8).map_err(|e| e.to_string())?;
-    show("triple alternation", &certify_uniform(&ta, PartitionLevel::None, &t, &geom, 3));
-    let reordered = ReorderedBpSchedule::new(&t, 8);
-    show(
-        &format!("reordered bank-partitioned (Q={})", reordered.q()),
-        &certify_reordered(&reordered, &t, &geom, 3),
-    );
+    for (kind, name) in [
+        (SchedulerKind::FsRankPartitioned, "rank-partitioned"),
+        (SchedulerKind::FsBankPartitioned, "bank-partitioned"),
+        (SchedulerKind::FsNoPartitionNaive, "no-partitioning naive"),
+        (SchedulerKind::FsTripleAlternation, "triple alternation"),
+        (SchedulerKind::FsReorderedBankPartitioned, "reordered bank-partitioned"),
+    ] {
+        let pipeline = FsPipeline::for_kind(kind, &t, 8).map_err(|e| e.to_string())?;
+        let label = match pipeline {
+            _ if kind == SchedulerKind::FsTripleAlternation => name.to_string(),
+            FsPipeline::Slots(s) => format!("{name} (l={})", s.slot_pitch()),
+            FsPipeline::Reordered(r) => format!("{name} (Q={})", r.q()),
+        };
+        show(&label, &pipeline.certify(&t, &geom));
+    }
     if all_ok {
         Ok(())
     } else {

@@ -60,3 +60,84 @@ fn suite_runs_on_the_requested_device() {
     assert_eq!(suite(&["--device", "ddr3-1600"], None), ddr3);
     assert_eq!(suite(&[], Some("hbm2")), hbm2, "FSMC_DEVICE=hbm2 differs from --device hbm2");
 }
+
+/// Runs `fsmc` and returns its stdout, failing on a non-zero exit.
+fn stdout_of(args: &[&str]) -> String {
+    let out = fsmc(args);
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// The arguments of a printed `fsmc <command>` repro line, quotes
+/// stripped, or `None` when `line` is not one.
+fn repro_args(line: &str, command: &str) -> Option<Vec<String>> {
+    let line = line.trim_start();
+    let line = line.strip_prefix("repro: ").unwrap_or(line);
+    let args = line.strip_prefix("fsmc ")?;
+    args.starts_with(&format!("{command} --"))
+        .then(|| args.split_whitespace().map(|a| a.trim_matches('\'').to_string()).collect())
+}
+
+#[test]
+fn chaos_repro_lines_replay_the_run_that_printed_them() {
+    let campaign = ["--scheduler", "tp-bp:90", "--device", "hbm2", "--cores", "8"];
+    let mut args = vec!["chaos", "--population", "8", "--cycles", "6000"];
+    args.extend_from_slice(&campaign);
+    let report = stdout_of(&args);
+    let lines: Vec<&str> = report.lines().collect();
+    let mut replayed = 0;
+    for (i, line) in lines.iter().enumerate() {
+        let Some(repro) = repro_args(line, "chaos") else { continue };
+        for flag in campaign.chunks(2) {
+            assert!(line.contains(&flag.join(" ")), "{line} drops {flag:?}");
+        }
+        // The line follows its case header: `case N  OUTCOME  seed ...`.
+        let classified = lines[..i]
+            .iter()
+            .rev()
+            .find_map(|l| l.strip_prefix("case "))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .expect("case header before its repro line");
+        let repro: Vec<&str> = repro.iter().map(String::as_str).collect();
+        let replay = stdout_of(&repro);
+        assert!(replay.contains(&format!("outcome    {classified}\n")), "{line}:\n{replay}");
+        replayed += 1;
+    }
+    assert!(replayed > 0, "no failing case to replay:\n{report}");
+}
+
+#[test]
+fn leak_repro_lines_replay_the_run_that_printed_them() {
+    let campaign = ["--scheduler", "tp-bp:90", "--device", "hbm2", "--windows", "30"];
+    let mut args = vec!["leak", "--campaign", "--population", "4", "--seed", "1"];
+    args.extend_from_slice(&campaign);
+    let report = stdout_of(&args);
+    let lines: Vec<&str> = report.lines().collect();
+    let mut replayed = 0;
+    for (i, line) in lines.iter().enumerate() {
+        let Some(repro) = repro_args(line, "leak") else { continue };
+        for flag in campaign.chunks(2) {
+            assert!(line.contains(&flag.join(" ")), "{line} drops {flag:?}");
+        }
+        // A single-fault plan replays unshrunk: its verdict line, two
+        // lines up, carries the exact MI and sample count.
+        let verdict = lines[i - 2].trim_start();
+        let Some(verdict) = verdict.strip_prefix("leak-detected: faults='shared-arbiter()' ")
+        else {
+            continue;
+        };
+        let (mi, samples) = verdict
+            .strip_prefix("mi=")
+            .and_then(|v| v.split_once(" samples="))
+            .expect("mi and samples on the verdict line");
+        let repro: Vec<&str> = repro.iter().map(String::as_str).collect();
+        let replay = stdout_of(&repro);
+        assert!(
+            replay.contains(&format!("online MI  {mi} bits ({samples} samples)\n")),
+            "{replay}"
+        );
+        assert!(replay.contains("outcome    leak-detected\n"), "{replay}");
+        replayed += 1;
+    }
+    assert!(replayed > 0, "no single-fault leak to replay:\n{report}");
+}
