@@ -88,23 +88,29 @@ fn warmed_device() -> (DramDevice, u64) {
 /// stores plus the data-bus window push).
 fn bench_soa_device(c: &mut Criterion) {
     let (dev, now) = warmed_device();
-    let bpr = dev.geometry().banks_per_rank() as u32;
-    // Masks mirror what the baseline scheduler builds: CAS and PRE bits
-    // on every open bank, ACT bits on the closed ones.
-    let (mut cas, mut pre, mut act) = (0u128, 0u128, 0u128);
-    for r in 0..dev.geometry().ranks_per_channel() {
-        for b in 0..dev.geometry().banks_per_rank() {
-            let bit = 1u128 << (r as u32 * bpr + b as u32);
-            if dev.open_row(RankId(r), BankId(b)).is_some() {
-                cas |= bit;
-                pre |= bit;
-            } else {
-                act |= bit;
+    // Per-rank masks `[read CAS, write CAS, PRE, ACT]` mirror what the
+    // baseline scheduler builds: CAS and PRE bits on every open bank, ACT
+    // bits on the closed ones. The bench evaluates every rank's floors
+    // from scratch, as the scheduler does for a rank a command touched.
+    let masks: Vec<[u128; 4]> = (0..dev.geometry().ranks_per_channel())
+        .map(|r| {
+            let (mut open, mut closed) = (0u128, 0u128);
+            for b in 0..dev.geometry().banks_per_rank() {
+                if dev.open_row(RankId(r), BankId(b)).is_some() {
+                    open |= 1 << b;
+                } else {
+                    closed |= 1 << b;
+                }
             }
-        }
-    }
+            [open, open, open, closed]
+        })
+        .collect();
     c.bench_function("soa/next_event_bound", |b| {
-        b.iter(|| black_box(dev.next_event_bound(black_box(now), cas, cas, pre, act)))
+        b.iter(|| {
+            black_box(dev.next_event_bound(black_box(now), |r| {
+                dev.rank_event_floors(r, masks[r.0 as usize])
+            }))
+        })
     });
     let target = RankId(1);
     let row = dev.open_row(target, BankId(0)).expect("warmup opened rank 1 bank 0");

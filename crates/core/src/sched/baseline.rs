@@ -31,11 +31,11 @@ struct Pending {
     issued_act: bool,
 }
 
-/// Rank-level legality floors ([`DramDevice::rank_floor_parts`]), read
-/// once per tick: the issue passes reject candidates blocked by a
-/// rank-wide constraint (tCCD between row hits, tRRD/tFAW between ACTs,
-/// refresh recovery) with one compare instead of a full `can_issue`.
-#[derive(Debug, Clone, Copy, Default)]
+/// Rank-level legality floors ([`DramDevice::rank_floor_parts`]): the
+/// issue passes reject candidates blocked by a rank-wide constraint (tCCD
+/// between row hits, tRRD/tFAW between ACTs, refresh recovery) with one
+/// compare instead of a full `can_issue`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RankFloors {
     pre: Cycle,
     act: Cycle,
@@ -47,8 +47,9 @@ struct RankFloors {
 /// them and the device's row buffers. Every queue or row change goes
 /// through [`Candidates::push`], [`Candidates::remove`],
 /// [`Candidates::activate`] or [`Candidates::close`], which update only
-/// what that change touched, so the issue passes, the precharge guard
-/// and `next_event` read the classification instead of rebuilding it.
+/// what that change touched and mark its rank dirty, so the issue
+/// passes, the precharge guard and `next_event` read the classification
+/// instead of rebuilding it.
 #[derive(Debug)]
 struct Candidates {
     /// `[reads, writes]`, each oldest first.
@@ -65,6 +66,9 @@ struct Candidates {
     occupied: u128,
     open: u128,
     hit_banks: [u128; 2],
+    /// Ranks whose candidate classes or device state changed since
+    /// their floors were cached (one bit per rank).
+    dirty: u128,
     bpr: u32,
 }
 
@@ -79,6 +83,7 @@ impl Candidates {
             occupied: 0,
             open: 0,
             hit_banks: [0; 2],
+            dirty: 0,
             bpr,
         }
     }
@@ -87,6 +92,28 @@ impl Candidates {
     fn rank_mask(&self, rank: RankId) -> u128 {
         let width = if self.bpr >= 128 { u128::MAX } else { (1u128 << self.bpr) - 1 };
         width << (rank.0 as u32 * self.bpr)
+    }
+
+    /// Rank `r`'s candidate classes `[read CAS, write CAS, PRE, ACT]` as
+    /// bank masks of that rank: banks with a queued read / write row hit,
+    /// open banks with queued entries but no hit (a bank with any pending
+    /// row hit never precharges — the FR-FCFS guard), and closed banks
+    /// with queued entries.
+    fn rank_classes(&self, r: RankId) -> [u128; 4] {
+        let hits = self.hit_banks[0] | self.hit_banks[1];
+        let (mask, shift) = (self.rank_mask(r), r.0 as u32 * self.bpr);
+        [
+            self.hit_banks[0],
+            self.hit_banks[1],
+            self.occupied & self.open & !hits,
+            self.occupied & !self.open,
+        ]
+        .map(|m| (m & mask) >> shift)
+    }
+
+    /// Marks the rank of global bank `g` dirty.
+    fn touch(&mut self, g: usize) {
+        self.dirty |= 1 << (g as u32 / self.bpr);
     }
 
     fn add_hit(&mut self, d: usize, g: usize) {
@@ -103,6 +130,7 @@ impl Candidates {
         self.queues[d].push(Pending { txn, gbi: g as u8, issued_act: false });
         self.occupancy[g] += 1;
         self.occupied |= 1 << g;
+        self.touch(g);
         if self.rows[g] == l.row.0 {
             self.hits[d] |= 1 << i;
             self.add_hit(d, g);
@@ -127,6 +155,7 @@ impl Candidates {
         if self.occupancy[g] == 0 {
             self.occupied &= !(1 << g);
         }
+        self.touch(g);
         p
     }
 
@@ -134,6 +163,7 @@ impl Candidates {
     fn activate(&mut self, g: usize, row: u32) {
         self.rows[g] = row;
         self.open |= 1 << g;
+        self.touch(g);
         for d in 0..2 {
             for i in 0..self.queues[d].len() {
                 let p = &self.queues[d][i];
@@ -145,9 +175,11 @@ impl Candidates {
         }
     }
 
-    /// The banks in `banks` were precharged: their queued hits (only the
-    /// refresh quiesce closes a bank that still has some) stop being hits.
+    /// The banks in `banks`, all of one rank, were precharged: their
+    /// queued hits (only the refresh quiesce closes a bank that still has
+    /// some) stop being hits.
     fn close(&mut self, banks: u128) {
+        self.touch(banks.trailing_zeros() as usize);
         let mut m = banks & self.open;
         while m != 0 {
             let g = m.trailing_zeros() as usize;
@@ -183,8 +215,11 @@ pub struct BaselineScheduler {
     stats: McStats,
     kind: SchedulerKind,
     cand: Candidates,
-    /// Per-rank floors of the current tick, one entry per rank.
+    /// Per-rank legality floors and event floors of the candidate
+    /// classes ([`DramDevice::rank_event_floors`]), one entry per rank,
+    /// exact for every rank not in `cand.dirty`.
     floors: Vec<RankFloors>,
+    events: Vec<[Cycle; 4]>,
     drain_hi: usize,
     drain_lo: usize,
     draining: bool,
@@ -194,11 +229,10 @@ pub struct BaselineScheduler {
     domains: u8,
     /// Cached provable-no-op bound: every tick at a cycle strictly below
     /// this issues nothing and mutates nothing. Taken from `next_event`
-    /// after a tick that issued no command; cleared (0) by anything that
-    /// could create a new issue candidate — an enqueue, or any tick that
-    /// touched the device. Queue contents and row state are constant
-    /// while it holds, so both `tick_into` and `next_event` answer in
-    /// O(1).
+    /// at the end of every full tick, issuing or not; cleared (0) by an
+    /// enqueue and by a refresh or quiesce tick. Queue contents and row
+    /// state are constant while it holds, so both `tick_into` and
+    /// `next_event` answer in O(1).
     idle_until: Cycle,
 }
 
@@ -232,6 +266,7 @@ impl BaselineScheduler {
             kind: if prefetch { SchedulerKind::BaselinePrefetch } else { SchedulerKind::Baseline },
             cand: Candidates::new(bpr),
             floors: vec![RankFloors::default(); nranks],
+            events: vec![[Cycle::MAX; 4]; nranks],
             drain_hi: 40,
             drain_lo: 16,
             draining: false,
@@ -296,6 +331,93 @@ impl BaselineScheduler {
                 }
             }
         }
+    }
+
+    /// The drain mode the write-drain hysteresis gives for the current
+    /// write count.
+    fn drain_mode(&self) -> bool {
+        let writes = self.cand.queues[1].len();
+        if writes >= self.drain_hi {
+            true
+        } else if writes <= self.drain_lo {
+            false
+        } else {
+            self.draining
+        }
+    }
+
+    /// Rank `r`'s event floors, evaluated from scratch.
+    fn rank_events(&self, r: RankId) -> [Cycle; 4] {
+        self.device.rank_event_floors(r, self.cand.rank_classes(r))
+    }
+
+    /// Re-evaluates the cached floors of the dirty ranks.
+    fn settle_floors(&mut self) {
+        let mut m = self.cand.dirty;
+        while m != 0 {
+            let r = RankId(m.trailing_zeros() as u8);
+            m &= m - 1;
+            let (pre, act, rd, wr) = self.device.rank_floor_parts(r);
+            self.floors[r.0 as usize] = RankFloors { pre, act, cas: [rd, wr] };
+            self.events[r.0 as usize] = self.rank_events(r);
+        }
+        self.cand.dirty = 0;
+    }
+
+    /// The FR-FCFS candidates' [`DramDevice::next_event_bound`] from
+    /// `from`: cached floors for clean ranks, fresh ones for dirty ranks.
+    fn candidate_bound(&self, from: Cycle) -> Cycle {
+        let dirty = self.cand.dirty;
+        self.device.next_event_bound(from, |r| {
+            if dirty >> r.0 & 1 != 0 {
+                self.rank_events(r)
+            } else {
+                self.events[r.0 as usize]
+            }
+        })
+    }
+
+    /// [`MemoryController::next_event`] evaluated from the current state,
+    /// without the cached `idle_until` bound.
+    fn scan_next_event(&self, now: Cycle) -> Cycle {
+        // The prefetcher can inject new work on any tick with headroom.
+        if self.prefetchers.iter().any(|p| p.has_prefetch()) {
+            return now + 1;
+        }
+        // Wall-clock refresh: the staggered REF commands themselves, and
+        // (outside a window) the quiesce onset where ACTs stop and open
+        // rows get swept closed.
+        let mut next = self.refresh.next_command_cycle(now);
+        if self.refresh.in_window(now + 1) {
+            // Inside the window nothing but REFs issue; the first
+            // transaction command can come no earlier than the window end.
+            if let Some((_, end)) = self.refresh.next_window(now + 1) {
+                next = next.min(end);
+            }
+            return next.max(now + 1);
+        }
+        next = next.min(self.refresh.next_blocked_cycle(now + 1));
+        // The write-drain hysteresis is state a full tick updates: if the
+        // write count crossed a watermark since the last full tick, the
+        // next tick flips the drain mode, so it is not a no-op.
+        if self.drain_mode() != self.draining {
+            return now + 1;
+        }
+        // FR-FCFS candidates: for each pending transaction, the earliest
+        // cycle its next command (CAS, PRE or ACT per current row state)
+        // could become device-legal *and* pass the scheduler's own
+        // guards. Row state and queue contents only change when a
+        // command issues (the simulator lowers the cached bound via
+        // `enqueue_event_hint` on every enqueue), so no tick before the
+        // minimum over all candidates can issue anything — those cycles
+        // are provable no-ops. Candidate legality is row- and
+        // column-independent within each command class, so the
+        // candidate set dedupes to one command per populated (bank,
+        // class) — exactly the per-bank masks the scheduler keeps, and
+        // each rank's class floors change only with those masks or a
+        // command on that rank, so they are cached per rank.
+        next = next.min(self.candidate_bound(now + 1));
+        next.max(now + 1)
     }
 
     /// Attempts FR-FCFS issue from queue `d` (`is_write`); returns a
@@ -443,6 +565,7 @@ impl MemoryController for BaselineScheduler {
         // Refresh window handling (identical across policies).
         if let Some(cmd) = self.refresh.command_at(now) {
             self.device.issue(&cmd, now).expect("refresh must be legal after quiesce");
+            self.cand.dirty |= 1 << cmd.rank.0;
             self.idle_until = 0;
             return;
         }
@@ -460,38 +583,24 @@ impl MemoryController for BaselineScheduler {
 
         self.pump_prefetches(now);
 
-        // Write-drain hysteresis.
-        let writes = self.cand.queues[1].len();
-        if writes >= self.drain_hi {
-            self.draining = true;
-        } else if writes <= self.drain_lo {
-            self.draining = false;
-        }
+        self.draining = self.drain_mode();
         let drain = self.draining || self.cand.queues[0].is_empty();
 
-        for (r, f) in self.floors.iter_mut().enumerate() {
-            let (pre, act, rd, wr) = self.device.rank_floor_parts(RankId(r as u8));
-            *f = RankFloors { pre, act, cas: [rd, wr] };
-        }
+        self.settle_floors();
         let (issued, c) = self.try_issue(drain as usize, now);
         out.extend(c);
-        let mut any = issued;
         if !issued {
             // Opportunistic issue from the other queue (device and
             // queue state unchanged — the first attempt issued nothing
             // — so the floors are still exact).
-            let (issued2, c2) = self.try_issue(!drain as usize, now);
-            any = issued2;
+            let (_, c2) = self.try_issue(!drain as usize, now);
             out.extend(c2);
         }
-        self.idle_until = if any {
-            0
-        } else {
-            // Nothing issued and nothing mutated: the state this tick
-            // read stays exactly as-is until the bound (or an enqueue
-            // clears it), so the passes need not repeat.
-            self.next_event(now)
-        };
+        // The state this tick left stays exactly as-is until the bound
+        // (or an enqueue clears it), so the ticks before it need not
+        // repeat the passes — after an issue as after a quiet tick.
+        self.settle_floors();
+        self.idle_until = self.scan_next_event(now);
     }
 
     fn next_event(&self, now: Cycle) -> Cycle {
@@ -501,47 +610,7 @@ impl MemoryController for BaselineScheduler {
         if now < self.idle_until {
             return self.idle_until;
         }
-        // The prefetcher can inject new work on any tick with headroom.
-        if self.prefetchers.iter().any(|p| p.has_prefetch()) {
-            return now + 1;
-        }
-        // Wall-clock refresh: the staggered REF commands themselves, and
-        // (outside a window) the quiesce onset where ACTs stop and open
-        // rows get swept closed.
-        let mut next = self.refresh.next_command_cycle(now);
-        if self.refresh.in_window(now + 1) {
-            // Inside the window nothing but REFs issue; the first
-            // transaction command can come no earlier than the window end.
-            if let Some((_, end)) = self.refresh.next_window(now + 1) {
-                next = next.min(end);
-            }
-            return next.max(now + 1);
-        }
-        next = next.min(self.refresh.next_blocked_cycle(now + 1));
-        // FR-FCFS candidates: for each pending transaction, the earliest
-        // cycle its next command (CAS, PRE or ACT per current row state)
-        // could become device-legal *and* pass the scheduler's own
-        // guards. Row state and queue contents only change when a
-        // command issues (the simulator lowers the cached bound via
-        // `enqueue_event_hint` on every enqueue), so no tick before the
-        // minimum over all candidates can issue anything — those cycles
-        // are provable no-ops. Candidate legality is row- and
-        // column-independent within each command class, so the
-        // candidate set dedupes to one command per populated (bank,
-        // class) — exactly the per-bank masks the scheduler keeps. A
-        // bank with any pending row hit never precharges (the FR-FCFS
-        // guard), so an open bank contributes a PRE candidate only when
-        // no hit shares it.
-        let c = &self.cand;
-        let hits = c.hit_banks[0] | c.hit_banks[1];
-        next = next.min(self.device.next_event_bound(
-            now + 1,
-            c.hit_banks[0],
-            c.hit_banks[1],
-            c.occupied & c.open & !hits,
-            c.occupied & !c.open,
-        ));
-        next.max(now + 1)
+        self.scan_next_event(now)
     }
 
     fn enqueue_event_hint(&self, txn: &Transaction, now: Cycle) -> Cycle {
@@ -615,7 +684,7 @@ impl BaselineScheduler {
     /// piece of candidate state the scheduler keeps incrementally, and
     /// asserts it equals what the scheduler holds.
     fn check_candidates(&self) {
-        use fsmc_dram::geometry::BankId;
+        use fsmc_dram::geometry::{BankId, ColId, RowId};
         let c = &self.cand;
         let geom = self.device.geometry();
         let bpr = geom.banks_per_rank() as usize;
@@ -656,12 +725,50 @@ impl BaselineScheduler {
         assert_eq!(c.hit_count, hit_count, "per-bank hit counts");
         assert_eq!(c.occupied, occupied, "occupied mask");
         assert_eq!(c.hit_banks, hit_banks, "hit-bank masks");
+
+        // The cached floors are exact for every clean rank, and the
+        // bound the event floors give equals a full evaluation that
+        // completes every class floor of every rank on the channel,
+        // skipping none.
+        let ranks = (0..geom.ranks_per_channel()).map(RankId);
+        for r in ranks.clone().filter(|r| c.dirty >> r.0 & 1 == 0) {
+            let (pre, act, rd, wr) = self.device.rank_floor_parts(r);
+            let floors = RankFloors { pre, act, cas: [rd, wr] };
+            assert_eq!(self.floors[r.0 as usize], floors, "rank {} legality floors", r.0);
+            assert_eq!(self.events[r.0 as usize], self.rank_events(r), "rank {} event floors", r.0);
+        }
+        let (b, row, col) = (BankId(0), RowId(0), ColId(0));
+        let last = self.device.last_issue_at().unwrap_or(0);
+        for from in [last, last + 1, last + 5, last + 40] {
+            let mut full = Cycle::MAX;
+            for r in ranks.clone() {
+                let classes = [
+                    Command::read(r, b, row, col),
+                    Command::write(r, b, row, col),
+                    Command::precharge(r, b),
+                    Command::activate(r, b, row),
+                ];
+                for (floor, cmd) in self.rank_events(r).into_iter().zip(classes) {
+                    full = full.min(self.device.channel_legal_at(&cmd, floor.max(from)));
+                }
+            }
+            assert_eq!(self.candidate_bound(from), full, "candidate bound from {from}");
+        }
+    }
+
+    /// Asserts that a cached no-op bound still holding at `now` is what
+    /// a fresh evaluation of the current state gives.
+    fn check_idle_bound(&self, now: Cycle) {
+        if now < self.idle_until {
+            assert_eq!(self.idle_until, self.scan_next_event(now), "idle bound at {now}");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsmc_dram::command::TimedCommand;
     use fsmc_dram::geometry::{BankId, ChannelId, ColId, RowId};
     use fsmc_dram::{DeviceGeneration, Location, TimingChecker};
     use proptest::prelude::*;
@@ -797,69 +904,196 @@ mod tests {
         assert_eq!(dense.stats(), sparse.stats());
     }
 
-    #[test]
-    fn next_event_skips_are_sound_under_sustained_load() {
-        // A steady mixed read/write stream keeps the queues busy across
-        // refresh windows, write-drain flips, row conflicts and tFAW
-        // pressure — exercising the per-transaction earliest-issue bound
-        // rather than the idle wall-clock one — while a sequential read
-        // stream trains the sandbox prefetcher. The sparse loop also
-        // wakes at arrival cycles, mirroring the simulator (which never
-        // skips while any core could enqueue). Every device generation,
-        // with and without prefetching.
+    /// How [`replay`] drives a controller.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Drive {
+        /// Every cycle, with the cached no-op bound dropped before each
+        /// tick, so every tick runs its issue passes: the reference.
+        Full,
+        /// Every cycle, through the controller's own idle shortcut.
+        Dense,
+        /// Only at `next_event` bounds and arrival cycles, as the
+        /// simulator's fast path does (it never skips while a core could
+        /// enqueue).
+        Hop,
+    }
+
+    /// Offers `arrivals` (sorted by cycle, each offered before the tick
+    /// of its cycle; one meeting a full queue is dropped, by the same
+    /// rule in every drive) to a fresh controller until `horizon`.
+    /// Returns the completions, the command log and the controller.
+    fn replay(
+        generation: DeviceGeneration,
+        prefetch: bool,
+        arrivals: &[(u64, Transaction)],
+        horizon: u64,
+        drive: Drive,
+    ) -> (Vec<Completion>, Vec<TimedCommand>, BaselineScheduler) {
+        let mut mc = mk_on(generation, prefetch);
+        mc.record_commands();
+        let (mut done, mut ai, mut c) = (Vec::new(), 0, 0u64);
+        while c < horizon {
+            while ai < arrivals.len() && arrivals[ai].0 <= c {
+                let t = arrivals[ai].1;
+                if mc.can_accept(t.domain) {
+                    mc.enqueue(t).unwrap();
+                }
+                ai += 1;
+            }
+            if drive == Drive::Full {
+                mc.idle_until = 0;
+            }
+            done.extend(mc.tick(c));
+            c = match drive {
+                Drive::Hop => {
+                    let next = mc.next_event(c);
+                    arrivals.get(ai).map_or(next, |a| next.min(a.0.max(c + 1)))
+                }
+                _ => c + 1,
+            };
+        }
+        let log = mc.take_command_log();
+        (done, log, mc)
+    }
+
+    /// Asserts that every drive of `arrivals` gives the same completions,
+    /// command log and stats as the reference; returns the reference's
+    /// completions and controller.
+    fn assert_drives_agree(
+        generation: DeviceGeneration,
+        prefetch: bool,
+        arrivals: &[(u64, Transaction)],
+        horizon: u64,
+        drives: &[Drive],
+    ) -> (Vec<Completion>, BaselineScheduler) {
+        let what = format!("{generation} prefetch={prefetch}");
+        let (done, log, mc) = replay(generation, prefetch, arrivals, horizon, Drive::Full);
+        for &drive in drives {
+            let (d, l, m) = replay(generation, prefetch, arrivals, horizon, drive);
+            assert_eq!(done, d, "{what} {drive:?}: completions");
+            assert_eq!(log, l, "{what} {drive:?}: command log");
+            assert_eq!(mc.stats(), m.stats(), "{what} {drive:?}: stats");
+        }
+        (done, mc)
+    }
+
+    /// A steady mixed read/write stream that keeps the queues busy across
+    /// refresh windows, write-drain flips, row conflicts and tFAW
+    /// pressure, plus a sequential read stream that trains the sandbox
+    /// prefetcher.
+    fn sustained_arrivals(geom: &Geometry) -> Vec<(u64, Transaction)> {
+        let mut arrivals: Vec<(u64, Transaction)> = (0..120u64)
+            .map(|i| (40 * (i / 4), txn_on(geom, i, (i % 8) as u8, i * 97, i % 4 == 3)))
+            .collect();
+        arrivals.extend((0..600u64).map(|i| (12 * i, txn_on(geom, 1000 + i, 0, i, false))));
+        arrivals.sort_by_key(|a| a.0);
+        arrivals
+    }
+
+    /// Runs the sustained stream on every device generation, with and
+    /// without prefetching, and checks it did real work.
+    fn sustained_load_agrees(drives: &[Drive]) {
         for generation in DeviceGeneration::all() {
             for prefetch in [false, true] {
-                let geom = generation.profile().geometry;
-                let mut arrivals: Vec<(u64, Transaction)> = (0..120u64)
-                    .map(|i| (40 * (i / 4), txn_on(&geom, i, (i % 8) as u8, i * 97, i % 4 == 3)))
-                    .collect();
-                arrivals
-                    .extend((0..600u64).map(|i| (12 * i, txn_on(&geom, 1000 + i, 0, i, false))));
-                arrivals.sort_by_key(|a| a.0);
-                let (mut dense, mut sparse) =
-                    (mk_on(generation, prefetch), mk_on(generation, prefetch));
-                dense.record_commands();
-                sparse.record_commands();
-                let horizon = 14_000u64;
-                // Arrivals meeting a full queue are dropped, by the same
-                // rule in both loops.
-                let offer = |mc: &mut BaselineScheduler, t: Transaction| {
-                    if mc.can_accept(t.domain) {
-                        mc.enqueue(t).unwrap();
-                    }
-                };
-                let mut dense_done = Vec::new();
-                let mut ai = 0;
-                for c in 0..horizon {
-                    while ai < arrivals.len() && arrivals[ai].0 <= c {
-                        offer(&mut dense, arrivals[ai].1);
-                        ai += 1;
-                    }
-                    dense_done.extend(dense.tick(c));
-                }
-                let mut sparse_done = Vec::new();
-                let mut ai = 0;
-                let mut c = 0u64;
-                while c < horizon {
-                    while ai < arrivals.len() && arrivals[ai].0 <= c {
-                        offer(&mut sparse, arrivals[ai].1);
-                        ai += 1;
-                    }
-                    sparse_done.extend(sparse.tick(c));
-                    let mut next = sparse.next_event(c);
-                    if ai < arrivals.len() {
-                        next = next.min(arrivals[ai].0.max(c + 1));
-                    }
-                    c = next;
-                }
+                let arrivals = sustained_arrivals(&generation.profile().geometry);
+                let (done, mc) =
+                    assert_drives_agree(generation, prefetch, &arrivals, 14_000, drives);
                 let what = format!("{generation} prefetch={prefetch}");
-                assert!(dense_done.len() > 500, "{what}: {} completions", dense_done.len());
-                let prefetches = dense.stats().domain(DomainId(0)).prefetches;
+                assert!(done.len() > 500, "{what}: {} completions", done.len());
+                let prefetches = mc.stats().domain(DomainId(0)).prefetches;
                 assert_eq!(prefetches > 0, prefetch, "{what}: {prefetches} prefetches");
-                assert_eq!(dense_done, sparse_done, "{what}");
-                assert_eq!(dense.take_command_log(), sparse.take_command_log(), "{what}");
-                assert_eq!(dense.stats(), sparse.stats(), "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn next_event_skips_are_sound_under_sustained_load() {
+        // The per-transaction earliest-issue bound, rather than the idle
+        // wall-clock one, decides every hop here.
+        sustained_load_agrees(&[Drive::Hop]);
+    }
+
+    #[test]
+    fn idle_shortcut_matches_full_ticks_under_sustained_load() {
+        // The shortcut fires after every command; a tick that runs its
+        // passes every cycle must see nothing the shortcut skipped.
+        sustained_load_agrees(&[Drive::Dense]);
+    }
+
+    /// Arrivals whose reference run holds a pending drain flip at a
+    /// quiet tick: row-hit writes to rank 0 start a drain while reads to
+    /// rank 1, one every `spacing` cycles across banks and rows, keep
+    /// ACT, PRE and CAS candidates queued, so whenever both queues hold a
+    /// legal candidate the drain mode decides which goes first. The
+    /// reference looks for a tick `c - 1` whose write CAS leaves
+    /// `drain_lo` writes while nothing could issue at `c`: only the drain
+    /// flip makes the tick at `c` matter. Arrivals are cut there, and
+    /// writes and reads arrive right after it, lifting the write count
+    /// back between the watermarks, where the hysteresis keeps whatever
+    /// mode the last full tick left. Returns the arrivals and `c`, or
+    /// `None` if no such tick comes within 12,000 cycles.
+    fn drain_flip_arrivals(
+        generation: DeviceGeneration,
+        spacing: u64,
+    ) -> Option<(Vec<(u64, Transaction)>, u64)> {
+        let bpr = generation.profile().geometry.banks_per_rank() as u64;
+        let at = |rank: u8, bank: u64, row: u64, col: u64| Location {
+            channel: ChannelId(0),
+            rank: RankId(rank),
+            bank: BankId((bank % bpr) as u8),
+            row: RowId(row as u32),
+            col: ColId(col as u16),
+        };
+        let write = |i: u64, c: u64| Transaction::write(TxnId(i), DomainId(0), at(0, 0, 0, i), c);
+        let read = |i: u64, c: u64| {
+            Transaction::read(TxnId(1 << 20 | i), DomainId(1), at(1, i + 1, i * 7 % 5, i), c)
+        };
+        let mut arrivals: Vec<(u64, Transaction)> = (0..44)
+            .map(|i| (0, write(i, 0)))
+            .chain((0..300).map(|i| (44 + 48 * i, write(44 + i, 44 + 48 * i))))
+            .chain((0..12_000 / spacing).map(|i| (spacing * i, read(i, spacing * i))))
+            .collect();
+        arrivals.sort_by_key(|a| a.0);
+        let mut mc = mk_on(generation, false);
+        let (mut ai, mut c) = (0, 0u64);
+        while c < 12_000 {
+            while ai < arrivals.len() && arrivals[ai].0 <= c {
+                let t = arrivals[ai].1;
+                if mc.can_accept(t.domain) {
+                    mc.enqueue(t).unwrap();
+                }
+                ai += 1;
+            }
+            mc.idle_until = 0;
+            mc.tick(c);
+            c += 1;
+            let flips = mc.draining && mc.cand.queues[1].len() <= mc.drain_lo;
+            if flips && mc.candidate_bound(c) > c && !mc.cand.queues[0].is_empty() {
+                arrivals.truncate(ai);
+                let after = (0..8).flat_map(|i| {
+                    [(c + 1, write(1000 + i, c + 1)), (c + 1, read(1000 + i, c + 1))]
+                });
+                arrivals.extend(after);
+                return Some((arrivals, c));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn drain_flip_survives_a_post_issue_elision() {
+        // A drive that skipped the flipping tick at `c` keeps the old
+        // drain mode and, at the first tick where both queues hold a
+        // legal candidate, issues from the other one. Each part's read
+        // spacing is one whose reference run reaches such a tick.
+        use DeviceGeneration::*;
+        for (generation, spacing) in
+            [(Ddr3_1600, 16), (Ddr4_2400, 16), (Lpddr4_3200, 48), (Hbm2, 16)]
+        {
+            let (arrivals, c) = drain_flip_arrivals(generation, spacing)
+                .unwrap_or_else(|| panic!("{generation}: no drain flip at a quiet tick"));
+            let drives = [Drive::Dense, Drive::Hop];
+            assert_drives_agree(generation, false, &arrivals, c + 2_000, &drives);
         }
     }
 
@@ -1003,6 +1237,7 @@ mod tests {
                                 for _ in 0..n {
                                     mc.tick(now);
                                     mc.check_candidates();
+                                    mc.check_idle_bound(now);
                                     now += 1;
                                 }
                             }
@@ -1010,6 +1245,7 @@ mod tests {
                                 for _ in 0..n {
                                     mc.tick(now);
                                     mc.check_candidates();
+                                    mc.check_idle_bound(now);
                                     now = mc.next_event(now);
                                 }
                             }

@@ -335,62 +335,41 @@ impl DramDevice {
         self.ranks[cmd.rank.0 as usize].next_legal_at(cmd, &self.t).max(from)
     }
 
-    /// Fused candidate scan for event-driven schedulers: a lower bound
-    /// on the first cycle `>= from` at which *any* command in the given
-    /// candidate classes could pass [`DramDevice::can_issue`], assuming
-    /// no further commands issue in the meantime. Equivalent to taking
-    /// the minimum of [`DramDevice::next_legal_at`] over one
-    /// representative command per set bit, but with direct state access
-    /// and a single data-bus scan per populated (rank, direction) —
-    /// within a class the bank-level term is the only one that varies,
-    /// and the channel completion is one shared monotone function per
-    /// (rank, direction), so each minimum is achieved by the bank with
-    /// the smallest pre-channel bound.
+    /// Pre-channel event floors of one rank's candidate classes,
+    /// `[read CAS, write CAS, PRE, ACT]`: for each class, the earliest
+    /// cycle at which any of its banks clears every rank- and bank-level
+    /// window ([`DramDevice::rank_level_next_legal_at`] minimised over
+    /// the class), assuming no further commands issue in the meantime.
+    /// `Cycle::MAX` for an empty class, and for every class while the
+    /// rank is powered down. The floors depend only on this rank's state
+    /// and masks, so a scheduler may cache them per rank and recompute a
+    /// rank only after a command on it or a change to its masks.
     ///
-    /// Masks are rank-major per-bank bitmasks
-    /// (`bit = rank * banks_per_rank + bank`; geometries wider than 128
-    /// banks must fall back to per-command [`DramDevice::next_legal_at`])
+    /// `masks` are the rank's bank bitmasks (`bit = bank`) per class,
     /// and each set bit's class must match the bank's row-buffer state:
-    /// `read_cas`/`write_cas` bits require the target row to be open,
-    /// `pre` bits an open bank, `act` bits a closed bank.
-    pub fn next_event_bound(
-        &self,
-        from: Cycle,
-        read_cas: u128,
-        write_cas: u128,
-        pre: u128,
-        act: u128,
-    ) -> Cycle {
-        let bpr = self.geometry().banks_per_rank() as u32;
-        let width = if bpr >= 128 { u128::MAX } else { (1u128 << bpr) - 1 };
-        let bump = |at: Cycle| if self.last_issue == Some(at) { at + 1 } else { at };
-        let min_over = |mask: u128, f: &dyn Fn(usize) -> Cycle| {
+    /// CAS bits require the target row to be open, PRE bits an open
+    /// bank, ACT bits a closed bank.
+    pub fn rank_event_floors(&self, rank: RankId, masks: [u128; 4]) -> [Cycle; 4] {
+        fn min_over(mask: u128, f: impl Fn(usize) -> Cycle) -> Cycle {
             let (mut best, mut m) = (Cycle::MAX, mask);
             while m != 0 {
                 best = best.min(f(m.trailing_zeros() as usize));
                 m &= m - 1;
             }
             best
+        }
+        let mut out = [Cycle::MAX; 4];
+        if masks == [0; 4] {
+            return out;
+        }
+        let rank = &self.ranks[rank.0 as usize];
+        let Some((quiet, act_floor, next_read, next_write)) = rank.event_bound_parts(&self.t)
+        else {
+            return out; // powered down: no candidate class applies
         };
-        let mut next = Cycle::MAX;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            let shift = r as u32 * bpr;
-            let rd = (read_cas >> shift) & width;
-            let wr = (write_cas >> shift) & width;
-            let pr = (pre >> shift) & width;
-            let ac = (act >> shift) & width;
-            if rd | wr | pr | ac == 0 {
-                continue;
-            }
-            let Some((quiet, act_floor, next_read, next_write)) = rank.event_bound_parts(&self.t)
-            else {
-                continue; // powered down: no candidate class applies
-            };
-            let banks = rank.banks();
-            for (mask, is_read) in [(rd, true), (wr, false)] {
-                if mask == 0 {
-                    continue;
-                }
+        let banks = rank.banks();
+        for (d, turn) in [next_read, next_write].into_iter().enumerate() {
+            if masks[d] != 0 {
                 // Per-bank CAS readiness must fold in the bank group's
                 // tCCD_L floor, or grouped parts (DDR4/HBM) would report
                 // a bound below the first legal cycle and the fast path
@@ -398,24 +377,56 @@ impl DramDevice {
                 // array is contiguous (SoA), so this walk stays within
                 // one or two cache lines per rank.
                 let cas = banks.next_cas_slice();
-                let best = min_over(mask, &|b| cas[b].max(rank.cas_group_floor(b, is_read)));
-                let turn = if is_read { next_read } else { next_write };
-                let at = quiet.max(turn).max(best).max(from);
-                if at != Cycle::MAX {
-                    let slot =
-                        self.channel.next_data_slot_for(is_read, RankId(r as u8), at, &self.t);
+                let best = min_over(masks[d], |b| cas[b].max(rank.cas_group_floor(b, d == 0)));
+                out[d] = quiet.max(turn).max(best);
+            }
+        }
+        if masks[2] != 0 {
+            let pre_ready = banks.next_precharge_slice();
+            out[2] = quiet.max(min_over(masks[2], |b| pre_ready[b]));
+        }
+        if masks[3] != 0 {
+            let act_ready = banks.next_activate_slice();
+            out[3] = quiet.max(act_floor).max(min_over(masks[3], |b| act_ready[b]));
+        }
+        out
+    }
+
+    /// Candidate bound for event-driven schedulers: a lower bound on the
+    /// first cycle `>= from` at which any command in the candidate
+    /// classes whose per-rank floors `floors` returns
+    /// ([`DramDevice::rank_event_floors`], possibly cached) could pass
+    /// [`DramDevice::can_issue`], assuming no further commands issue in
+    /// the meantime. Equivalent to taking the minimum of
+    /// [`DramDevice::next_legal_at`] over one representative command per
+    /// candidate bank: within a class the bank-level term is the only
+    /// one that varies, and the channel completion is one shared
+    /// monotone function per (rank, direction) that never lowers its
+    /// argument, so each class minimum is achieved by its floor.
+    ///
+    /// The PRE and ACT floors of every rank come first; a CAS floor then
+    /// pays for its data-bus scan only while it lies below the best
+    /// bound so far, and the scan returns `from` as soon as some term
+    /// reaches it.
+    pub fn next_event_bound(&self, from: Cycle, floors: impl Fn(RankId) -> [Cycle; 4]) -> Cycle {
+        let bump = |at: Cycle| if self.last_issue == Some(at) { at + 1 } else { at };
+        let ranks = (0..self.geom.ranks_per_channel()).map(RankId);
+        let mut next = Cycle::MAX;
+        for r in ranks.clone() {
+            let f = floors(r);
+            next = next.min(bump(f[2].max(from))).min(bump(f[3].max(from)));
+            if next <= from {
+                return from;
+            }
+        }
+        for r in ranks {
+            let f = floors(r);
+            for (d, is_read) in [(0, true), (1, false)] {
+                let at = f[d].max(from);
+                if at < next {
+                    let slot = self.channel.next_data_slot_for(is_read, r, at, &self.t);
                     next = next.min(bump(slot));
                 }
-            }
-            if pr != 0 {
-                let pre_ready = banks.next_precharge_slice();
-                let best = min_over(pr, &|b| pre_ready[b]);
-                next = next.min(bump(quiet.max(best).max(from)));
-            }
-            if ac != 0 {
-                let act_ready = banks.next_activate_slice();
-                let best = min_over(ac, &|b| act_ready[b]);
-                next = next.min(bump(quiet.max(act_floor).max(best).max(from)));
             }
             if next <= from {
                 return from;

@@ -306,8 +306,8 @@ impl RankState {
         at
     }
 
-    /// Rank-common pieces of the fused event-bound scan (see
-    /// [`crate::DramDevice::next_event_bound`]): `(quiet, act_floor,
+    /// Rank-common pieces of the per-rank event floors (see
+    /// [`crate::DramDevice::rank_event_floors`]): `(quiet, act_floor,
     /// next_read, next_write)`, where `quiet` is the refresh/power-wake
     /// floor every command shares and `act_floor` additionally folds in
     /// tRRD and the tFAW rolling window. `None` while powered down —

@@ -104,9 +104,10 @@ fn fast_path_is_bit_identical_for_every_policy() {
     }
 }
 
-/// The same contract on every device generation: the fast path's
-/// `next_event_bound` folds the bank-group CAS floors and the LPDDR4/HBM
-/// timing extremes into its skip bounds, so a single missed wake-up on
+/// The same contract on every device generation: the FR-FCFS event
+/// floors (`rank_event_floors`, completed by `next_event_bound`) fold the
+/// bank-group CAS floors and the LPDDR4/HBM timing extremes into the fast
+/// path's skip bounds, so a single missed wake-up on
 /// any profile would surface here as a stats or command-log diff. The
 /// fence window and TP-NP's CAS-slot prediction also follow each
 /// device's timing.
