@@ -201,10 +201,12 @@ impl OooCore {
     /// then finds at least `width` non-memory instructions still to
     /// fetch, so it never reads the trace or offers a memory operation.
     /// Stall-only stretches (full ROB behind a head that cannot retire
-    /// yet) are charged in bulk.
-    pub fn advance_compute(&mut self, from: u64, to: u64) {
+    /// yet) are charged in bulk, and once the ROB reaches steady
+    /// full-width compute the rest of the span is one jump. Returns how
+    /// many of the span's cycles that jump covered.
+    pub fn advance_compute(&mut self, from: u64, to: u64) -> u64 {
         if from >= to {
-            return;
+            return 0;
         }
         let width = self.cfg.width;
         debug_assert!(
@@ -213,7 +215,13 @@ impl OooCore {
         );
         self.drain_completions(from);
         let mut now = from;
+        let mut jumped = 0;
         while now < to {
+            if self.steady_at(now) {
+                jumped = to - now;
+                self.jump_steady(now, to);
+                break;
+            }
             self.retire(now);
             let room = self.cfg.rob_size - self.rob_len;
             if room == 0 {
@@ -232,6 +240,48 @@ impl OooCore {
             now += 1;
         }
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(to);
+        jumped
+    }
+
+    /// Whether the ROB is in steady full-width compute at `now`: `runs`
+    /// runs of `width` ready instructions, with `runs` at least
+    /// `pipeline_depth`, whose retire cycles count up by one to
+    /// `now + pipeline_depth - 1` at the tail. Each compute cycle then
+    /// retires the head run and fetches one run like it at the tail, so
+    /// the shape repeats, shifted by a cycle. With more runs than the
+    /// pipeline is deep (a backlog left by a stall), the head's retire
+    /// cycle has passed and the backlog never drains. The checks on
+    /// the ends only prefilter the full scan: a read run can also hold
+    /// `width` instructions (width 1), and a stall can leave gaps
+    /// between retire cycles.
+    fn steady_at(&self, now: u64) -> bool {
+        let (depth, width) = (self.cfg.pipeline_depth as u64, self.cfg.width);
+        let runs = self.rob.len() as u64;
+        let Some(head) = (now + depth).checked_sub(runs) else { return false };
+        depth > 0
+            && runs >= depth
+            && self.rob_len as u64 == runs * width as u64
+            && self.rob.front().is_some_and(|e| e.retire_at == head)
+            && self.rob.back().is_some_and(|e| e.retire_at == now + depth - 1)
+            && self
+                .rob
+                .iter()
+                .zip(head..)
+                .all(|(e, at)| e.count == width && e.waiting_on.is_none() && e.retire_at == at)
+    }
+
+    /// Runs the steady compute cycles `now..to` in one step: they retire
+    /// and fetch `width` instructions each and shift every run by the
+    /// span. Sound only when [`OooCore::steady_at`] holds at `now` and
+    /// `to` is within the compute floor.
+    fn jump_steady(&mut self, now: u64, to: u64) {
+        let n = to - now;
+        let instrs = n * self.cfg.width as u64;
+        self.nonmem_left -= instrs as u32;
+        self.stats.instructions_retired += instrs;
+        for e in self.rob.iter_mut() {
+            e.retire_at += n;
+        }
     }
 
     /// Advances one CPU cycle. `submit` offers memory operations to the

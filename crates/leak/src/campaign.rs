@@ -183,9 +183,7 @@ pub fn run_leak_case(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> (Outcome, f6
     for _ in 0..cfg.windows {
         sys.take_observations(); // clear
         let slot_before = modulator.slot_at(sys.core_stats(1).instructions_retired);
-        for _ in 0..cfg.window_cycles {
-            sys.step();
-        }
+        sys.run_cycles(cfg.window_cycles);
         let obs = sys.take_observations();
         let instrs = sys.core_stats(1).instructions_retired;
         if modulator.slot_at(instrs) != slot_before {

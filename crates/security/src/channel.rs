@@ -93,9 +93,7 @@ pub fn run_covert_protocol(
     for _ in 0..params.windows {
         sys.take_observations(); // clear
         let slot_before = modulator.slot_at(sys.core_stats(1).instructions_retired);
-        for _ in 0..params.window_cycles {
-            sys.step();
-        }
+        sys.run_cycles(params.window_cycles);
         let obs = sys.take_observations();
         // Ground truth: the sender's current bit, derived from its own
         // retired instruction count (what the sender *meant* to signal).

@@ -187,16 +187,19 @@ impl FaultPlan {
     /// reconfiguration events, arms the command-fault injector and slows
     /// the device.
     ///
-    /// Injected faults deliberately violate the controllers'
-    /// `next_event` contract (delayed commands, stretched refresh,
-    /// perturbed timing), so a plan with any of them steps per cycle; the
-    /// fast path is for clean runs. Pure-reconfiguration plans keep it:
-    /// the reconfiguration protocol runs inside `System::step`, and skips
-    /// clamp at the next queued event or adoption cycle.
+    /// Each fault switches off only the fast-path tiers it breaks.
+    /// Delayed or dropped commands and stretched refresh violate the
+    /// controller's `next_event` contract; they reach the controller
+    /// through [`System::controller_mut`], which turns off the
+    /// controller-side tiers (tick elision, skipped spans, FS
+    /// fast-forward). The core-side tiers (carrying stalled and computing
+    /// cores in bulk, parking them) read only core state and stay on.
+    /// The shared arbiter and timing perturbations act on the
+    /// configuration before the build, corrupted traces fail at
+    /// construction, and reconfiguration runs inside `System::step` with
+    /// skips clamped at its promotion and adoption cycles: plans made of
+    /// these keep the whole fast path.
     pub fn arm(&self, sys: &mut System) {
-        if !self.faults.is_empty() && !self.is_pure_reconfig() {
-            sys.disable_fastpath();
-        }
         for (at, ev) in self.reconfig_events() {
             sys.schedule_reconfig(at, ev);
         }

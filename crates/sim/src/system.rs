@@ -105,6 +105,17 @@ enum Crossing {
     Stepped,
 }
 
+/// A core the run loop leaves untouched until DRAM cycle `wake`: it
+/// crosses every cycle before it as `how`, from CPU cycle `from_cpu`
+/// on, and is carried there in one call when it wakes or a reader needs
+/// it.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    how: Crossing,
+    from_cpu: u64,
+    wake: u64,
+}
+
 /// Carries `core` across CPU cycles `from..to` as `how` allows,
 /// counting the sub-cycles; a [`Crossing::Stepped`] core is left to the
 /// caller.
@@ -174,17 +185,30 @@ pub struct System {
     /// Degradation state at the last drain, to detect schedule swaps and
     /// re-arm the monitor's cadence spec.
     was_degraded: bool,
-    /// Event-driven time skipping enabled? Cleared by
+    /// The controller-side fast-path tiers: in-step tick elision,
+    /// skipped spans and FS `fast_forward`, all of which trust the
+    /// controller's `next_event` bound. Cleared by
     /// [`System::disable_fastpath`], by `FSMC_NO_FASTPATH=1`, and by any
     /// [`System::controller_mut`] access (external mutation may
-    /// invalidate the controllers' `next_event` contract).
+    /// invalidate that bound). Never set without `carry_cores`.
     fastpath: bool,
+    /// The core-side fast-path tiers: carrying a stalled or computing
+    /// core across a DRAM cycle in bulk, and parking it until it wakes.
+    /// They read only core state, so a mutated controller keeps them;
+    /// cleared by [`System::disable_fastpath`] and `FSMC_NO_FASTPATH=1`.
+    carry_cores: bool,
     /// Reusable per-step completion buffer (hot path, no allocation).
     completion_buf: Vec<Completion>,
     /// Per-core scratch: is core `i` stepped through this DRAM cycle's
     /// CPU sub-cycles, or already carried across them (bulk-charged as
-    /// stalled, or run as a compute span)?
+    /// stalled, or run as a compute span) or parked?
     core_active: Vec<bool>,
+    /// Cores the current run loop has parked until their wake cycle,
+    /// only while the controller-side tiers are off (so no skipped span
+    /// ever sees one). All `None` outside a run loop: every loop carries
+    /// them before it returns, and so does every reader of core state
+    /// inside one.
+    parked: Vec<Option<Parked>>,
     /// Cached [`MemoryController::next_event`] bound: on the fast path,
     /// ticks strictly before this cycle are provable no-ops and are
     /// elided even when cores stay busy. Every `enqueue` lowers it by
@@ -385,8 +409,10 @@ impl System {
             command_log: Vec::new(),
             was_degraded,
             fastpath: !crate::env::no_fastpath(),
+            carry_cores: !crate::env::no_fastpath(),
             completion_buf: Vec::new(),
             core_active: vec![true; cfg.cores as usize],
+            parked: vec![None; cfg.cores as usize],
             mc_next_tick: 0,
             elide_armed: true,
             fp_skipped: 0,
@@ -443,23 +469,29 @@ impl System {
     /// ([`MemoryController::inject_command_faults`]) or model slow
     /// silicon ([`MemoryController::set_device_timing`]) before a run.
     ///
-    /// Also disables the event-driven fast path: an externally mutated
+    /// Also disables the controller-side fast-path tiers (in-step tick
+    /// elision, skipped spans, FS fast-forward): an externally mutated
     /// controller (delayed commands, stretched refresh, swapped device
     /// timing) may no longer honour the [`MemoryController::next_event`]
-    /// lower-bound contract, so the run falls back to per-cycle stepping.
+    /// lower-bound contract, so the controller ticks every cycle. The
+    /// core-side tiers stay: carrying a stalled or computing core across
+    /// a cycle, or parking it until it wakes, reads only core state.
     pub fn controller_mut(&mut self) -> &mut dyn MemoryController {
         self.fastpath = false;
         self.mc.as_mut()
     }
 
-    /// Forces per-cycle stepping for the rest of this system's life.
-    /// Equivalent to running under `FSMC_NO_FASTPATH=1`; results are
-    /// bit-identical either way, only wall-clock time changes.
+    /// Forces per-cycle stepping for the rest of this system's life: the
+    /// controller ticks and every core steps every cycle. Equivalent to
+    /// running under `FSMC_NO_FASTPATH=1`; results are bit-identical
+    /// either way, only wall-clock time changes.
     pub fn disable_fastpath(&mut self) {
         self.fastpath = false;
+        self.carry_cores = false;
     }
 
-    /// Whether event-driven time skipping is still armed.
+    /// Whether event-driven time skipping (the controller-side tiers) is
+    /// still armed.
     pub fn fastpath_enabled(&self) -> bool {
         self.fastpath
     }
@@ -547,6 +579,9 @@ impl System {
         let pending =
             self.pending_reconfig.take().expect("adoption requires a pending reconfiguration");
         debug_assert!(pending.requested_at <= c);
+        // Churn changes which cores are attached, and with it how they
+        // cross the cycles to come.
+        self.unpark_all(c);
         let (domains, ranks) = (self.attached.len() as u8, self.cfg.geometry.ranks_per_channel());
         for ev in &pending.events {
             match *ev {
@@ -772,8 +807,19 @@ impl System {
         }
     }
 
-    /// Advances one DRAM bus cycle (and the corresponding CPU cycles).
+    /// Advances one DRAM bus cycle (and the corresponding CPU cycles);
+    /// every core is carried to the end of the cycle when it returns.
     pub fn step(&mut self) {
+        self.advance(false);
+    }
+
+    /// [`System::step`] for the run loops: with `park`, a core that
+    /// cannot act for at least two cycles is parked until it can
+    /// instead of being carried across this one. Parking is for runs
+    /// without the controller-side tiers: with them, a skipped span
+    /// carries idle cores in bulk anyway, and most parks would be
+    /// undone by the next span before they spared a step.
+    fn advance(&mut self, park: bool) {
         let c = self.dram_cycle;
         // 0. Reconfiguration protocol: promote due events, adopt at the
         // boundary. A single branch on the common (no reconfig) path.
@@ -812,19 +858,46 @@ impl System {
         // the cycle ends) are bulk-charged, and cores whose compute
         // floor lies past it run it as a compute span: neither can
         // submit, so only the rest need stepping sub-cycle by sub-cycle,
-        // interleaved in core order as their submits must be.
+        // interleaved in core order as their submits must be. A core
+        // that stays so until its wake cycle (its head's retire cycle,
+        // its compute floor, or a delivery) is parked: skipped until
+        // then, and carried in one call when it wakes.
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let (start_cpu, end_cpu) = (c * ratio, (c + 1) * ratio);
-        let fastpath = self.fastpath;
+        let carry_cores = self.carry_cores;
+        let park = park && carry_cores && !self.fastpath;
         let mut any_stepped = false;
         for (i, core) in self.cores.iter_mut().enumerate() {
-            let how = if !self.attached[i] || (fastpath && stalled_until(core, end_cpu)) {
-                Crossing::Stalled
-            } else if fastpath && core.compute_floor(start_cpu).is_some_and(|f| f >= end_cpu) {
-                Crossing::Computing
+            if let Some(p) = self.parked[i] {
+                if c < p.wake {
+                    self.core_active[i] = false;
+                    continue;
+                }
+                carry(core, p.how, p.from_cpu, start_cpu, &mut self.core_counts);
+                self.parked[i] = None;
+            }
+            // The CPU cycle the crossing lasts until; the DRAM cycle it
+            // wakes in is divided out only for a core that parks.
+            let (how, until_cpu) = if !self.attached[i] {
+                (Crossing::Stalled, u64::MAX)
+            } else if !carry_cores {
+                (Crossing::Stepped, 0)
             } else {
-                Crossing::Stepped
+                match core.idle_until() {
+                    CoreIdle::BlockedOnMemory => (Crossing::Stalled, u64::MAX),
+                    CoreIdle::WakeAt(at) if at >= end_cpu => (Crossing::Stalled, at),
+                    _ => match core.compute_floor(start_cpu) {
+                        Some(floor) if floor >= end_cpu => (Crossing::Computing, floor),
+                        _ => (Crossing::Stepped, 0),
+                    },
+                }
             };
+            if park && until_cpu >= end_cpu + ratio {
+                let wake = until_cpu / ratio;
+                self.parked[i] = Some(Parked { how, from_cpu: start_cpu, wake });
+                self.core_active[i] = false;
+                continue;
+            }
             self.core_active[i] = how == Crossing::Stepped;
             any_stepped |= how == Crossing::Stepped;
             carry(core, how, start_cpu, end_cpu, &mut self.core_counts);
@@ -1054,6 +1127,23 @@ impl System {
         }
     }
 
+    /// Carries core `i`, if parked, to the start of DRAM cycle `c` (no
+    /// later than its wake) and unparks it.
+    fn unpark(&mut self, i: usize, c: u64) {
+        if let Some(p) = self.parked[i] {
+            self.parked[i] = None;
+            let to_cpu = c * self.cfg.timing.cpu_ratio as u64;
+            carry(&mut self.cores[i], p.how, p.from_cpu, to_cpu, &mut self.core_counts);
+        }
+    }
+
+    /// [`System::unpark`] for every core.
+    fn unpark_all(&mut self, c: u64) {
+        for i in 0..self.cores.len() {
+            self.unpark(i, c);
+        }
+    }
+
     /// Carries every core across the skipped DRAM cycles `from..to`.
     /// Cores that cannot act before the span ends (detached, blocked on
     /// memory, or waking after it) are bulk-charged as stalled; the rest
@@ -1139,6 +1229,7 @@ impl System {
                 if let Some(pos) = self.txn_meta.iter().position(|&(id, _, _)| id == txn.id) {
                     let (_, core, local) = self.txn_meta.swap_remove(pos);
                     let core_idx = core as usize;
+                    self.unpark(core_idx, self.dram_cycle);
                     for tag in self.mshrs[core_idx].complete(local) {
                         self.cores[core_idx].complete_read(tag);
                     }
@@ -1266,11 +1357,28 @@ impl System {
     /// Runs for `cycles` DRAM cycles.
     pub fn run_cycles(&mut self, cycles: u64) -> SystemStats {
         let end = self.dram_cycle + cycles;
-        while self.dram_cycle < end {
-            self.step();
-            self.skip_ahead(end, false, None);
-        }
+        self.run_to(end, false).expect("a run without health checks cannot fail");
         self.stats()
+    }
+
+    /// The loop of [`System::run_cycles`] and [`System::try_run_cycles`]:
+    /// steps with parking and skips ahead until `end`, running
+    /// [`System::health_check`] after every step when `health` is set.
+    /// Parked cores are carried to the cycle reached on every exit.
+    fn run_to(&mut self, end: u64, health: bool) -> Result<(), FsmcError> {
+        let mut run = Ok(());
+        while self.dram_cycle < end {
+            self.advance(true);
+            if health {
+                run = self.health_check();
+                if run.is_err() {
+                    break;
+                }
+            }
+            self.skip_ahead(end, health, None);
+        }
+        self.unpark_all(self.dram_cycle);
+        run
     }
 
     /// Runs for `cycles` DRAM cycles with health monitoring: aborts with
@@ -1286,11 +1394,7 @@ impl System {
     /// rank, bank and oldest outstanding read.
     pub fn try_run_cycles(&mut self, cycles: u64) -> Result<SystemStats, FsmcError> {
         let end = self.dram_cycle + cycles;
-        while self.dram_cycle < end {
-            self.step();
-            self.health_check()?;
-            self.skip_ahead(end, true, None);
-        }
+        self.run_to(end, true)?;
         Ok(self.stats())
     }
 
@@ -1351,7 +1455,7 @@ impl System {
     pub fn run_reads(&mut self, reads: u64) -> SystemStats {
         let max_cycles = self.dram_cycle + 400 * reads + 100_000;
         while self.reads_completed < reads && self.dram_cycle < max_cycles {
-            self.step();
+            self.advance(true);
             if self.reads_completed < reads {
                 self.skip_ahead(max_cycles, false, None);
             }
@@ -1393,14 +1497,28 @@ impl System {
         buckets: usize,
         health: bool,
     ) -> Result<Vec<u64>, FsmcError> {
+        let run = self.profile_loop(core_idx, bucket_instrs, buckets, health);
+        self.unpark_all(self.dram_cycle);
+        run
+    }
+
+    /// The loop of [`System::profile`]; it may leave cores parked.
+    fn profile_loop(
+        &mut self,
+        core_idx: usize,
+        bucket_instrs: u64,
+        buckets: usize,
+        health: bool,
+    ) -> Result<Vec<u64>, FsmcError> {
         let mut boundaries = Vec::with_capacity(buckets);
         let mut next_target = bucket_instrs;
         let hard_stop = self.dram_cycle + 80_000_000;
         while boundaries.len() < buckets && self.dram_cycle < hard_stop {
-            self.step();
+            self.advance(true);
             if health {
                 self.health_check()?;
             }
+            self.unpark(core_idx, self.dram_cycle);
             while boundaries.len() < buckets
                 && self.cores[core_idx].stats().instructions_retired >= next_target
             {
@@ -1436,6 +1554,7 @@ impl System {
 
     /// Current statistics snapshot (also finalises device counters).
     pub fn stats(&mut self) -> SystemStats {
+        self.unpark_all(self.dram_cycle);
         self.mc.finish(self.dram_cycle);
         let counters = self.mc.aggregate_counters();
         let energy = EnergyModel::new(PowerParams::ddr3_4gb())

@@ -8,12 +8,17 @@
 use fsmc_cpu::trace::{MemOp, TraceOp, TraceSource};
 
 /// A purely compute-bound thread: zero memory accesses.
+///
+/// Each op is as long as an op can be. A core reads its next op in the
+/// same fetch cycle that drained the last one, so op length never shows
+/// in its timing; a long op only lets a simulator run the core as one
+/// compute span instead of waking it to read the trace.
 #[derive(Debug, Clone, Default)]
 pub struct IdleTrace;
 
 impl TraceSource for IdleTrace {
     fn next_op(&mut self) -> TraceOp {
-        TraceOp::compute(64)
+        TraceOp::compute(u32::MAX)
     }
 }
 

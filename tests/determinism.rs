@@ -8,10 +8,12 @@
 
 use fsmc::bench::weighted_ipc_suite_with;
 use fsmc::core::sched::{ReconfigEvent, SchedulerKind as K};
+use fsmc::cpu::trace::TraceSource;
 use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
+use fsmc::leak::{default_secret, Protocol};
 use fsmc::sim::{Engine, ExperimentJob, FaultPlan, System, SystemConfig};
-use fsmc::workload::{BenchProfile, WorkloadMix};
+use fsmc::workload::{BenchProfile, IdleTrace, ProbeTrace, WorkloadMix};
 
 fn fingerprint(kind: K, seed: u64) -> (Vec<f64>, u64, u64) {
     let cfg = SystemConfig::paper_default(kind);
@@ -181,8 +183,8 @@ fn fast_path_preserves_execution_profiles_and_read_runs() {
 }
 
 /// A profile taken while another tenant leaves mid-run and later
-/// rejoins: the detached core is bulk-charged inside skipped spans while
-/// the profiled core computes through them.
+/// rejoins: the detached core is bulk-charged as stalled inside skipped
+/// spans while the profiled core computes through them.
 #[test]
 fn fast_path_preserves_execution_profiles_across_churn() {
     for kind in [K::FsRankPartitioned, K::Baseline] {
@@ -202,11 +204,13 @@ fn fast_path_preserves_execution_profiles_across_churn() {
         assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{kind}: stats");
         let counts = fast.core_counters();
         assert!(counts.computed > 0, "{kind}: no compute span taken: {counts:?}");
+        assert!(counts.stalled > 0, "{kind}: nothing bulk-charged as stalled: {counts:?}");
     }
 }
 
 /// `FSMC_NO_FASTPATH=1` is the escape hatch; mutable controller access
-/// and armed fault plans drop to per-cycle stepping automatically.
+/// and the faults that use it turn off the controller-side tiers, and
+/// every faulted run still equals per-cycle stepping.
 #[test]
 fn fast_path_disarms_on_env_mutation_and_faults() {
     let cfg = SystemConfig::paper_default(K::FsRankPartitioned);
@@ -221,12 +225,75 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
     let _ = sys.controller_mut();
     assert!(!sys.fastpath_enabled(), "controller mutation must disarm the fast path");
 
-    // A faulted job runs per-cycle, and stays deterministic.
+    // A faulted job stays deterministic.
     let plan = FaultPlan::parse_spec(9, "delay(50,5,1)").expect("valid spec");
-    let job = ExperimentJob::new(mix, K::FsRankPartitioned, 6_000, 3).with_faults(plan);
+    let job = ExperimentJob::new(mix.clone(), K::FsRankPartitioned, 6_000, 3).with_faults(plan);
     let a = job.run();
     let b = job.run();
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "faulted runs must be reproducible");
+
+    // Faults switch off only the tiers they break. Configuration-only
+    // faults keep the whole fast path; a fault that mutates the
+    // controller keeps the core-side carrying.
+    for spec in ["shared-arbiter()", "perturb(twtr,1)", "delay(50,5,1)"] {
+        let plan = FaultPlan::parse_spec(9, spec).expect("valid spec");
+        let mut cfg = SystemConfig::paper_default(K::FsRankPartitioned);
+        plan.configure(&mut cfg);
+        let (mut fast, mut slow) =
+            (System::from_mix(&cfg, &mix, 3), System::from_mix(&cfg, &mix, 3));
+        slow.disable_fastpath();
+        for sys in [&mut fast, &mut slow] {
+            plan.arm(sys);
+            sys.observe(0);
+        }
+        let controller_faulted = spec.starts_with("delay");
+        assert_eq!(fast.fastpath_enabled(), !controller_faulted, "{spec}: controller-side tiers");
+        let (sf, ss) = (fast.try_run_cycles(6_000), slow.try_run_cycles(6_000));
+        assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{spec}: stats diverge");
+        assert_eq!(fast.take_observations(), slow.take_observations(), "{spec}: observations");
+        let counts = fast.core_counters();
+        assert!(counts.computed > 0, "{spec}: no core carried as computing: {counts:?}");
+    }
+}
+
+/// The leak harness's shape: a probe, a sender and six idle cores under
+/// FS-RP with delayed commands, run window by window. The controller
+/// ticks every cycle, while the idle cores stay parked in compute spans;
+/// every window's observations and retired instructions must equal
+/// per-cycle stepping.
+#[test]
+fn faulted_leak_windows_match_per_cycle_stepping() {
+    let plan = FaultPlan::parse_spec(3, "delay(64,2,16)").expect("valid spec");
+    let build = || {
+        let mut cfg = SystemConfig::paper_default(K::FsRankPartitioned);
+        plan.configure(&mut cfg);
+        let (sender, _) = Protocol::Intensity.build(&default_secret());
+        let mut traces: Vec<Box<dyn TraceSource>> = vec![Box::new(ProbeTrace::new(20)), sender];
+        traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+        let mut sys = System::new(&cfg, traces);
+        plan.arm(&mut sys);
+        sys.observe(0);
+        sys
+    };
+    let (mut fast, mut slow) = (build(), build());
+    slow.disable_fastpath();
+    for window in 0..8 {
+        fast.run_cycles(2_500);
+        slow.run_cycles(2_500);
+        let obs = fast.take_observations();
+        assert!(!obs.is_empty(), "window {window}: the probe saw nothing");
+        assert_eq!(obs, slow.take_observations(), "window {window}: observations");
+        for core in 0..8 {
+            assert_eq!(
+                fast.core_stats(core).instructions_retired,
+                slow.core_stats(core).instructions_retired,
+                "window {window}: core {core} retired instructions"
+            );
+        }
+    }
+    assert!(!fast.fastpath_enabled(), "a delay fault turns off the controller-side tiers");
+    let counts = fast.core_counters();
+    assert!(counts.computed > counts.stepped, "idle cores should compute in spans: {counts:?}");
 }
 
 /// The tentpole guarantee: the parallel experiment engine produces

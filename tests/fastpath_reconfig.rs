@@ -1,8 +1,10 @@
 //! `FSMC_NO_FASTPATH` must act identically on `fsmc chaos` repro mode
 //! (`run_single`) and campaign mode (`run_campaign`): both construct
 //! systems through the same path, so forcing per-cycle stepping changes
-//! wall-clock time and nothing else — even for reconfiguration plans,
-//! which are the one faulted case that keeps the fast path.
+//! wall-clock time and nothing else — also for reconfiguration plans,
+//! which keep the whole fast path (as do plans that only change the
+//! configuration, such as `shared-arbiter()` or `perturb`), while
+//! command and refresh faults keep its core-side tiers.
 //!
 //! This lives in its own test binary on purpose: the env var is
 //! process-global, and the single `#[test]` here is the only code in
