@@ -447,6 +447,15 @@ pub enum SchedEvent {
 /// the cores.
 pub trait MemoryController {
     /// Whether `domain` may enqueue another transaction (back-pressure).
+    ///
+    /// A `false` answer can turn `true` only inside a tick
+    /// ([`MemoryController::tick_into`] or
+    /// [`MemoryController::fast_forward`]) or when a reconfiguration is
+    /// adopted ([`MemoryController::reconfigure`]), never through
+    /// [`MemoryController::enqueue`], which only fills queues. The
+    /// system simulator relies on this: a core refused by a full queue
+    /// after a tick is refused in every CPU cycle before the next real
+    /// tick, and is carried across them in bulk.
     fn can_accept(&self, domain: DomainId) -> bool;
 
     /// Enqueues a demand transaction.

@@ -109,6 +109,9 @@ pub struct OooCore {
     pending_mem: Option<MemOp>,
     completed_tags: Vec<u64>,
     next_tag: u64,
+    /// The last offer of `pending_mem` was refused, and nothing since
+    /// accepted or served it: the next cycle that fetches re-offers it.
+    rejected: bool,
     stats: CoreStats,
 }
 
@@ -133,12 +136,18 @@ impl OooCore {
             pending_mem: None,
             completed_tags: Vec::new(),
             next_tag: 0,
+            rejected: false,
             stats: CoreStats::default(),
         }
     }
 
     pub fn stats(&self) -> &CoreStats {
         &self.stats
+    }
+
+    /// Instructions in the ROB.
+    pub fn rob_occupancy(&self) -> usize {
+        self.rob_len
     }
 
     /// Data for the read tagged `tag` has arrived.
@@ -177,6 +186,43 @@ impl OooCore {
     pub fn skip_stalled(&mut self, skipped: u64, next_cpu_cycle: u64) {
         self.stats.stall_cycles += skipped;
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(next_cpu_cycle);
+    }
+
+    /// Whether the core's last offer was refused and no completion has
+    /// arrived since. Each coming cycle then retires what it can and,
+    /// if the ROB has room, re-offers the same pending operation; while
+    /// the memory system keeps refusing it, [`OooCore::skip_rejected`]
+    /// runs those cycles in bulk. A delivered completion ends it: the
+    /// next cycle drains it and may retire past the refused operation.
+    pub fn rejected_offer(&self) -> bool {
+        self.rejected && self.completed_tags.is_empty()
+    }
+
+    /// Forgets a refusal: the refused operation may now be served
+    /// without a memory transaction (a prefetch fill), so the next
+    /// offer must really be made.
+    pub fn clear_rejected(&mut self) {
+        self.rejected = false;
+    }
+
+    /// Runs CPU cycles `from..to` in which every offer is refused.
+    /// Bit-identical to calling [`OooCore::cycle`] for each of them with
+    /// a memory system that refuses, provided [`OooCore::rejected_offer`]
+    /// holds at `from`: each such cycle drains nothing, retires up to
+    /// `width` in ROB order, fetches nothing (the pending operation is
+    /// refused, or the ROB is full) and charges one stall.
+    pub fn skip_rejected(&mut self, from: u64, to: u64) {
+        debug_assert!(self.rejected_offer(), "refused span {from}..{to} without a refusal");
+        let mut now = from;
+        while now < to {
+            self.retire(now);
+            now = match self.rob.front() {
+                Some(e) if e.waiting_on.is_none() => e.retire_at.clamp(now + 1, to),
+                _ => to,
+            };
+        }
+        self.stats.stall_cycles += to - from;
+        self.stats.cpu_cycles = self.stats.cpu_cycles.max(to);
     }
 
     /// A sound lower bound on the first CPU cycle, from `next_cpu` on,
@@ -338,15 +384,18 @@ impl OooCore {
                             self.rob_len += 1;
                         }
                         self.pending_mem = None;
+                        self.rejected = false;
                         fetched += 1;
                     }
                     SubmitResult::Hit => {
                         self.next_tag += 1;
                         self.push_ready(ready_at, 1);
                         self.pending_mem = None;
+                        self.rejected = false;
                         fetched += 1;
                     }
                     SubmitResult::Rejected => {
+                        self.rejected = true;
                         stalled = true;
                     }
                 }

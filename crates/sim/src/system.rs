@@ -70,7 +70,7 @@ struct PendingReconfig {
 
 /// How the cores' CPU sub-cycles were simulated, summed over cores
 /// ([`System::core_counters`]). Exact and deterministic per seed; the
-/// three always add up to `cores * cpu_ratio * dram_cycle`.
+/// four always add up to `cores * cpu_ratio * dram_cycle`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreCounters {
     /// Executed one by one inside [`System::step`].
@@ -81,6 +81,10 @@ pub struct CoreCounters {
     /// Bulk-charged as stall-only ([`OooCore::skip_stalled`]), detached
     /// cores included.
     pub stalled: u64,
+    /// Carried as refused re-offers to a full queue
+    /// ([`OooCore::skip_rejected`]): inside [`System::step`] after the
+    /// cycle's tick, or inside skipped spans that end at the next tick.
+    pub rejected: u64,
 }
 
 /// Whether `core` provably stalls through every CPU cycle before
@@ -94,6 +98,14 @@ fn stalled_until(core: &OooCore, end_cpu: u64) -> bool {
     }
 }
 
+/// Whether core `i` is refused in every CPU cycle before the next real
+/// tick: its last offer was refused and its domain's queue is full now.
+/// Only a tick (or a reconfiguration adoption) can free a queue, so read
+/// after a tick this holds until the next one.
+fn refused_until_tick(core: &OooCore, mc: &dyn MemoryController, i: usize) -> bool {
+    core.rejected_offer() && !mc.can_accept(DomainId(i as u8))
+}
+
 /// How a core crosses a span of CPU cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Crossing {
@@ -101,14 +113,21 @@ enum Crossing {
     Stalled,
     /// Pure compute, ending at or before its compute floor.
     Computing,
+    /// Re-offers an operation its domain's queue refused, and that
+    /// queue is full after the last tick: only a tick dequeues, so it
+    /// stays full until the next real tick and every offer before it is
+    /// refused with no effect outside the core. Never parked: it has no
+    /// wake cycle of its own, and the O(1) `can_accept` test once per
+    /// DRAM cycle is its wake-up.
+    Rejected,
     /// May read its trace or submit: stepped cycle by cycle.
     Stepped,
 }
 
 /// A core the run loop leaves untouched until DRAM cycle `wake`: it
-/// crosses every cycle before it as `how`, from CPU cycle `from_cpu`
-/// on, and is carried there in one call when it wakes or a reader needs
-/// it.
+/// crosses every cycle before it as `how` ([`Crossing::Stalled`] or
+/// [`Crossing::Computing`]), from CPU cycle `from_cpu` on, and is
+/// carried there in one call when it wakes or a reader needs it.
 #[derive(Debug, Clone, Copy)]
 struct Parked {
     how: Crossing,
@@ -129,6 +148,10 @@ fn carry(core: &mut OooCore, how: Crossing, from: u64, to: u64, counts: &mut Cor
         Crossing::Computing => {
             core.advance_compute(from, to);
             counts.computed += span;
+        }
+        Crossing::Rejected => {
+            core.skip_rejected(from, to);
+            counts.rejected += span;
         }
         Crossing::Stepped => counts.stepped += span,
     }
@@ -207,7 +230,9 @@ pub struct System {
     /// only while the controller-side tiers are off (so no skipped span
     /// ever sees one). All `None` outside a run loop: every loop carries
     /// them before it returns, and so does every reader of core state
-    /// inside one.
+    /// inside one. A core refused by a full queue is never parked: the
+    /// tick that frees the queue is its wake-up, and no core state
+    /// predicts it.
     parked: Vec<Option<Parked>>,
     /// Cached [`MemoryController::next_event`] bound: on the fast path,
     /// ticks strictly before this cycle are provable no-ops and are
@@ -627,7 +652,8 @@ impl System {
     }
 
     /// Core-stepping telemetry: CPU sub-cycles stepped, advanced in
-    /// compute spans, and bulk-charged as stalled, summed over cores.
+    /// compute spans, bulk-charged as stalled, and carried as refused
+    /// re-offers, summed over cores.
     pub fn core_counters(&self) -> CoreCounters {
         self.core_counts
     }
@@ -857,8 +883,11 @@ impl System {
         // (full ROB, nothing delivered above, head not retirable before
         // the cycle ends) are bulk-charged, and cores whose compute
         // floor lies past it run it as a compute span: neither can
-        // submit, so only the rest need stepping sub-cycle by sub-cycle,
-        // interleaved in core order as their submits must be. A core
+        // submit. A core whose refused offer meets a queue that is full
+        // after this cycle's tick and deliveries is refused in every
+        // sub-cycle (they only enqueue), so it is carried too. Only the
+        // rest need stepping sub-cycle by sub-cycle, interleaved in core
+        // order as their submits must be. A stalled or computing core
         // that stays so until its wake cycle (its head's retire cycle,
         // its compute floor, or a delivery) is parked: skipped until
         // then, and carried in one call when it wakes.
@@ -888,6 +917,9 @@ impl System {
                     CoreIdle::WakeAt(at) if at >= end_cpu => (Crossing::Stalled, at),
                     _ => match core.compute_floor(start_cpu) {
                         Some(floor) if floor >= end_cpu => (Crossing::Computing, floor),
+                        _ if refused_until_tick(core, self.mc.as_ref(), i) => {
+                            (Crossing::Rejected, 0)
+                        }
                         _ => (Crossing::Stepped, 0),
                     },
                 }
@@ -977,9 +1009,13 @@ impl System {
     /// * each core's next contact with the memory system — a core
     ///   blocked on memory imposes no bound, a core draining a
     ///   fixed-latency instruction into a full ROB wakes at its retire
-    ///   cycle, and a computing core bounds the span at its
-    ///   [`OooCore::compute_floor`] (or vetoes the skip when it has
-    ///   none: its next cycle may read the trace or submit);
+    ///   cycle, a computing core bounds the span at its
+    ///   [`OooCore::compute_floor`], and a core whose refused offer
+    ///   meets a full queue bounds it at the controller's next real
+    ///   tick (`mc_next_tick`), the earliest the queue can shrink. Any
+    ///   other core vetoes the skip: its next cycle may read the trace
+    ///   or submit. So does a refused core under `retire_cap`, whose
+    ///   retirements in the span no compute floor bounds;
     /// * the next reconfiguration promotion or adoption, both of which
     ///   happen in `step`;
     /// * the monitor's next wall-clock deadline poll (a skipped poll
@@ -1026,7 +1062,19 @@ impl System {
                 CoreIdle::BlockedOnMemory => continue,
                 CoreIdle::WakeAt(retire_at) if retire_at / ratio > now => retire_at,
                 _ => {
-                    let Some(floor) = core.compute_floor(now_cpu) else { return };
+                    let Some(floor) = core.compute_floor(now_cpu) else {
+                        // The span must not run a real tick: a tick that
+                        // freed the queue would let the core submit in
+                        // that cycle's own sub-cycles, which the span
+                        // carries it across.
+                        if refused_until_tick(core, self.mc.as_ref(), i)
+                            && retire_cap.is_none_or(|(c, _)| c != i)
+                        {
+                            target = target.min(self.mc_next_tick);
+                            continue;
+                        }
+                        return;
+                    };
                     if let Some((_, left)) = retire_cap.filter(|&(c, _)| c == i) {
                         // At most `width` retires per CPU cycle: stop the
                         // span before the capped core could reach `left`.
@@ -1146,16 +1194,24 @@ impl System {
 
     /// Carries every core across the skipped DRAM cycles `from..to`.
     /// Cores that cannot act before the span ends (detached, blocked on
-    /// memory, or waking after it) are bulk-charged as stalled; the rest
-    /// run their CPU cycles with no memory system attached
-    /// ([`OooCore::advance_compute`]) — [`System::skip_ahead`] ended the
-    /// span at each such core's compute floor.
+    /// memory, or waking after it) are bulk-charged as stalled; a core
+    /// refused by a full queue is refused throughout
+    /// ([`OooCore::skip_rejected`]) — [`System::skip_ahead`] ended the
+    /// span before the next real tick; the rest run their CPU cycles
+    /// with no memory system attached ([`OooCore::advance_compute`]),
+    /// the span ending at each such core's compute floor.
     fn advance_cores(&mut self, from: u64, to: u64) {
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let (from_cpu, to_cpu) = (from * ratio, to * ratio);
         for (i, core) in self.cores.iter_mut().enumerate() {
             let how = if !self.attached[i] || stalled_until(core, to_cpu) {
                 Crossing::Stalled
+            } else if core.rejected_offer() {
+                debug_assert!(
+                    refused_until_tick(core, self.mc.as_ref(), i),
+                    "core {i} refused by a free queue"
+                );
+                Crossing::Rejected
             } else {
                 Crossing::Computing
             };
@@ -1240,6 +1296,10 @@ impl System {
             TxnKind::Prefetch => {
                 let core_idx = txn.domain.0 as usize;
                 self.pf_buffers[core_idx].insert(txn.local_addr);
+                // The fill may turn a refused read into a hit, which a
+                // full queue no longer predicts. A parked core is
+                // stalled or computing and reads no refusal.
+                self.cores[core_idx].clear_rejected();
             }
             TxnKind::Dummy => {}
         }
@@ -1656,8 +1716,8 @@ mod tests {
         slow.run_cycles(20_000);
         let total = 8 * cfg.timing.cpu_ratio as u64 * 20_000;
         let (f, s) = (fast.core_counters(), slow.core_counters());
-        assert_eq!(f.stepped + f.computed + f.stalled, total, "{f:?}");
-        assert_eq!(s, CoreCounters { stepped: total, computed: 0, stalled: 0 });
+        assert_eq!(f.stepped + f.computed + f.stalled + f.rejected, total, "{f:?}");
+        assert_eq!(s, CoreCounters { stepped: total, ..CoreCounters::default() });
         // A compute-bound mix spends most sub-cycles in compute spans.
         assert!(f.computed > f.stepped, "{f:?}");
     }

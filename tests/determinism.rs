@@ -8,7 +8,7 @@
 
 use fsmc::bench::weighted_ipc_suite_with;
 use fsmc::core::sched::{ReconfigEvent, SchedulerKind as K};
-use fsmc::cpu::trace::TraceSource;
+use fsmc::cpu::trace::{MemOp, TraceOp, TraceSource, VecTrace};
 use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
 use fsmc::leak::{default_secret, Protocol};
@@ -257,13 +257,11 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
 }
 
 /// The leak harness's shape: a probe, a sender and six idle cores under
-/// FS-RP with delayed commands, run window by window. The controller
-/// ticks every cycle, while the idle cores stay parked in compute spans;
-/// every window's observations and retired instructions must equal
-/// per-cycle stepping.
-#[test]
-fn faulted_leak_windows_match_per_cycle_stepping() {
-    let plan = FaultPlan::parse_spec(3, "delay(64,2,16)").expect("valid spec");
+/// FS-RP with the fault plan `spec`, on one system stepped per cycle and
+/// one on the fast path. Returns the fast system once every 2,500-cycle
+/// window's observations and core statistics have matched.
+fn leak_windows_match(spec: &str) -> System {
+    let plan = FaultPlan::parse_spec(3, spec).expect("valid spec");
     let build = || {
         let mut cfg = SystemConfig::paper_default(K::FsRankPartitioned);
         plan.configure(&mut cfg);
@@ -281,19 +279,92 @@ fn faulted_leak_windows_match_per_cycle_stepping() {
         fast.run_cycles(2_500);
         slow.run_cycles(2_500);
         let obs = fast.take_observations();
-        assert!(!obs.is_empty(), "window {window}: the probe saw nothing");
-        assert_eq!(obs, slow.take_observations(), "window {window}: observations");
+        assert!(!obs.is_empty(), "{spec} window {window}: the probe saw nothing");
+        assert_eq!(obs, slow.take_observations(), "{spec} window {window}: observations");
         for core in 0..8 {
             assert_eq!(
-                fast.core_stats(core).instructions_retired,
-                slow.core_stats(core).instructions_retired,
-                "window {window}: core {core} retired instructions"
+                fast.core_stats(core),
+                slow.core_stats(core),
+                "{spec} window {window}: core {core} statistics"
             );
         }
     }
+    assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{spec}: stats");
+    fast
+}
+
+/// With delayed commands the controller ticks every cycle, while the
+/// idle cores stay parked in compute spans and the probe, refused by its
+/// full queue, is carried across each cycle after its tick.
+#[test]
+fn faulted_leak_windows_match_per_cycle_stepping() {
+    let fast = leak_windows_match("delay(64,2,16)");
     assert!(!fast.fastpath_enabled(), "a delay fault turns off the controller-side tiers");
     let counts = fast.core_counters();
     assert!(counts.computed > counts.stepped, "idle cores should compute in spans: {counts:?}");
+    assert!(counts.rejected > 0, "the probe's refused offers should be carried: {counts:?}");
+}
+
+/// The clean twin: with the controller-side tiers on, the refused probe
+/// no longer vetoes a skipped span; it bounds it at the next real tick
+/// and rides it.
+#[test]
+fn clean_leak_windows_match_per_cycle_stepping() {
+    let fast = leak_windows_match("perturb(twtr,1)");
+    assert!(fast.fastpath_enabled(), "a configuration-only fault keeps the whole fast path");
+    let counts = fast.core_counters();
+    assert!(counts.rejected > counts.stepped, "refusals should be carried: {counts:?}");
+    assert!(fast.fastpath_counters().0 > 0, "no span was skipped");
+}
+
+/// Eight streaming cores on the prefetching FR-FCFS baseline: queues
+/// stay full, so refused cores are carried, and a prefetch fill can turn
+/// a refused read into a buffer hit, which must wake the core (each of
+/// these runs diverges from per-cycle stepping without that wake-up).
+#[test]
+fn refused_cores_wake_on_prefetch_fills() {
+    for (device, profile, seed) in [
+        (DeviceGeneration::Ddr3_1600, BenchProfile::lbm(), 3),
+        (DeviceGeneration::Ddr3_1600, BenchProfile::libquantum(), 3),
+        (DeviceGeneration::Hbm2, BenchProfile::lbm(), 5),
+    ] {
+        let cfg = SystemConfig::for_device(device, K::BaselinePrefetch, 8);
+        let mix = WorkloadMix::rate(profile, 8);
+        let (mut fast, mut slow) =
+            (System::from_mix(&cfg, &mix, seed), System::from_mix(&cfg, &mix, seed));
+        slow.disable_fastpath();
+        let (sf, ss) = (fast.run_cycles(20_000), slow.run_cycles(20_000));
+        let name = profile.name;
+        assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{device} {name}: stats diverge");
+        let counts = fast.core_counters();
+        assert!(counts.rejected > 0, "{device} {name}: no refusal was carried: {counts:?}");
+    }
+}
+
+/// An execution profile of the refused core itself: core 0 streams
+/// posted writes into a full queue while the others idle. Its writes
+/// retire while it is refused, so the profiled core still vetoes a span
+/// (no compute floor bounds its retirements; each of these profiles
+/// diverges without that veto), but is carried across each cycle after
+/// its tick.
+#[test]
+fn profile_of_a_refused_core_matches_per_cycle_stepping() {
+    for kind in [K::FsRankPartitioned, K::Baseline] {
+        let build = || {
+            let cfg = SystemConfig::paper_default(kind);
+            let writes = (0..64).map(|a| TraceOp::with_mem(3, MemOp::write(a * 97))).collect();
+            let mut traces: Vec<Box<dyn TraceSource>> = vec![Box::new(VecTrace::new(writes))];
+            traces.extend((1..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+            System::new(&cfg, traces)
+        };
+        let (mut fast, mut slow) = (build(), build());
+        slow.disable_fastpath();
+        let (pf, ps) = (fast.run_profile(0, 20, 24), slow.run_profile(0, 20, 24));
+        assert_eq!(pf, ps, "{kind}: profiles diverge");
+        assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{kind}: stats");
+        let counts = fast.core_counters();
+        assert!(counts.rejected > 0, "{kind}: the writer was never carried: {counts:?}");
+    }
 }
 
 /// The tentpole guarantee: the parallel experiment engine produces
