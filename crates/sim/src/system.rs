@@ -216,9 +216,10 @@ pub struct System {
     /// invalidate that bound). Never set without `carry_cores`.
     fastpath: bool,
     /// The core-side fast-path tiers: carrying a stalled or computing
-    /// core across a DRAM cycle in bulk, and parking it until it wakes.
-    /// They read only core state, so a mutated controller keeps them;
-    /// cleared by [`System::disable_fastpath`] and `FSMC_NO_FASTPATH=1`.
+    /// core across a DRAM cycle in bulk, and parking it until it wakes,
+    /// with or without the controller-side tiers. They read only core
+    /// state, so a mutated controller keeps them; cleared by
+    /// [`System::disable_fastpath`] and `FSMC_NO_FASTPATH=1`.
     carry_cores: bool,
     /// Reusable per-step completion buffer (hot path, no allocation).
     completion_buf: Vec<Completion>,
@@ -226,13 +227,15 @@ pub struct System {
     /// CPU sub-cycles, or already carried across them (bulk-charged as
     /// stalled, or run as a compute span) or parked?
     core_active: Vec<bool>,
-    /// Cores the current run loop has parked until their wake cycle,
-    /// only while the controller-side tiers are off (so no skipped span
-    /// ever sees one). All `None` outside a run loop: every loop carries
-    /// them before it returns, and so does every reader of core state
-    /// inside one. A core refused by a full queue is never parked: the
-    /// tick that frees the queue is its wake-up, and no core state
-    /// predicts it.
+    /// Cores the current run loop has parked until their wake cycle. A
+    /// skipped span never ends after a parked core's wake and leaves the
+    /// core untouched, so a core parks once per idle stretch however
+    /// many spans it rides. All `None` outside a run loop: every loop
+    /// carries them before it returns, and so does every reader of core
+    /// state inside one (a delivery, an adoption, a profile's bucket
+    /// check). A core refused by a full queue is never parked: the tick
+    /// that frees the queue is its wake-up, and no core state predicts
+    /// it.
     parked: Vec<Option<Parked>>,
     /// Cached [`MemoryController::next_event`] bound: on the fast path,
     /// ticks strictly before this cycle are provable no-ops and are
@@ -841,10 +844,11 @@ impl System {
 
     /// [`System::step`] for the run loops: with `park`, a core that
     /// cannot act for at least two cycles is parked until it can
-    /// instead of being carried across this one. Parking is for runs
-    /// without the controller-side tiers: with them, a skipped span
-    /// carries idle cores in bulk anyway, and most parks would be
-    /// undone by the next span before they spared a step.
+    /// instead of being carried across this one. Parking needs only the
+    /// core-side tiers: a skipped span ([`System::skip_ahead`]) ends no
+    /// later than a parked core's wake and rides over the core, so it
+    /// stays parked until it wakes or a reader needs it. `step` never
+    /// parks, since every core must be carried when it returns.
     fn advance(&mut self, park: bool) {
         let c = self.dram_cycle;
         // 0. Reconfiguration protocol: promote due events, adopt at the
@@ -889,12 +893,13 @@ impl System {
         // rest need stepping sub-cycle by sub-cycle, interleaved in core
         // order as their submits must be. A stalled or computing core
         // that stays so until its wake cycle (its head's retire cycle,
-        // its compute floor, or a delivery) is parked: skipped until
-        // then, and carried in one call when it wakes.
+        // its compute floor, or a delivery) is parked: skipped by
+        // stepped cycles and skipped spans alike until then, and carried
+        // in one call when it wakes.
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let (start_cpu, end_cpu) = (c * ratio, (c + 1) * ratio);
         let carry_cores = self.carry_cores;
-        let park = park && carry_cores && !self.fastpath;
+        let park = park && carry_cores;
         let mut any_stepped = false;
         for (i, core) in self.cores.iter_mut().enumerate() {
             if let Some(p) = self.parked[i] {
@@ -994,7 +999,8 @@ impl System {
     /// Event-driven time skipping: moves `dram_cycle` forward over a
     /// span in which *no core touches the memory system*, running the
     /// controller alone ([`System::run_span`]) and then carrying each
-    /// core across the span on its own ([`System::advance_cores`]).
+    /// unparked core across the span on its own
+    /// ([`System::advance_cores`]).
     ///
     /// Called after [`System::step`]; `limit` is the run loop's own
     /// bound (never skip past the end of the run), `health_checked`
@@ -1006,7 +1012,10 @@ impl System {
     /// The span ends at the minimum of every bound on core activity:
     ///
     /// * the earliest staged delivery (nothing can retire before it);
-    /// * each core's next contact with the memory system — a core
+    /// * each parked core's wake cycle; the span rides over a parked
+    ///   core without reading its state, which is stale until the core
+    ///   is carried;
+    /// * each other core's next contact with the memory system — a core
     ///   blocked on memory imposes no bound, a core draining a
     ///   fixed-latency instruction into a full ROB wakes at its retire
     ///   cycle, a computing core bounds the span at its
@@ -1055,6 +1064,10 @@ impl System {
         // and never veto.
         let now_cpu = now * ratio;
         for (i, core) in self.cores.iter().enumerate() {
+            if let Some(p) = self.parked[i] {
+                target = target.min(p.wake);
+                continue;
+            }
             if !self.attached[i] {
                 continue;
             }
@@ -1192,18 +1205,24 @@ impl System {
         }
     }
 
-    /// Carries every core across the skipped DRAM cycles `from..to`.
-    /// Cores that cannot act before the span ends (detached, blocked on
-    /// memory, or waking after it) are bulk-charged as stalled; a core
-    /// refused by a full queue is refused throughout
+    /// Carries every unparked core across the skipped DRAM cycles
+    /// `from..to`. Cores that cannot act before the span ends (detached,
+    /// blocked on memory, or waking after it) are bulk-charged as
+    /// stalled; a core refused by a full queue is refused throughout
     /// ([`OooCore::skip_rejected`]) — [`System::skip_ahead`] ended the
     /// span before the next real tick; the rest run their CPU cycles
     /// with no memory system attached ([`OooCore::advance_compute`]),
-    /// the span ending at each such core's compute floor.
+    /// the span ending at each such core's compute floor. Parked cores
+    /// are left alone: the span ended no later than their wake, and
+    /// they keep their `from_cpu` until they are carried in one call.
     fn advance_cores(&mut self, from: u64, to: u64) {
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let (from_cpu, to_cpu) = (from * ratio, to * ratio);
         for (i, core) in self.cores.iter_mut().enumerate() {
+            if let Some(p) = self.parked[i] {
+                debug_assert!(p.wake >= to, "core {i} parked until {} inside span to {to}", p.wake);
+                continue;
+            }
             let how = if !self.attached[i] || stalled_until(core, to_cpu) {
                 Crossing::Stalled
             } else if core.rejected_offer() {
@@ -1720,6 +1739,58 @@ mod tests {
         assert_eq!(s, CoreCounters { stepped: total, ..CoreCounters::default() });
         // A compute-bound mix spends most sub-cycles in compute spans.
         assert!(f.computed > f.stepped, "{f:?}");
+    }
+
+    /// Under the full fast path a skipped span rides over parked cores:
+    /// six idle cores park once and stay parked across every span, each
+    /// span ends no later than the earliest parked wake, and no CPU
+    /// sub-cycle is lost or counted twice.
+    #[test]
+    fn skipped_spans_leave_parked_cores_parked() {
+        use fsmc_cpu::trace::{MemOp, TraceOp, VecTrace};
+        use fsmc_workload::IdleTrace;
+        let cfg = SystemConfig::paper_default(SchedulerKind::FsRankPartitioned);
+        let build = || {
+            let mut traces: Vec<Box<dyn TraceSource>> = (0..2u64)
+                .map(|i| {
+                    let ops =
+                        (0..16).map(|k| TraceOp::with_mem(400, MemOp::read(i * 4099 + k * 131)));
+                    Box::new(VecTrace::new(ops.collect())) as Box<dyn TraceSource>
+                })
+                .collect();
+            traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+            System::new(&cfg, traces)
+        };
+        let (mut fast, mut slow) = (build(), build());
+        slow.disable_fastpath();
+        assert!(fast.fastpath_enabled());
+        let (ratio, end) = (cfg.timing.cpu_ratio as u64, 20_000);
+        let (mut steps, mut spans) = (0, 0);
+        while fast.dram_cycle < end {
+            fast.advance(true);
+            steps += 1;
+            let earliest = fast.parked.iter().flatten().map(|p| p.wake).min();
+            let before = fast.dram_cycle;
+            fast.skip_ahead(end, false, None);
+            let now = fast.dram_cycle;
+            spans += (now > before) as u32;
+            assert!(earliest.is_none_or(|w| now <= w), "span to {now} passed a wake {earliest:?}");
+            // The first step reads the idle traces; every later one
+            // finds the idle cores computing and parks them for good.
+            if steps > 1 {
+                for i in 2..8 {
+                    assert!(fast.parked[i].is_some(), "idle core {i} unparked at {now}");
+                }
+            }
+            let owed: u64 = fast.parked.iter().flatten().map(|p| now * ratio - p.from_cpu).sum();
+            let c = fast.core_counts;
+            let counted = c.stepped + c.computed + c.stalled + c.rejected;
+            assert_eq!(counted + owed, 8 * ratio * now, "{c:?} at {now}");
+        }
+        assert!(spans > 100, "only {spans} spans");
+        assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.run_cycles(end)));
+        let c = fast.core_counters();
+        assert_eq!(c.stepped + c.computed + c.stalled + c.rejected, 8 * ratio * end, "{c:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
 use fsmc::leak::{default_secret, Protocol};
 use fsmc::sim::{Engine, ExperimentJob, FaultPlan, System, SystemConfig};
-use fsmc::workload::{BenchProfile, IdleTrace, ProbeTrace, WorkloadMix};
+use fsmc::workload::{BenchProfile, IdleTrace, ProbeTrace, SyntheticTrace, WorkloadMix};
 
 fn fingerprint(kind: K, seed: u64) -> (Vec<f64>, u64, u64) {
     let cfg = SystemConfig::paper_default(kind);
@@ -307,7 +307,7 @@ fn faulted_leak_windows_match_per_cycle_stepping() {
 
 /// The clean twin: with the controller-side tiers on, the refused probe
 /// no longer vetoes a skipped span; it bounds it at the next real tick
-/// and rides it.
+/// and rides it, and so do the six idle cores, parked in compute spans.
 #[test]
 fn clean_leak_windows_match_per_cycle_stepping() {
     let fast = leak_windows_match("perturb(twtr,1)");
@@ -315,6 +315,58 @@ fn clean_leak_windows_match_per_cycle_stepping() {
     let counts = fast.core_counters();
     assert!(counts.rejected > counts.stepped, "refusals should be carried: {counts:?}");
     assert!(fast.fastpath_counters().0 > 0, "no span was skipped");
+    let idle = 6 * fast.config().timing.cpu_ratio as u64 * fast.dram_cycle();
+    assert!(counts.computed * 100 >= idle * 99, "idle cores should compute in spans: {counts:?}");
+}
+
+/// Clean runs with the command tap off, so FS `fast_forward` hops the
+/// spans: two benchmark cores and six idle ones on a CPU:DRAM ratio of 4
+/// (DDR3-1600) and 3 (HBM2). The idle cores park once and stay parked
+/// across the skipped spans; a profile unparks the profiled core every
+/// iteration. Results and bucket boundaries equal per-cycle stepping.
+#[test]
+fn parked_cores_ride_skipped_spans_bit_identically() {
+    for device in [DeviceGeneration::Ddr3_1600, DeviceGeneration::Hbm2] {
+        for kind in [
+            K::Baseline,
+            K::FsRankPartitioned,
+            K::FsReorderedBankPartitioned,
+            K::TpBankPartitioned { turn: 60 },
+            K::TpFence { period: 300 },
+        ] {
+            let cfg = SystemConfig::for_device(device, kind, 8);
+            let build = |fast: bool| {
+                let busy = [BenchProfile::xalancbmk(), BenchProfile::mcf()];
+                let mut traces: Vec<Box<dyn TraceSource>> = busy
+                    .into_iter()
+                    .zip(4..)
+                    .map(|(p, seed)| Box::new(SyntheticTrace::new(p, seed)) as Box<dyn TraceSource>)
+                    .collect();
+                traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+                let mut sys = System::new(&cfg, traces);
+                if !fast {
+                    sys.disable_fastpath();
+                }
+                sys
+            };
+            let (mut fast, mut slow) = (build(true), build(false));
+            let (sf, ss) = (fast.run_cycles(20_000), slow.run_cycles(20_000));
+            assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{device} {kind}: stats diverge");
+            assert!(fast.fastpath_counters().0 > 0, "{device} {kind}: no span was skipped");
+            let counts = fast.core_counters();
+            let idle = 6 * cfg.timing.cpu_ratio as u64 * 20_000;
+            assert!(counts.computed >= idle * 99 / 100, "{device} {kind}: idle cores {counts:?}");
+
+            let (mut fast, mut slow) = (build(true), build(false));
+            let (pf, ps) = (fast.run_profile(0, 2_000, 16), slow.run_profile(0, 2_000, 16));
+            assert_eq!(pf, ps, "{device} {kind}: profiles diverge");
+            assert_eq!(
+                format!("{:?}", fast.stats()),
+                format!("{:?}", slow.stats()),
+                "{device} {kind}"
+            );
+        }
+    }
 }
 
 /// Eight streaming cores on the prefetching FR-FCFS baseline: queues
