@@ -8,7 +8,9 @@
 
 use fsmc_dram::command::{Command, TimedCommand};
 use fsmc_dram::geometry::{BankId, ColId, RankId, RowId};
-use fsmc_dram::{Cycle, DeviceGeneration, Geometry, StreamMonitor, TimingChecker, TimingParams};
+use fsmc_dram::{
+    Cycle, DeviceGeneration, Geometry, StreamMonitor, TimingChecker, TimingParams, Violation,
+};
 
 fn tc(cmd: Command, cycle: Cycle) -> TimedCommand {
     TimedCommand::new(cmd, cycle)
@@ -169,6 +171,31 @@ fn all_constraints_have_a_witness() {
         assert!(have.contains(&name), "no violation witness for {name:?}");
     }
     assert_eq!(have.len(), expected.len(), "stale witness entries");
+}
+
+/// A command addressed outside the geometry (rank `ranks_per_channel`,
+/// or bank `banks_per_rank`) is one typed violation per command from
+/// both the batch checker and the online monitor: never a panic, and
+/// never a phantom bank tracked as legal. The stream is otherwise legal.
+#[test]
+fn out_of_geometry_commands_are_typed_violations() {
+    for gen in [DeviceGeneration::Ddr3_1600, DeviceGeneration::Ddr4_2400] {
+        let p = gen.profile();
+        let (t, geom) = (p.timing, p.geometry);
+        for (r, b) in [(geom.ranks_per_channel(), 0), (0, geom.banks_per_rank())] {
+            let stream = [act(r, b, 5, 0), rd(r, b, 5, t.t_rcd as Cycle), pre(r, b, 1000)];
+            let expect: Vec<Violation> = stream
+                .iter()
+                .map(|c| Violation::state(c.cmd, c.cycle, "rank or bank outside the geometry"))
+                .collect();
+            let batch = TimingChecker::new(geom, t).check(&stream);
+            assert_eq!(batch, expect, "{gen}: rank {r} bank {b} via check");
+            let mut mon = StreamMonitor::new(geom, t);
+            for (c, v) in stream.iter().zip(&expect) {
+                assert_eq!(mon.observe(c), [*v], "{gen}: rank {r} bank {b} via observe");
+            }
+        }
+    }
 }
 
 /// The bank-group rule needs per-generation witnesses: the witness table

@@ -53,7 +53,6 @@ pub struct InvariantMonitor {
     /// risk (e.g. a stretch-refresh fault or a dropped REF command).
     refresh_deadline: Cycle,
     ranks: u8,
-    commands_seen: u64,
 }
 
 impl InvariantMonitor {
@@ -66,7 +65,6 @@ impl InvariantMonitor {
             breach: None,
             refresh_deadline,
             ranks: cfg.geometry.ranks_per_channel(),
-            commands_seen: 0,
         }
     }
 
@@ -93,7 +91,6 @@ impl InvariantMonitor {
     /// active cadence. State advances even past a breach so later
     /// commands are still judged in context.
     pub fn observe(&mut self, tc: &TimedCommand) {
-        self.commands_seen += 1;
         if let Some((boundary, _)) = self.pending_cadence {
             if tc.cycle >= boundary {
                 let (_, cadence) = self.pending_cadence.take().expect("just checked");
@@ -174,11 +171,6 @@ impl InvariantMonitor {
     /// The latched first breach, if any, clearing it.
     pub fn take_breach(&mut self) -> Option<(Cycle, MonitorFinding)> {
         self.breach.take()
-    }
-
-    /// Total commands observed (for reporting).
-    pub fn commands_seen(&self) -> u64 {
-        self.commands_seen
     }
 }
 
