@@ -13,7 +13,7 @@ use crate::queues::QueueFull;
 use crate::refresh::RefreshManager;
 use crate::sched::{Completion, McStats, MemoryController, SchedulerKind};
 use crate::txn::{Transaction, TxnId, TxnKind};
-use fsmc_dram::command::Command;
+use fsmc_dram::command::{Command, CommandKind};
 use fsmc_dram::geometry::{Geometry, LineAddr, RankId};
 use fsmc_dram::{Cycle, DramDevice, TimingParams, NO_ROW};
 
@@ -31,16 +31,20 @@ struct Pending {
     issued_act: bool,
 }
 
-/// Rank-level legality floors ([`DramDevice::rank_floor_parts`]): the
-/// issue passes reject candidates blocked by a rank-wide constraint (tCCD
-/// between row hits, tRRD/tFAW between ACTs, refresh recovery) with one
-/// compare instead of a full `can_issue`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct RankFloors {
-    pre: Cycle,
-    act: Cycle,
-    /// CAS floors indexed by direction (`is_write`).
-    cas: [Cycle; 2],
+/// The command the issue passes chose: entry `i` of queue `d` and the
+/// next command of its transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pick {
+    d: usize,
+    i: usize,
+    cmd: Command,
+}
+
+/// Queue mask `m` with bit `i` removed and the bits above it shifted
+/// down one, as `Vec::remove(i)` shifts the queue.
+fn compress(m: u64, i: usize) -> u64 {
+    let low = (1u64 << i) - 1;
+    (m & low) | ((m >> 1) & !low)
 }
 
 /// The two FR-FCFS queues and the per-bank candidate state derived from
@@ -56,6 +60,8 @@ struct Candidates {
     queues: [Vec<Pending>; 2],
     /// Per queue: bit `i` set iff entry `i` targets its bank's open row.
     hits: [u64; 2],
+    /// Per queue and rank: bit `i` set iff entry `i` targets that rank.
+    positions: [Vec<u64>; 2],
     /// Open-row mirror by global bank index ([`NO_ROW`] = precharged).
     rows: [u32; MAX_BANKS],
     /// Queued entries per bank, and queued row hits per direction and bank.
@@ -73,10 +79,11 @@ struct Candidates {
 }
 
 impl Candidates {
-    fn new(bpr: u32) -> Self {
+    fn new(bpr: u32, ranks: usize) -> Self {
         Candidates {
             queues: [Vec::new(), Vec::new()],
             hits: [0; 2],
+            positions: [vec![0; ranks], vec![0; ranks]],
             rows: [NO_ROW; MAX_BANKS],
             occupancy: [0; MAX_BANKS],
             hit_count: [[0; MAX_BANKS]; 2],
@@ -111,6 +118,17 @@ impl Candidates {
         .map(|m| (m & mask) >> shift)
     }
 
+    /// The positions in queue `d` of the entries that target a rank in
+    /// `ranks` (bit `r` = rank `r`).
+    fn positions_of(&self, d: usize, ranks: u128) -> u64 {
+        let (mut out, mut m) = (0, ranks);
+        while m != 0 {
+            out |= self.positions[d][m.trailing_zeros() as usize];
+            m &= m - 1;
+        }
+        out
+    }
+
     /// Marks the rank of global bank `g` dirty.
     fn touch(&mut self, g: usize) {
         self.dirty |= 1 << (g as u32 / self.bpr);
@@ -128,6 +146,7 @@ impl Candidates {
         let d = txn.is_write as usize;
         let i = self.queues[d].len();
         self.queues[d].push(Pending { txn, gbi: g as u8, issued_act: false });
+        self.positions[d][l.rank.0 as usize] |= 1 << i;
         self.occupancy[g] += 1;
         self.occupied |= 1 << g;
         self.touch(g);
@@ -137,14 +156,16 @@ impl Candidates {
         }
     }
 
-    /// Removes entry `i` of queue `d`, shifting the hit mask with the
-    /// queue.
+    /// Removes entry `i` of queue `d`, shifting the hit and position
+    /// masks with the queue.
     fn remove(&mut self, d: usize, i: usize) -> Pending {
         let p = self.queues[d].remove(i);
         let g = p.gbi as usize;
-        let low = (1u64 << i) - 1;
         let was_hit = self.hits[d] >> i & 1 != 0;
-        self.hits[d] = (self.hits[d] & low) | ((self.hits[d] >> 1) & !low);
+        self.hits[d] = compress(self.hits[d], i);
+        for m in &mut self.positions[d] {
+            *m = compress(*m, i);
+        }
         if was_hit {
             self.hit_count[d][g] -= 1;
             if self.hit_count[d][g] == 0 {
@@ -215,10 +236,9 @@ pub struct BaselineScheduler {
     stats: McStats,
     kind: SchedulerKind,
     cand: Candidates,
-    /// Per-rank legality floors and event floors of the candidate
-    /// classes ([`DramDevice::rank_event_floors`]), one entry per rank,
-    /// exact for every rank not in `cand.dirty`.
-    floors: Vec<RankFloors>,
+    /// Per-rank event floors of the candidate classes
+    /// ([`DramDevice::rank_event_floors`]), one entry per rank, exact for
+    /// every rank not in `cand.dirty`.
     events: Vec<[Cycle; 4]>,
     drain_hi: usize,
     drain_lo: usize,
@@ -264,8 +284,7 @@ impl BaselineScheduler {
             refresh: RefreshManager::new(&t, geom.ranks_per_channel()),
             stats: McStats::new(domains as usize),
             kind: if prefetch { SchedulerKind::BaselinePrefetch } else { SchedulerKind::Baseline },
-            cand: Candidates::new(bpr),
-            floors: vec![RankFloors::default(); nranks],
+            cand: Candidates::new(bpr, nranks),
             events: vec![[Cycle::MAX; 4]; nranks],
             drain_hi: 40,
             drain_lo: 16,
@@ -357,8 +376,6 @@ impl BaselineScheduler {
         while m != 0 {
             let r = RankId(m.trailing_zeros() as u8);
             m &= m - 1;
-            let (pre, act, rd, wr) = self.device.rank_floor_parts(r);
-            self.floors[r.0 as usize] = RankFloors { pre, act, cas: [rd, wr] };
             self.events[r.0 as usize] = self.rank_events(r);
         }
         self.cand.dirty = 0;
@@ -420,140 +437,131 @@ impl BaselineScheduler {
         next.max(now + 1)
     }
 
-    /// Attempts FR-FCFS issue from queue `d` (`is_write`); returns a
-    /// completion if a CAS retired a transaction. At most one command is
-    /// issued.
+    /// The FR-FCFS pick at `now`: the first of queue `drain` (`is_write`),
+    /// else of the other queue, as [`BaselineScheduler::pick`] finds it.
+    fn choose(&self, drain: bool, now: Cycle) -> Option<Pick> {
+        self.pick(drain as usize, now).or_else(|| self.pick(!drain as usize, now))
+    }
+
+    /// The oldest entry of queue `d` (`is_write`) whose next command
+    /// passes `can_issue` at `now`: a row hit's CAS first, else an ACT
+    /// on a closed bank or a PRE on a conflicting row. Never precharges
+    /// a row some pending transaction still hits (the FR-FCFS guard).
     ///
-    /// The rank floors and the per-bank floors (`BankArrays` ready
-    /// cycles) reject candidates with one compare before a full
-    /// `can_issue` validation. Sound because a floor past `now` makes
-    /// `can_issue` fail for that class — the same candidates are
-    /// attempted, in the same order, with identical outcomes.
-    fn try_issue(&mut self, d: usize, now: Cycle) -> (bool, Option<Completion>) {
-        // Pass 1: row hits, oldest first — only the hit bits are walked.
-        // Candidates that clear the rank/bank floors mostly fail on the
-        // data bus (cross-rank tRTRS gaps around in-flight bursts). That
-        // verdict depends only on (direction, rank, cycle), so probe it
-        // once per rank and skip the full validation for every candidate
-        // behind a blocked bus.
+    /// The passes select ranks before they touch an entry. A rank whose
+    /// cached event floor for the command class lies past `now` has no
+    /// bank that could issue that class, and a CAS can pass only on a
+    /// rank whose data bus admits its burst
+    /// ([`DramDevice::data_bus_ranks`], one pass over the scheduled
+    /// transfers). Only the entries of the remaining ranks are walked,
+    /// oldest first; each is rejected by its bank's ready cycle
+    /// (`BankArrays`) with one compare, else validated in full. Every
+    /// entry skipped would fail `can_issue`, so the pick is the one a
+    /// walk of every entry in age order makes.
+    fn pick(&self, d: usize, now: Cycle) -> Option<Pick> {
+        let (mut cas_ranks, mut row_ranks) = (0u128, 0u128);
+        for (r, e) in self.events.iter().enumerate() {
+            cas_ranks |= ((e[d] <= now) as u128) << r;
+            row_ranks |= ((e[2].min(e[3]) <= now) as u128) << r;
+        }
+        // Pass 1: row hits of the ranks whose CAS floor and data bus admit.
         let is_write = d == 1;
-        let (mut probed, mut admits) = (0u128, 0u128);
-        let mut cand = self.cand.hits[d];
-        let mut cas_idx = None;
+        if cas_ranks != 0 {
+            cas_ranks &= self.device.data_bus_ranks(!is_write, now);
+        }
+        let mut cand = self.cand.hits[d] & self.cand.positions_of(d, cas_ranks);
         while cand != 0 {
             let i = cand.trailing_zeros() as usize;
             cand &= cand - 1;
             let l = self.cand.queues[d][i].txn.loc;
-            let bank_floor = self.device.banks_of(l.rank).next_cas_slice()[l.bank.0 as usize];
-            if self.floors[l.rank.0 as usize].cas[d].max(bank_floor) > now {
+            if self.device.banks_of(l.rank).next_cas_slice()[l.bank.0 as usize] > now {
                 continue;
             }
-            let rbit = 1u128 << l.rank.0;
-            if probed & rbit == 0 {
-                probed |= rbit;
-                if self.device.data_bus_admits(!is_write, l.rank, now) {
-                    admits |= rbit;
-                }
-            }
-            if admits & rbit == 0 {
-                continue;
-            }
-            let cas = if is_write {
+            let cmd = if is_write {
                 Command::write(l.rank, l.bank, l.row, l.col)
             } else {
                 Command::read(l.rank, l.bank, l.row, l.col)
             };
-            if self.device.can_issue(&cas, now).is_ok() {
-                cas_idx = Some((i, cas));
-                break;
+            if self.device.can_issue(&cmd, now).is_ok() {
+                return Some(Pick { d, i, cmd });
             }
-        }
-        if let Some((i, cas)) = cas_idx {
-            let p = self.cand.remove(d, i);
-            let out = self.device.issue(&cas, now).expect("validated CAS");
-            if p.issued_act {
-                self.stats.row_misses += 1;
-            } else {
-                self.stats.row_hits += 1;
-            }
-            let finish = out.data_done.expect("CAS produces data");
-            if !p.txn.is_write && p.txn.kind == TxnKind::Demand {
-                let ds = self.stats.domain_mut(p.txn.domain);
-                ds.read_latency_sum += finish.saturating_sub(p.txn.arrival);
-                ds.reads_completed += 1;
-            }
-            // Writes complete too: the producer uses this to retire its
-            // store-to-load forwarding window.
-            return (true, Some(Completion { txn: p.txn, finish }));
         }
 
-        // Pass 2: oldest non-hit transaction whose next command (ACT on
-        // a closed bank, PRE on a conflicting row) clears its floors and
-        // validates. Never precharge a row some pending transaction
-        // still hits (the FR-FCFS guard).
+        // Pass 2: non-hit entries of the ranks whose PRE or ACT floor
+        // admits; the floor of the entry's own class decides.
         let guard = self.cand.hit_banks[0] | self.cand.hit_banks[1];
-        let live = ((1u128 << self.cand.queues[d].len()) - 1) as u64;
-        let mut rest = live & !self.cand.hits[d];
+        let mut rest = self.cand.positions_of(d, row_ranks) & !self.cand.hits[d];
         while rest != 0 {
             let i = rest.trailing_zeros() as usize;
             rest &= rest - 1;
             let p = &self.cand.queues[d][i];
             let (l, g) = (p.txn.loc, p.gbi as usize);
-            let (f, b) = (&self.floors[l.rank.0 as usize], l.bank.0 as usize);
-            if self.cand.rows[g] == NO_ROW {
-                if f.act.max(self.device.banks_of(l.rank).next_activate_slice()[b]) > now {
+            let (e, b) = (&self.events[l.rank.0 as usize], l.bank.0 as usize);
+            let banks = self.device.banks_of(l.rank);
+            let cmd = if self.cand.rows[g] == NO_ROW {
+                if e[3].max(banks.next_activate_slice()[b]) > now {
                     continue;
                 }
-                let act = Command::activate(l.rank, l.bank, l.row);
-                if self.device.can_issue(&act, now).is_ok() {
-                    self.device.issue(&act, now).expect("validated activate");
-                    self.cand.queues[d][i].issued_act = true;
-                    self.cand.activate(g, l.row.0);
-                    return (true, None);
-                }
+                Command::activate(l.rank, l.bank, l.row)
             } else {
                 if guard >> g & 1 != 0 {
                     continue; // deferred: some pending txn still hits
                 }
-                if f.pre.max(self.device.banks_of(l.rank).next_precharge_slice()[b]) > now {
+                if e[2].max(banks.next_precharge_slice()[b]) > now {
                     continue;
                 }
-                let pre = Command::precharge(l.rank, l.bank);
-                if self.device.can_issue(&pre, now).is_ok() {
-                    self.device.issue(&pre, now).expect("validated precharge");
-                    self.cand.close(1 << g);
-                    return (true, None);
+                Command::precharge(l.rank, l.bank)
+            };
+            if self.device.can_issue(&cmd, now).is_ok() {
+                return Some(Pick { d, i, cmd });
+            }
+        }
+        None
+    }
+
+    /// Issues a validated pick and updates the candidate state; returns
+    /// the completion when a CAS retired its transaction.
+    fn issue_pick(&mut self, Pick { d, i, cmd }: Pick, now: Cycle) -> Option<Completion> {
+        let out = self.device.issue(&cmd, now).expect("validated pick");
+        let g = self.cand.queues[d][i].gbi as usize;
+        match cmd.kind {
+            CommandKind::Activate => {
+                self.cand.queues[d][i].issued_act = true;
+                self.cand.activate(g, cmd.row.0);
+                None
+            }
+            CommandKind::Precharge => {
+                self.cand.close(1 << g);
+                None
+            }
+            _ => {
+                let p = self.cand.remove(d, i);
+                if p.issued_act {
+                    self.stats.row_misses += 1;
+                } else {
+                    self.stats.row_hits += 1;
                 }
+                let finish = out.data_done.expect("CAS produces data");
+                if !p.txn.is_write && p.txn.kind == TxnKind::Demand {
+                    let ds = self.stats.domain_mut(p.txn.domain);
+                    ds.read_latency_sum += finish.saturating_sub(p.txn.arrival);
+                    ds.reads_completed += 1;
+                }
+                // Writes complete too: the producer uses this to retire
+                // its store-to-load forwarding window.
+                Some(Completion { txn: p.txn, finish })
             }
         }
-        (false, None)
-    }
-}
-
-impl MemoryController for BaselineScheduler {
-    fn can_accept(&self, _domain: DomainId) -> bool {
-        self.cand.queues.iter().all(|q| q.len() < QUEUE_CAPACITY)
     }
 
-    fn enqueue(&mut self, txn: Transaction) -> Result<(), QueueFull> {
-        if self.cand.queues[txn.is_write as usize].len() >= QUEUE_CAPACITY {
-            return Err(QueueFull { domain: txn.domain });
-        }
-        let ds = self.stats.domain_mut(txn.domain);
-        if txn.is_write {
-            ds.demand_writes += 1;
-        } else {
-            ds.demand_reads += 1;
-            if self.prefetch_enabled() {
-                self.prefetchers[txn.domain.0 as usize].on_access(txn.local_addr);
-            }
-        }
-        self.cand.push(txn);
-        self.idle_until = 0;
-        Ok(())
-    }
-
-    fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
+    /// One controller tick, with `choose` deciding the transaction
+    /// command from the drain mode once refresh lets transactions issue.
+    fn tick_with(
+        &mut self,
+        now: Cycle,
+        out: &mut Vec<Completion>,
+        choose: impl Fn(&Self, bool, Cycle) -> Option<Pick>,
+    ) {
         // Provably-idle tick: the cached bound was a full `next_event`
         // of this exact state (every mutation since would have cleared
         // it), and that bound folded in the refresh command cycles, the
@@ -587,20 +595,44 @@ impl MemoryController for BaselineScheduler {
         let drain = self.draining || self.cand.queues[0].is_empty();
 
         self.settle_floors();
-        let (issued, c) = self.try_issue(drain as usize, now);
-        out.extend(c);
-        if !issued {
-            // Opportunistic issue from the other queue (device and
-            // queue state unchanged — the first attempt issued nothing
-            // — so the floors are still exact).
-            let (_, c2) = self.try_issue(!drain as usize, now);
-            out.extend(c2);
+        // One command per tick: the drain queue first, then
+        // opportunistically the other one.
+        if let Some(pick) = choose(self, drain, now) {
+            out.extend(self.issue_pick(pick, now));
         }
         // The state this tick left stays exactly as-is until the bound
         // (or an enqueue clears it), so the ticks before it need not
         // repeat the passes — after an issue as after a quiet tick.
         self.settle_floors();
         self.idle_until = self.scan_next_event(now);
+    }
+}
+
+impl MemoryController for BaselineScheduler {
+    fn can_accept(&self, _domain: DomainId) -> bool {
+        self.cand.queues.iter().all(|q| q.len() < QUEUE_CAPACITY)
+    }
+
+    fn enqueue(&mut self, txn: Transaction) -> Result<(), QueueFull> {
+        if self.cand.queues[txn.is_write as usize].len() >= QUEUE_CAPACITY {
+            return Err(QueueFull { domain: txn.domain });
+        }
+        let ds = self.stats.domain_mut(txn.domain);
+        if txn.is_write {
+            ds.demand_writes += 1;
+        } else {
+            ds.demand_reads += 1;
+            if self.prefetch_enabled() {
+                self.prefetchers[txn.domain.0 as usize].on_access(txn.local_addr);
+            }
+        }
+        self.cand.push(txn);
+        self.idle_until = 0;
+        Ok(())
+    }
+
+    fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
+        self.tick_with(now, out, Self::choose);
     }
 
     fn next_event(&self, now: Cycle) -> Cycle {
@@ -700,6 +732,7 @@ impl BaselineScheduler {
             }
         }
         let mut hits = [0u64; 2];
+        let mut positions = [0, 1].map(|_| vec![0u64; geom.ranks_per_channel() as usize]);
         let mut occupancy = [0u8; MAX_BANKS];
         let mut hit_count = [[0u8; MAX_BANKS]; 2];
         let (mut occupied, mut hit_banks) = (0u128, [0u128; 2]);
@@ -709,6 +742,7 @@ impl BaselineScheduler {
                 let g = l.rank.0 as usize * bpr + l.bank.0 as usize;
                 assert_eq!(p.gbi as usize, g, "cached bank index of queue {d} entry {i}");
                 assert_eq!(p.txn.is_write, d == 1, "queue {d} entry {i} in the wrong queue");
+                positions[d][l.rank.0 as usize] |= 1 << i;
                 occupancy[g] += 1;
                 occupied |= 1 << g;
                 if rows[g] == l.row.0 {
@@ -721,6 +755,7 @@ impl BaselineScheduler {
         assert_eq!(c.rows, rows, "open-row mirror");
         assert_eq!(c.open, open, "open mask");
         assert_eq!(c.hits, hits, "per-queue hit masks");
+        assert_eq!(c.positions, positions, "per-rank position masks");
         assert_eq!(c.occupancy, occupancy, "per-bank occupancy");
         assert_eq!(c.hit_count, hit_count, "per-bank hit counts");
         assert_eq!(c.occupied, occupied, "occupied mask");
@@ -732,9 +767,6 @@ impl BaselineScheduler {
         // skipping none.
         let ranks = (0..geom.ranks_per_channel()).map(RankId);
         for r in ranks.clone().filter(|r| c.dirty >> r.0 & 1 == 0) {
-            let (pre, act, rd, wr) = self.device.rank_floor_parts(r);
-            let floors = RankFloors { pre, act, cas: [rd, wr] };
-            assert_eq!(self.floors[r.0 as usize], floors, "rank {} legality floors", r.0);
             assert_eq!(self.events[r.0 as usize], self.rank_events(r), "rank {} event floors", r.0);
         }
         let (b, row, col) = (BankId(0), RowId(0), ColId(0));
@@ -754,6 +786,59 @@ impl BaselineScheduler {
             }
             assert_eq!(self.candidate_bound(from), full, "candidate bound from {from}");
         }
+    }
+
+    /// The reference FR-FCFS pick: every entry of the drain queue, then
+    /// of the other queue, in age order, row hits first, each next
+    /// command validated in full — no floors, no masks, no cached state;
+    /// row state from the device, the precharge guard from the queues.
+    fn oracle(&self, drain: bool, now: Cycle) -> Option<Pick> {
+        let open = |p: &Pending| self.device.open_row(p.txn.loc.rank, p.txn.loc.bank);
+        let hits = |p: &Pending| open(p) == Some(p.txn.loc.row);
+        let legal = |cmd: &Command| self.device.can_issue(cmd, now).is_ok();
+        for d in [drain as usize, !drain as usize] {
+            let q = &self.cand.queues[d];
+            for (i, p) in q.iter().enumerate().filter(|(_, p)| hits(p)) {
+                let l = p.txn.loc;
+                let cmd = if d == 1 {
+                    Command::write(l.rank, l.bank, l.row, l.col)
+                } else {
+                    Command::read(l.rank, l.bank, l.row, l.col)
+                };
+                if legal(&cmd) {
+                    return Some(Pick { d, i, cmd });
+                }
+            }
+            for (i, p) in q.iter().enumerate().filter(|(_, p)| !hits(p)) {
+                let l = p.txn.loc;
+                let cmd = if open(p).is_none() {
+                    Command::activate(l.rank, l.bank, l.row)
+                } else {
+                    let same_bank =
+                        |o: &Pending| o.txn.loc.rank == l.rank && o.txn.loc.bank == l.bank;
+                    if self.cand.queues.iter().flatten().any(|o| same_bank(o) && hits(o)) {
+                        continue;
+                    }
+                    Command::precharge(l.rank, l.bank)
+                };
+                if legal(&cmd) {
+                    return Some(Pick { d, i, cmd });
+                }
+            }
+        }
+        None
+    }
+
+    /// Ticks at `now`, asserting that a tick that runs the issue passes
+    /// picks what [`BaselineScheduler::oracle`] picks.
+    fn tick_checked(&mut self, now: Cycle) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.tick_with(now, &mut out, |mc, drain, now| {
+            let pick = mc.choose(drain, now);
+            assert_eq!(pick, mc.oracle(drain, now), "FR-FCFS pick at {now}");
+            pick
+        });
+        out
     }
 
     /// Asserts that a cached no-op bound still holding at `now` is what
@@ -943,7 +1028,7 @@ mod tests {
             if drive == Drive::Full {
                 mc.idle_until = 0;
             }
-            done.extend(mc.tick(c));
+            done.extend(mc.tick_checked(c));
             c = match drive {
                 Drive::Hop => {
                     let next = mc.next_event(c);
@@ -1235,7 +1320,7 @@ mod tests {
                             }
                             Op::Tick(n) => {
                                 for _ in 0..n {
-                                    mc.tick(now);
+                                    mc.tick_checked(now);
                                     mc.check_candidates();
                                     mc.check_idle_bound(now);
                                     now += 1;
@@ -1243,7 +1328,7 @@ mod tests {
                             }
                             Op::Hop(n) => {
                                 for _ in 0..n {
-                                    mc.tick(now);
+                                    mc.tick_checked(now);
                                     mc.check_candidates();
                                     mc.check_idle_bound(now);
                                     now = mc.next_event(now);

@@ -127,6 +127,29 @@ impl ChannelState {
         }
     }
 
+    /// The ranks (bit `r` = rank `r`, among the first `ranks`; a
+    /// `Geometry` has 1 to 128 per channel) whose data bus admits a CAS
+    /// of direction `is_read` issued at `cycle`: bit `r` is set iff
+    /// `next_data_slot_for(is_read, r, cycle, t) == cycle`. One pass over
+    /// the scheduled transfers: a true overlap admits no rank, and a
+    /// transfer that only the tRTRS-widened window reaches admits its own
+    /// rank alone.
+    pub fn data_bus_ranks(&self, is_read: bool, cycle: Cycle, ranks: u8, t: &TimingParams) -> u128 {
+        let lat = if is_read { t.t_cas } else { t.t_cwd } as Cycle;
+        let (start, end) = (cycle + lat, cycle + lat + t.t_burst as Cycle);
+        let gap = t.t_rtrs as Cycle;
+        let mut mask = u128::MAX >> (128 - u32::from(ranks));
+        for tr in &self.transfers {
+            if start < tr.end && tr.start < end {
+                return 0;
+            }
+            if start < tr.end + gap && tr.start < end + gap {
+                mask &= 1 << tr.rank.0;
+            }
+        }
+        mask
+    }
+
     /// Records `cmd` at `cycle`. Caller must have validated legality.
     pub fn apply(&mut self, cmd: &Command, cycle: Cycle, t: &TimingParams) {
         self.last_cmd_cycle = Some(cycle);

@@ -149,29 +149,15 @@ impl DramDevice {
         self.ranks[rank.0 as usize].banks()
     }
 
-    /// Rank-level legality floors `(precharge, activate, cas_read,
-    /// cas_write)` for scheduler prefilters, each folding the rank's
-    /// quiet floor (refresh recovery / power-up). All `Cycle::MAX`
-    /// while the rank is powered down. Sound as *necessary* conditions
-    /// only: a command whose floor is past `cycle` cannot pass
-    /// [`DramDevice::can_issue`] there, but passing a floor does not
-    /// imply legality (bank state, bank-group CCD, bus and same-cycle
-    /// conflicts still apply).
-    pub fn rank_floor_parts(&self, rank: RankId) -> (Cycle, Cycle, Cycle, Cycle) {
-        match self.ranks[rank.0 as usize].event_bound_parts(&self.t) {
-            Some((quiet, act, rd, wr)) => (quiet, quiet.max(act), quiet.max(rd), quiet.max(wr)),
-            None => (Cycle::MAX, Cycle::MAX, Cycle::MAX, Cycle::MAX),
-        }
-    }
-
-    /// True if the data bus admits a CAS of the given direction on
-    /// `rank` issued at `cycle` — exact against [`DramDevice::can_issue`]'s
-    /// burst-overlap and tRTRS rules (command-bus and rank/bank windows
-    /// are *not* checked). The answer depends on the command only
-    /// through its rank and direction, so schedulers can memoize one
-    /// probe per (rank, direction) across a whole candidate scan.
-    pub fn data_bus_admits(&self, is_read: bool, rank: RankId, cycle: Cycle) -> bool {
-        self.channel.next_data_slot_for(is_read, rank, cycle, &self.t) == cycle
+    /// The ranks (bit `r` = rank `r`) whose data bus admits a CAS of
+    /// direction `is_read` issued at `cycle` — exact against
+    /// [`DramDevice::can_issue`]'s burst-overlap and tRTRS rules
+    /// (command-bus and rank/bank windows are *not* checked). A CAS
+    /// depends on the bus only through its rank and direction, so one
+    /// call answers the bus for every candidate of a scan; a scheduler
+    /// can drop the candidates of every rank outside the mask unchecked.
+    pub fn data_bus_ranks(&self, is_read: bool, cycle: Cycle) -> u128 {
+        self.channel.data_bus_ranks(is_read, cycle, self.geom.ranks_per_channel(), &self.t)
     }
 
     /// True if any bank on any rank holds an open row. Schedulers use
@@ -460,6 +446,7 @@ mod tests {
     use super::*;
     use crate::checker::TimingChecker;
     use crate::geometry::ColId;
+    use proptest::prelude::*;
 
     fn dev() -> DramDevice {
         DramDevice::new(Geometry::paper_default(), TimingParams::ddr3_1600())
@@ -577,5 +564,89 @@ mod tests {
         d.issue(&Command::activate(RankId(0), BankId(0), RowId(1)), 0).unwrap();
         let rd = Command::read_ap(RankId(0), BankId(0), RowId(1), ColId(0));
         assert_eq!(d.earliest_issue(&rd, 0, 100), Some(11));
+    }
+
+    /// A device with row 1 open on bank 0 of every rank, and the first
+    /// cycle by which every such CAS has cleared its rank and bank
+    /// windows.
+    fn opened(generation: crate::DeviceGeneration) -> (DramDevice, Cycle) {
+        let p = generation.profile();
+        let mut d = DramDevice::new(p.geometry, p.timing);
+        let mut c = 0;
+        for r in 0..p.geometry.ranks_per_channel() {
+            let act = Command::activate(RankId(r), BankId(0), RowId(1));
+            c = d.earliest_issue(&act, c, 1000).unwrap();
+            d.issue(&act, c).unwrap();
+        }
+        (d, c + 200)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn data_bus_ranks_match_the_slot_search_and_can_issue(
+            bursts in prop::collection::vec(
+                // Half the bursts take no slack at all.
+                (0u8..8, any::<bool>(), 0u64..24)
+                    .prop_map(|(r, read, s)| (r, read, s.saturating_sub(12))),
+                1..24,
+            ),
+        ) {
+            // Bursts land at the first slot their bus admits after a
+            // random slack, so same-rank ones often run back to back and
+            // cross-rank ones sit right at the tRTRS edge. After each,
+            // every probe cycle until the bus clears, every rank and both
+            // directions compare the mask with the slot search and with
+            // the device's full validation of a CAS whose rank and bank
+            // windows are all open (the bursts bypass the rank state).
+            for generation in crate::DeviceGeneration::all() {
+                let (mut d, mut cycle) = opened(generation);
+                let t = d.t;
+                let ranks = d.geom.ranks_per_channel();
+                let all = u128::MAX >> (128 - ranks as u32);
+                // Past this many cycles after the last burst's CAS, no
+                // probe's window reaches a scheduled transfer.
+                let span = (2 * (t.t_burst + t.t_rtrs) + t.t_cas.abs_diff(t.t_cwd)) as Cycle;
+                let cas = |r, read| {
+                    if read {
+                        Command::read(r, BankId(0), RowId(1), ColId(0))
+                    } else {
+                        Command::write(r, BankId(0), RowId(1), ColId(0))
+                    }
+                };
+                let mut seen = [false; 3]; // empty, one rank, every rank
+                for &(rank, is_read, slack) in &bursts {
+                    let rank = RankId(rank % ranks);
+                    let at = d.channel.next_data_slot_for(is_read, rank, cycle + 1 + slack, &t);
+                    d.channel.apply(&cas(rank, is_read), at, &t);
+                    cycle = at;
+                    for c in cycle + 1..=cycle + 1 + span {
+                        for read in [true, false] {
+                            let mask = d.data_bus_ranks(read, c);
+                            prop_assert_eq!(mask & !all, 0);
+                            seen[0] |= mask == 0;
+                            seen[1] |= mask.count_ones() == 1;
+                            seen[2] |= mask == all;
+                            for r in (0..ranks).map(RankId) {
+                                let admits = mask >> r.0 & 1 != 0;
+                                let slot = d.channel.next_data_slot_for(read, r, c, &t);
+                                prop_assert_eq!(
+                                    admits, slot == c,
+                                    "{} rank {} read {} at {}", generation, r.0, read, c
+                                );
+                                let verdict = d.can_issue(&cas(r, read), c);
+                                prop_assert_eq!(
+                                    admits, verdict.is_ok(),
+                                    "{} rank {} read {} at {}: {:?}", generation, r.0, read, c,
+                                    verdict
+                                );
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(seen, [true; 3], "{}", generation);
+            }
+        }
     }
 }
