@@ -17,11 +17,10 @@
 use crate::online::OnlineLeakEstimator;
 use crate::protocol::{default_secret, Protocol};
 use fsmc_core::sched::SchedulerKind;
-use fsmc_cpu::trace::TraceSource;
 use fsmc_dram::DeviceGeneration;
+use fsmc_security::channel::{covert_system, covert_windows};
 use fsmc_sim::spec::scheduler_spec;
-use fsmc_sim::{Engine, FaultKind, FaultPlan, Outcome, SplitMix64, System, SystemConfig};
-use fsmc_workload::{IdleTrace, ProbeTrace};
+use fsmc_sim::{shrink, Engine, FaultKind, FaultPlan, Outcome, SplitMix64, SystemConfig};
 
 /// Geometry of one leak campaign.
 #[derive(Debug, Clone)]
@@ -164,32 +163,15 @@ pub fn run_leak_case(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> (Outcome, f6
     plan.configure(&mut sys_cfg);
 
     let (sender, modulator) = cfg.protocol.build(&default_secret());
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(sys_cfg.cores as usize);
-    traces.push(Box::new(ProbeTrace::new(20)));
-    traces.push(sender);
-    for _ in 2..sys_cfg.cores {
-        traces.push(Box::new(IdleTrace));
-    }
-    let mut sys = match System::try_new(&sys_cfg, traces) {
-        Ok(sys) => sys,
+    let Ok(mut sys) = covert_system(&sys_cfg, sender) else {
         // An infeasible perturbed configuration refuses to construct:
         // the machine degraded gracefully rather than running insecure.
-        Err(_) => return (Outcome::GracefulDegrade, 0.0, 0),
+        return (Outcome::GracefulDegrade, 0.0, 0);
     };
     plan.arm(&mut sys);
-    sys.observe(0);
 
     let mut est = OnlineLeakEstimator::new();
-    for _ in 0..cfg.windows {
-        sys.take_observations(); // clear
-        let slot_before = modulator.slot_at(sys.core_stats(1).instructions_retired);
-        sys.run_cycles(cfg.window_cycles);
-        let obs = sys.take_observations();
-        let instrs = sys.core_stats(1).instructions_retired;
-        if modulator.slot_at(instrs) != slot_before {
-            continue; // straddles a symbol boundary
-        }
-        let symbol = modulator.bit_at(instrs);
+    for (symbol, obs) in covert_windows(&mut sys, &modulator, cfg.window_cycles, cfg.windows) {
         for (_, latency) in obs {
             est.record(symbol, latency);
         }
@@ -207,25 +189,10 @@ pub fn run_leak_case(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> (Outcome, f6
     (outcome, mi, samples)
 }
 
-/// Greedy delta-debugging: drops faults one at a time while the leak
-/// still reproduces. The result is 1-minimal — removing any remaining
-/// fault loses the detection.
+/// Shrinks a leaking plan ([`shrink`]) to a 1-minimal one: removing any
+/// remaining fault loses the detection.
 pub fn shrink_leak(cfg: &LeakCampaignConfig, plan: &FaultPlan) -> FaultPlan {
-    let mut current = plan.clone();
-    'outer: loop {
-        if current.faults.len() <= 1 {
-            return current;
-        }
-        for i in 0..current.faults.len() {
-            let mut candidate = current.clone();
-            candidate.faults.remove(i);
-            if run_leak_case(cfg, &candidate).0 == Outcome::LeakDetected {
-                current = candidate;
-                continue 'outer;
-            }
-        }
-        return current;
-    }
+    shrink(plan, |candidate| run_leak_case(cfg, candidate).0 == Outcome::LeakDetected)
 }
 
 /// The CLI line that replays one (shrunk) leak.

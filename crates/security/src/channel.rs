@@ -10,14 +10,16 @@
 //! [`run_covert_protocol`] is the protocol-agnostic harness: any
 //! [`TraceSource`] sender paired with its [`Modulator`] ground truth
 //! (intensity keying, bank-conflict keying, row-buffer keying — see
-//! `fsmc-workload::attacker` and the `fsmc-leak` crate). The
-//! intensity-keyed wrappers keep the original entry points.
+//! `fsmc-workload::attacker` and the `fsmc-leak` crate). Its machine
+//! ([`covert_system`]) and window loop ([`covert_windows`]) are shared
+//! with the leak campaign. The intensity-keyed wrappers keep the
+//! original entry points.
 
 use crate::leakage::{binary_channel_capacity, try_mutual_information, LeakageError};
 use fsmc_core::sched::SchedulerKind;
 use fsmc_cpu::trace::TraceSource;
 use fsmc_dram::DeviceGeneration;
-use fsmc_sim::{System, SystemConfig};
+use fsmc_sim::{FsmcError, System, SystemConfig};
 use fsmc_workload::{IdleTrace, ModulatedTrace, Modulator, ProbeTrace};
 
 /// Result of one covert-channel experiment.
@@ -61,6 +63,47 @@ impl Default for ChannelParams {
     }
 }
 
+/// Builds the covert-channel machine for `cfg`: a fixed-rate probe
+/// receiver in domain 0, `sender` in domain 1 and idle cores in the
+/// rest, with the receiver's read latencies observed.
+///
+/// # Errors
+///
+/// As for [`System::try_new`].
+pub fn covert_system(
+    cfg: &SystemConfig,
+    sender: Box<dyn TraceSource>,
+) -> Result<System, FsmcError> {
+    let mut traces: Vec<Box<dyn TraceSource>> = vec![Box::new(ProbeTrace::new(20)), sender];
+    traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+    let mut sys = System::try_new(cfg, traces)?;
+    sys.observe(0);
+    Ok(sys)
+}
+
+/// Runs `windows` receiver windows of `window_cycles` DRAM cycles each on
+/// a [`covert_system`], lazily, and yields the sender's bit and the
+/// receiver's `(finish, latency)` observations for every window that
+/// lies inside one symbol. The ground truth is derived from the
+/// sender's retired-instruction count (what the sender *meant* to
+/// signal); windows straddling a bit transition carry mixed signal and
+/// are discarded, as a synchronised real-world receiver would.
+pub fn covert_windows<'a>(
+    sys: &'a mut System,
+    modulator: &'a Modulator,
+    window_cycles: u64,
+    windows: usize,
+) -> impl Iterator<Item = (bool, Vec<(u64, u64)>)> + 'a {
+    (0..windows).filter_map(move |_| {
+        sys.take_observations(); // clear
+        let slot_before = modulator.slot_at(sys.core_stats(1).instructions_retired);
+        sys.run_cycles(window_cycles);
+        let obs = sys.take_observations();
+        let instrs = sys.core_stats(1).instructions_retired;
+        (modulator.slot_at(instrs) == slot_before).then(|| (modulator.bit_at(instrs), obs))
+    })
+}
+
 /// Runs one covert-channel protocol under `scheduler`: `sender` occupies
 /// domain 1, a fixed-rate probe receiver occupies domain 0, and
 /// `modulator` supplies the ground-truth symbol timeline (from the
@@ -77,37 +120,20 @@ pub fn run_covert_protocol(
     params: ChannelParams,
 ) -> Result<CovertChannelReport, LeakageError> {
     let cfg = SystemConfig::for_device(params.device, scheduler, 8);
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
-    traces.push(Box::new(ProbeTrace::new(20)));
-    traces.push(sender);
-    for _ in 2..cfg.cores {
-        traces.push(Box::new(IdleTrace));
-    }
-    let mut sys = System::new(&cfg, traces);
+    let mut sys =
+        covert_system(&cfg, sender).unwrap_or_else(|e| panic!("system construction failed: {e}"));
     if params.no_fastpath {
         sys.disable_fastpath();
     }
-    sys.observe(0);
 
-    let mut window_data: Vec<(bool, f64)> = Vec::with_capacity(params.windows);
-    for _ in 0..params.windows {
-        sys.take_observations(); // clear
-        let slot_before = modulator.slot_at(sys.core_stats(1).instructions_retired);
-        sys.run_cycles(params.window_cycles);
-        let obs = sys.take_observations();
-        // Ground truth: the sender's current bit, derived from its own
-        // retired instruction count (what the sender *meant* to signal).
-        // Windows straddling a bit transition carry mixed signal and are
-        // discarded, as a synchronised real-world receiver would.
-        let instrs = sys.core_stats(1).instructions_retired;
-        let slot_after = modulator.slot_at(instrs);
-        if slot_before != slot_after || obs.is_empty() {
-            continue;
-        }
-        let bit = modulator.bit_at(instrs);
-        let mean = obs.iter().map(|&(_, lat)| lat as f64).sum::<f64>() / obs.len() as f64;
-        window_data.push((bit, mean));
-    }
+    let window_data: Vec<(bool, f64)> =
+        covert_windows(&mut sys, modulator, params.window_cycles, params.windows)
+            .filter(|(_, obs)| !obs.is_empty())
+            .map(|(bit, obs)| {
+                let sum = obs.iter().map(|&(_, lat)| lat as f64).sum::<f64>();
+                (bit, sum / obs.len() as f64)
+            })
+            .collect();
 
     // Median-threshold decoder.
     let mut lats: Vec<f64> = window_data.iter().map(|&(_, l)| l).collect();

@@ -21,8 +21,8 @@ pub mod noninterference;
 pub mod profile;
 
 pub use channel::{
-    intensity_sender, run_covert_channel, run_covert_channel_on, run_covert_protocol,
-    ChannelParams, CovertChannelReport,
+    covert_system, covert_windows, intensity_sender, run_covert_channel, run_covert_channel_on,
+    run_covert_protocol, ChannelParams, CovertChannelReport,
 };
 pub use leakage::{
     binary_channel_capacity, mutual_information, try_mutual_information, LeakageError,

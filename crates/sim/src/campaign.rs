@@ -458,15 +458,9 @@ impl CampaignReport {
 
 /// Greedy delta reduction to a 1-minimal fault set: repeatedly tries
 /// removing each fault; a removal sticks iff the reduced plan still
-/// classifies the same way. Terminates at a fixpoint where removing any
-/// single remaining fault changes the outcome.
-fn shrink_plan(
-    cfg: &CampaignConfig,
-    plan: &FaultPlan,
-    outcome: Outcome,
-    reference: &RunResult,
-    cache: &TraceCache,
-) -> FaultPlan {
+/// `reproduces` the failure. Terminates at a fixpoint where removing any
+/// single remaining fault loses it.
+pub fn shrink(plan: &FaultPlan, mut reproduces: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
     let mut current = plan.clone();
     let mut changed = true;
     while changed && current.faults.len() > 1 {
@@ -475,8 +469,7 @@ fn shrink_plan(
         while i < current.faults.len() && current.faults.len() > 1 {
             let mut candidate = current.clone();
             candidate.faults.remove(i);
-            let result = cfg.job(candidate.clone()).run_with(cache);
-            if classify(cfg, &result, reference, &candidate) == outcome {
+            if reproduces(&candidate) {
                 current = candidate;
                 changed = true;
                 // Same index now names the next fault; don't advance.
@@ -486,6 +479,28 @@ fn shrink_plan(
         }
     }
     current
+}
+
+/// Runs and classifies one plan against the fault-free `reference`, and
+/// shrinks it to the faults that keep its classification when it fails.
+fn run_case(
+    cfg: &CampaignConfig,
+    index: usize,
+    plan: &FaultPlan,
+    reference: &RunResult,
+    cache: &TraceCache,
+) -> CaseReport {
+    let result = cfg.job(plan.clone()).run_with(cache);
+    let outcome = classify(cfg, &result, reference, plan);
+    let error = result.as_ref().err().map(|e| e.to_string());
+    let shrunk = (cfg.shrink && outcome.is_failure() && plan.faults.len() > 1).then(|| {
+        shrink(plan, |candidate| {
+            let result = cfg.job(candidate.clone()).run_with(cache);
+            classify(cfg, &result, reference, candidate) == outcome
+        })
+    });
+    let metrics = result.ok().and_then(|r| r.metrics);
+    CaseReport { index, plan: plan.clone(), outcome, error, shrunk, metrics }
 }
 
 /// Runs a full campaign on `engine`.
@@ -499,15 +514,8 @@ pub fn run_campaign(engine: &Engine, cfg: &CampaignConfig) -> Result<CampaignRep
     let cache = TraceCache::new();
     let reference = cfg.job(FaultPlan::default()).run_with(&cache)?;
     let population = generate_population(cfg);
-    let cases = engine.map(&population, |index, plan| {
-        let result = cfg.job(plan.clone()).run_with(&cache);
-        let outcome = classify(cfg, &result, &reference, plan);
-        let error = result.as_ref().err().map(|e| e.to_string());
-        let shrunk = (cfg.shrink && outcome.is_failure() && plan.faults.len() > 1)
-            .then(|| shrink_plan(cfg, plan, outcome, &reference, &cache));
-        let metrics = result.ok().and_then(|r| r.metrics);
-        CaseReport { index, plan: plan.clone(), outcome, error, shrunk, metrics }
-    });
+    let cases =
+        engine.map(&population, |index, plan| run_case(cfg, index, plan, &reference, &cache));
     Ok(CampaignReport {
         scheduler: cfg.scheduler,
         device: cfg.device,
@@ -529,13 +537,7 @@ pub fn run_campaign(engine: &Engine, cfg: &CampaignConfig) -> Result<CampaignRep
 pub fn run_single(cfg: &CampaignConfig, plan: FaultPlan) -> Result<CaseReport, FsmcError> {
     let cache = TraceCache::new();
     let reference = cfg.job(FaultPlan::default()).run_with(&cache)?;
-    let result = cfg.job(plan.clone()).run_with(&cache);
-    let outcome = classify(cfg, &result, &reference, &plan);
-    let error = result.as_ref().err().map(|e| e.to_string());
-    let shrunk = (cfg.shrink && outcome.is_failure() && plan.faults.len() > 1)
-        .then(|| shrink_plan(cfg, &plan, outcome, &reference, &cache));
-    let metrics = result.ok().and_then(|r| r.metrics);
-    Ok(CaseReport { index: 0, plan, outcome, error, shrunk, metrics })
+    Ok(run_case(cfg, 0, &plan, &reference, &cache))
 }
 
 #[cfg(test)]

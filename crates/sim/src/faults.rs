@@ -191,9 +191,10 @@ impl FaultPlan {
     /// Delayed or dropped commands and stretched refresh violate the
     /// controller's `next_event` contract; they reach the controller
     /// through [`System::controller_mut`], which turns off the
-    /// controller-side tiers (tick elision, skipped spans, FS
-    /// fast-forward). The core-side tiers (carrying stalled and computing
-    /// cores in bulk, parking them) read only core state and stay on.
+    /// controller-side tiers (skipped spans and their tick elision, FS
+    /// fast-forward), so the controller ticks every cycle. The core-side
+    /// tiers (carrying stalled and computing cores in bulk, parking them)
+    /// read only core state and stay on.
     /// The shared arbiter and timing perturbations act on the
     /// configuration before the build, corrupted traces fail at
     /// construction, and reconfiguration runs inside `System::step` with
@@ -328,6 +329,16 @@ impl FaultPlan {
     ///
     /// A human-readable description of the malformed component.
     pub fn parse_spec(seed: u64, spec: &str) -> Result<FaultPlan, String> {
+        // Each argument is read into its field's own type, so a value
+        // that does not fit is an error rather than a silent wrap.
+        fn arg<T: TryFrom<u64>>(args: &[&str], i: usize, part: &str) -> Result<T, String> {
+            let v = args
+                .get(i)
+                .and_then(|a| a.parse::<u64>().ok())
+                .ok_or_else(|| format!("bad numeric argument {} in {part:?}", i + 1))?;
+            T::try_from(v)
+                .map_err(|_| format!("numeric argument {} out of range in {part:?}", i + 1))
+        }
         let mut plan = FaultPlan::new(seed);
         let spec = spec.trim();
         if spec.is_empty() || spec == "none" {
@@ -340,17 +351,15 @@ impl FaultPlan {
                 .and_then(|p| p.split_once('('))
                 .ok_or_else(|| format!("malformed fault component {part:?}"))?;
             let args: Vec<&str> = args.split(',').map(str::trim).collect();
-            let num = |i: usize| -> Result<u64, String> {
-                args.get(i)
-                    .and_then(|a| a.parse::<u64>().ok())
-                    .ok_or_else(|| format!("bad numeric argument {} in {part:?}", i + 1))
-            };
+            let num = |i: usize| arg::<u64>(&args, i, part);
             let fault = match (name, args.len()) {
                 ("delay", 3) => {
                     FaultKind::DelayCommand { period: num(0)?, delay: num(1)?, max: num(2)? }
                 }
                 ("drop", 2) => FaultKind::DropCommand { period: num(0)?, max: num(1)? },
-                ("stretch-refresh", 1) => FaultKind::StretchRefresh { factor: num(0)? as u32 },
+                ("stretch-refresh", 1) => {
+                    FaultKind::StretchRefresh { factor: arg(&args, 0, part)? }
+                }
                 ("perturb", 2) => {
                     let field = TimingField::from_name(args[0])
                         .ok_or_else(|| format!("unknown timing field {:?} in {part:?}", args[0]))?;
@@ -359,18 +368,23 @@ impl FaultPlan {
                         .map_err(|_| format!("bad delta {:?} in {part:?}", args[1]))?;
                     FaultKind::PerturbTiming { field, delta }
                 }
-                ("corrupt-trace", 2) => {
-                    FaultKind::CorruptTrace { core: num(0)? as usize, period: num(1)? as usize }
-                }
-                ("stuck-bank", 3) => {
-                    FaultKind::StuckBank { rank: num(0)? as u8, bank: num(1)? as u8, at: num(2)? }
-                }
-                ("dead-rank", 2) => FaultKind::DeadRank { rank: num(0)? as u8, at: num(1)? },
+                ("corrupt-trace", 2) => FaultKind::CorruptTrace {
+                    core: arg(&args, 0, part)?,
+                    period: arg(&args, 1, part)?,
+                },
+                ("stuck-bank", 3) => FaultKind::StuckBank {
+                    rank: arg(&args, 0, part)?,
+                    bank: arg(&args, 1, part)?,
+                    at: num(2)?,
+                },
+                ("dead-rank", 2) => FaultKind::DeadRank { rank: arg(&args, 0, part)?, at: num(1)? },
                 ("thermal-refresh", 2) => {
-                    FaultKind::ThermalRefresh { factor: num(0)? as u8, at: num(1)? }
+                    FaultKind::ThermalRefresh { factor: arg(&args, 0, part)?, at: num(1)? }
                 }
-                ("leave", 2) => FaultKind::DomainLeave { domain: num(0)? as u8, at: num(1)? },
-                ("join", 2) => FaultKind::DomainJoin { domain: num(0)? as u8, at: num(1)? },
+                ("leave", 2) => {
+                    FaultKind::DomainLeave { domain: arg(&args, 0, part)?, at: num(1)? }
+                }
+                ("join", 2) => FaultKind::DomainJoin { domain: arg(&args, 0, part)?, at: num(1)? },
                 // "shared-arbiter()" splits into one empty argument.
                 ("shared-arbiter", 1) if args[0].is_empty() => FaultKind::SharedArbiter,
                 _ => return Err(format!("unknown fault component {part:?}")),
@@ -510,6 +524,13 @@ mod tests {
             ("delay(1,x,3)", "bad numeric argument"),
             ("perturb(tzz,1)", "unknown timing field"),
             ("delay(1,2,3", "malformed fault component"),
+            ("stuck-bank(256,0,10)", "numeric argument 1 out of range"),
+            ("stuck-bank(0,256,10)", "numeric argument 2 out of range"),
+            ("dead-rank(300,5)", "numeric argument 1 out of range"),
+            ("thermal-refresh(256,5)", "numeric argument 1 out of range"),
+            ("leave(256,5)", "numeric argument 1 out of range"),
+            ("join(1000,5)", "numeric argument 1 out of range"),
+            ("stretch-refresh(4294967296)", "numeric argument 1 out of range"),
         ] {
             let err = FaultPlan::parse_spec(0, bad).unwrap_err();
             assert!(err.contains(needle), "{bad:?} -> {err:?}");

@@ -59,8 +59,8 @@ pub mod stats;
 pub mod system;
 
 pub use campaign::{
-    classify, generate_population, run_campaign, run_single, CampaignConfig, CampaignReport,
-    CaseReport, Outcome, SplitMix64,
+    classify, generate_population, run_campaign, run_single, shrink, CampaignConfig,
+    CampaignReport, CaseReport, Outcome, SplitMix64,
 };
 pub use config::SystemConfig;
 pub use engine::{ControllerFactory, Engine, ExperimentJob, ExperimentPlan};

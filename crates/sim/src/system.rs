@@ -208,8 +208,8 @@ pub struct System {
     /// Degradation state at the last drain, to detect schedule swaps and
     /// re-arm the monitor's cadence spec.
     was_degraded: bool,
-    /// The controller-side fast-path tiers: in-step tick elision,
-    /// skipped spans and FS `fast_forward`, all of which trust the
+    /// The controller-side fast-path tiers: skipped spans, the tick
+    /// elision inside them and FS `fast_forward`, all of which trust the
     /// controller's `next_event` bound. Cleared by
     /// [`System::disable_fastpath`], by `FSMC_NO_FASTPATH=1`, and by any
     /// [`System::controller_mut`] access (external mutation may
@@ -237,25 +237,19 @@ pub struct System {
     /// that frees the queue is its wake-up, and no core state predicts
     /// it.
     parked: Vec<Option<Parked>>,
-    /// Cached [`MemoryController::next_event`] bound: on the fast path,
-    /// ticks strictly before this cycle are provable no-ops and are
-    /// elided even when cores stay busy. Every `enqueue` lowers it by
-    /// the policy's [`MemoryController::enqueue_event_hint`] for the new
-    /// transaction (conservative default: re-tick next cycle).
+    /// Cached [`MemoryController::next_event`] bound, rescanned after
+    /// every quiet tick on the fast path: ticks strictly before this
+    /// cycle are provable no-ops. A skipped span elides them and ends
+    /// no later than it when a refused core waits on the queue. Every
+    /// `enqueue` lowers it by the policy's
+    /// [`MemoryController::enqueue_event_hint`] for the new transaction
+    /// (conservative default: re-tick next cycle).
     mc_next_tick: u64,
-    /// Scan hysteresis: is a quiet tick allowed to pay for a
-    /// [`MemoryController::next_event`] scan? Re-armed by every issuing
-    /// tick, disarmed by a scan that finds no gap — in a dense burst a
-    /// gap all but requires another issue first, so re-scanning sooner
-    /// is almost always wasted work. Purely an effort gate: scans
-    /// are pure and elision only drops proven no-op ticks, so results
-    /// are bit-identical at any scan frequency.
-    elide_armed: bool,
     /// Telemetry: DRAM cycles inside [`System::skip_ahead`] spans, run
     /// without per-cycle core stepping.
     fp_skipped: u64,
-    /// Telemetry: controller ticks elided as proven no-ops, in
-    /// [`System::step`] or inside a span.
+    /// Telemetry: controller ticks elided as proven no-ops inside a
+    /// span, never more than `fp_skipped`.
     fp_elided: u64,
     /// Telemetry: how CPU sub-cycles were simulated.
     core_counts: CoreCounters,
@@ -442,7 +436,6 @@ impl System {
             core_active: vec![true; cfg.cores as usize],
             parked: vec![None; cfg.cores as usize],
             mc_next_tick: 0,
-            elide_armed: true,
             fp_skipped: 0,
             fp_elided: 0,
             core_counts: CoreCounters::default(),
@@ -497,8 +490,8 @@ impl System {
     /// ([`MemoryController::inject_command_faults`]) or model slow
     /// silicon ([`MemoryController::set_device_timing`]) before a run.
     ///
-    /// Also disables the controller-side fast-path tiers (in-step tick
-    /// elision, skipped spans, FS fast-forward): an externally mutated
+    /// Also disables the controller-side fast-path tiers (skipped spans
+    /// and their tick elision, FS fast-forward): an externally mutated
     /// controller (delayed commands, stretched refresh, swapped device
     /// timing) may no longer honour the [`MemoryController::next_event`]
     /// lower-bound contract, so the controller ticks every cycle. The
@@ -639,17 +632,15 @@ impl System {
             // one — the transition window itself is fully covered.
             mon.set_cadence_at(self.mc.cadence_spec(), c);
         }
-        // The controller's event bound predates the reconfiguration:
-        // force a re-tick and a fresh scan.
+        // The controller's event bound predates the reconfiguration.
         self.mc_next_tick = c;
-        self.elide_armed = true;
     }
 
     /// Fast-path effectiveness telemetry: `(skipped, elided)` — DRAM
     /// cycles inside skipped spans (no per-cycle core stepping; the
-    /// controller ticked only where needed), and controller ticks
-    /// elided as proven no-ops, in stepped cycles or inside spans. Both
-    /// are zero with the fast path off.
+    /// controller ticked only where needed), and the controller ticks
+    /// among them elided as proven no-ops, so `elided <= skipped`. A
+    /// stepped cycle always ticks. Both are zero with the fast path off.
     pub fn fastpath_counters(&self) -> (u64, u64) {
         (self.fp_skipped, self.fp_elided)
     }
@@ -856,20 +847,12 @@ impl System {
         if !self.reconfig_queue.is_empty() || self.pending_reconfig.is_some() {
             self.process_reconfig(c);
         }
-        // 1. Controller tick into the reusable buffer (no allocation).
-        // On the fast path the call itself is elided while the
-        // controller's own `next_event` bound proves it a no-op and no
-        // enqueue has touched the controller since the bound was taken —
-        // this is what makes busy-but-gapped schedules (tRCD/tRP waits,
-        // refresh windows) cheap even while cores keep executing.
-        let ticked = !self.fastpath || c >= self.mc_next_tick;
-        self.fp_elided += !ticked as u64;
-        // 2. Deliver previously staged data whose time has come. Staged
+        // 1. Deliver previously staged data whose time has come. Staged
         // entries carry lower sequence numbers than anything produced
         // this tick, so draining them first preserves the historical
         // (finish, seq) delivery order. The tick never reads core or
         // delivery state, so draining before it is observationally
-        // identical and keeps the elided-tick path free of buffer work.
+        // identical.
         while let Some(Reverse(d)) = self.deliveries.peek().copied() {
             if d.finish > c {
                 break;
@@ -877,13 +860,13 @@ impl System {
             self.deliveries.pop();
             self.deliver(d.completion);
         }
-        // 3. The tick itself, settled like every other tick.
-        if ticked {
-            self.completion_buf.clear();
-            self.mc.tick_into(c, &mut self.completion_buf);
-            self.settle_tick(c);
-        }
-        // 4. CPU cycles. Cores provably stalled for the whole DRAM cycle
+        // 2. The controller tick into the reusable buffer (no
+        // allocation), settled like every other tick. A stepped cycle
+        // always ticks; only a skipped span elides ticks.
+        self.completion_buf.clear();
+        self.mc.tick_into(c, &mut self.completion_buf);
+        self.settle_tick(c);
+        // 3. CPU cycles. Cores provably stalled for the whole DRAM cycle
         // (full ROB, nothing delivered above, head not retirable before
         // the cycle ends) are bulk-charged, and cores whose compute
         // floor lies past it run it as a compute span: neither can
@@ -945,7 +928,7 @@ impl System {
                 self.cpu_cycle(cpu_now);
             }
         }
-        // 5. Wall-clock invariants, after the cores have submitted.
+        // 4. Wall-clock invariants, after the cores have submitted.
         self.monitor_cycle(c);
         self.dram_cycle += 1;
     }
@@ -953,11 +936,10 @@ impl System {
     /// Settles the controller tick at `c` (a `tick_into`, or the last
     /// tick of a `fast_forward` that stopped at `c + 1`; its completions
     /// wait in `completion_buf`) for both [`System::step`] and
-    /// [`System::run_span`]: a quiet tick pays for a
-    /// [`MemoryController::next_event`] rescan while `elide_armed` (a
-    /// scan that finds no gap disarms it, an issuing tick re-arms it, so
-    /// a dense burst costs one failed scan per issue, not per quiet
-    /// tick); completions due by `c` are delivered and the rest staged in
+    /// [`System::run_span`]: on the fast path a quiet tick rescans
+    /// [`MemoryController::next_event`] into `mc_next_tick` (an issuing
+    /// tick leaves the bound at or before `c`, so the next tick runs);
+    /// completions due by `c` are delivered and the rest staged in
     /// `(finish, seq)` order; the command tap drains. Returns the first
     /// cycle a core may observe the tick: `c + 1` after a delivery, else
     /// the earliest staged finish, else `u64::MAX`.
@@ -967,12 +949,7 @@ impl System {
     #[inline(always)]
     fn settle_tick(&mut self, c: u64) -> u64 {
         if self.fastpath && self.mc.device().last_issue_at() != Some(c) {
-            if self.elide_armed {
-                self.mc_next_tick = self.mc.next_event(c);
-                self.elide_armed = self.mc_next_tick > c + 1;
-            }
-        } else {
-            self.elide_armed = true;
+            self.mc_next_tick = self.mc.next_event(c);
         }
         let mut observable = u64::MAX;
         let mut buf = std::mem::take(&mut self.completion_buf);
@@ -1128,15 +1105,16 @@ impl System {
     /// Controller-only execution of a span that no core touches: runs
     /// exactly the ticks per-cycle stepping would, without the per-step
     /// core-classification and delivery machinery, then carries the
-    /// cores across the span once. Each iteration first elides the
-    /// proven no-op ticks before the cached `next_event` bound (a span
-    /// with a bound past `until` is one jump and no tick); otherwise it
-    /// ticks and settles the tick ([`System::settle_tick`]), whose
-    /// rescan may open the next elision. Stops at `until`, or earlier
-    /// at the first cycle a produced completion could be observed.
-    /// Observationally identical to stepping: the same ticks run at the
-    /// same cycles, completions are staged with the same sequence
-    /// numbers, and the command tap drains after every real tick.
+    /// cores across the span once. This is the only place ticks are
+    /// elided: each iteration first jumps over the proven no-op ticks
+    /// before the cached `next_event` bound (a span with a bound past
+    /// `until` is one jump and no tick); otherwise it ticks and settles
+    /// the tick ([`System::settle_tick`]), whose rescan may open the
+    /// next jump. Stops at `until`, or earlier at the first cycle a
+    /// produced completion could be observed. Observationally identical
+    /// to stepping: the same ticks run at the same cycles, completions
+    /// are staged with the same sequence numbers, and the command tap
+    /// drains after every real tick.
     ///
     /// When no consumer of the command tap is armed (command log,
     /// monitor, tracing, metrics), a tick is first offered to the
@@ -1164,9 +1142,7 @@ impl System {
             if r == until && buf.is_empty() {
                 // Clean hop to the span end: every tick in the span ran
                 // (or was provably a no-op) without completing anything.
-                // Re-arm the elision scan and finish.
                 c = until;
-                self.elide_armed = true;
                 break;
             }
             if r > c {

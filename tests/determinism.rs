@@ -12,8 +12,9 @@ use fsmc::cpu::trace::{MemOp, TraceOp, TraceSource, VecTrace};
 use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
 use fsmc::leak::{default_secret, Protocol};
+use fsmc::security::covert_system;
 use fsmc::sim::{Engine, ExperimentJob, FaultPlan, System, SystemConfig};
-use fsmc::workload::{BenchProfile, IdleTrace, ProbeTrace, SyntheticTrace, WorkloadMix};
+use fsmc::workload::{BenchProfile, IdleTrace, SyntheticTrace, WorkloadMix};
 
 fn fingerprint(kind: K, seed: u64) -> (Vec<f64>, u64, u64) {
     let cfg = SystemConfig::paper_default(kind);
@@ -72,6 +73,14 @@ fn run_both_ways(kind: K, seed: u64, cycles: u64, fast: bool) -> (String, Vec<Ti
     run_both_ways_on(DeviceGeneration::Ddr3_1600, kind, seed, cycles, fast)
 }
 
+/// Only a skipped span elides controller ticks (a stepped cycle always
+/// ticks), so a fast-path run never elides more ticks than it skips
+/// cycles.
+fn assert_elided_within_spans(sys: &System, what: &str) {
+    let (skipped, elided) = sys.fastpath_counters();
+    assert!(elided <= skipped, "{what}: {elided} ticks elided but only {skipped} cycles skipped");
+}
+
 fn run_both_ways_on(
     device: DeviceGeneration,
     kind: K,
@@ -88,6 +97,7 @@ fn run_both_ways_on(
         sys.disable_fastpath();
     }
     let stats = sys.try_run_cycles(cycles).expect("clean run");
+    assert_elided_within_spans(&sys, &format!("{device} {kind} seed {seed}"));
     (format!("{stats:?}"), sys.take_command_log())
 }
 
@@ -177,6 +187,7 @@ fn fast_path_preserves_execution_profiles_and_read_runs() {
                     slow.dram_cycle(),
                     "{device} {kind}: end cycles diverge"
                 );
+                assert_elided_within_spans(&fast, &format!("{device} {kind}"));
             }
         }
     }
@@ -202,6 +213,7 @@ fn fast_path_preserves_execution_profiles_across_churn() {
         assert_eq!(pf, ps, "{kind}: profiles diverge");
         assert!(fast.dram_cycle() > 5_000, "{kind}: the run must span the rejoin");
         assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{kind}: stats");
+        assert_elided_within_spans(&fast, &format!("{kind}"));
         let counts = fast.core_counters();
         assert!(counts.computed > 0, "{kind}: no compute span taken: {counts:?}");
         assert!(counts.stalled > 0, "{kind}: nothing bulk-charged as stalled: {counts:?}");
@@ -251,6 +263,7 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
         let (sf, ss) = (fast.try_run_cycles(6_000), slow.try_run_cycles(6_000));
         assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{spec}: stats diverge");
         assert_eq!(fast.take_observations(), slow.take_observations(), "{spec}: observations");
+        assert_elided_within_spans(&fast, spec);
         let counts = fast.core_counters();
         assert!(counts.computed > 0, "{spec}: no core carried as computing: {counts:?}");
     }
@@ -266,11 +279,8 @@ fn leak_windows_match(spec: &str) -> System {
         let mut cfg = SystemConfig::paper_default(K::FsRankPartitioned);
         plan.configure(&mut cfg);
         let (sender, _) = Protocol::Intensity.build(&default_secret());
-        let mut traces: Vec<Box<dyn TraceSource>> = vec![Box::new(ProbeTrace::new(20)), sender];
-        traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
-        let mut sys = System::new(&cfg, traces);
+        let mut sys = covert_system(&cfg, sender).expect("a feasible configuration");
         plan.arm(&mut sys);
-        sys.observe(0);
         sys
     };
     let (mut fast, mut slow) = (build(), build());
@@ -290,6 +300,7 @@ fn leak_windows_match(spec: &str) -> System {
         }
     }
     assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{spec}: stats");
+    assert_elided_within_spans(&fast, spec);
     fast
 }
 
@@ -353,6 +364,7 @@ fn parked_cores_ride_skipped_spans_bit_identically() {
             let (sf, ss) = (fast.run_cycles(20_000), slow.run_cycles(20_000));
             assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{device} {kind}: stats diverge");
             assert!(fast.fastpath_counters().0 > 0, "{device} {kind}: no span was skipped");
+            assert_elided_within_spans(&fast, &format!("{device} {kind}"));
             let counts = fast.core_counters();
             let idle = 6 * cfg.timing.cpu_ratio as u64 * 20_000;
             assert!(counts.computed >= idle * 99 / 100, "{device} {kind}: idle cores {counts:?}");
@@ -365,6 +377,7 @@ fn parked_cores_ride_skipped_spans_bit_identically() {
                 format!("{:?}", slow.stats()),
                 "{device} {kind}"
             );
+            assert_elided_within_spans(&fast, &format!("{device} {kind} profile"));
         }
     }
 }
@@ -388,6 +401,7 @@ fn refused_cores_wake_on_prefetch_fills() {
         let (sf, ss) = (fast.run_cycles(20_000), slow.run_cycles(20_000));
         let name = profile.name;
         assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{device} {name}: stats diverge");
+        assert_elided_within_spans(&fast, &format!("{device} {name}"));
         let counts = fast.core_counters();
         assert!(counts.rejected > 0, "{device} {name}: no refusal was carried: {counts:?}");
     }
@@ -414,6 +428,7 @@ fn profile_of_a_refused_core_matches_per_cycle_stepping() {
         let (pf, ps) = (fast.run_profile(0, 20, 24), slow.run_profile(0, 20, 24));
         assert_eq!(pf, ps, "{kind}: profiles diverge");
         assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{kind}: stats");
+        assert_elided_within_spans(&fast, &format!("{kind}"));
         let counts = fast.core_counters();
         assert!(counts.rejected > 0, "{kind}: the writer was never carried: {counts:?}");
     }
@@ -457,6 +472,7 @@ fn fs_fast_forward_is_bit_identical_across_refresh_windows() {
         let ss = slow.run_cycles(30_000);
         assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: stats diverge");
         assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+        assert_elided_within_spans(&fast, &format!("{kind}"));
     }
 }
 
@@ -481,5 +497,6 @@ fn fs_fast_forward_is_bit_identical_across_reconfig_epochs() {
         let ss = slow.try_run_cycles(20_000).expect("clean slow run");
         assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: stats diverge");
         assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+        assert_elided_within_spans(&fast, &format!("{kind}"));
     }
 }
