@@ -105,11 +105,13 @@ fn bench_soa_device(c: &mut Criterion) {
             [open, open, open, closed]
         })
         .collect();
+    let mut floors = vec![[0; 4]; masks.len()];
     c.bench_function("soa/next_event_bound", |b| {
         b.iter(|| {
-            black_box(dev.next_event_bound(black_box(now), |r| {
-                dev.rank_event_floors(r, masks[r.0 as usize])
-            }))
+            for (r, (f, m)) in floors.iter_mut().zip(&masks).enumerate() {
+                *f = dev.rank_event_floors(RankId(r as u8), *m);
+            }
+            black_box(dev.next_event_bound(black_box(now), &floors))
         })
     });
     let target = RankId(1);

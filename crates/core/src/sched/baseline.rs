@@ -14,6 +14,7 @@ use crate::refresh::RefreshManager;
 use crate::sched::{Completion, McStats, MemoryController, SchedulerKind};
 use crate::txn::{Transaction, TxnId, TxnKind};
 use fsmc_dram::command::{Command, CommandKind};
+use fsmc_dram::device::IssueOutcome;
 use fsmc_dram::geometry::{Geometry, LineAddr, RankId};
 use fsmc_dram::{Cycle, DramDevice, TimingParams, NO_ROW};
 
@@ -31,7 +32,7 @@ struct Pending {
     issued_act: bool,
 }
 
-/// The command the issue passes chose: entry `i` of queue `d` and the
+/// The command the issue passes issued: entry `i` of queue `d` and the
 /// next command of its transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pick {
@@ -127,6 +128,17 @@ impl Candidates {
             m &= m - 1;
         }
         out
+    }
+
+    /// Writes the event floors ([`DramDevice::rank_event_floors`]) of
+    /// every dirty rank `r` into `floors[r]`.
+    fn eval_dirty(&self, device: &DramDevice, floors: &mut [[Cycle; 4]]) {
+        let mut m = self.dirty;
+        while m != 0 {
+            let r = RankId(m.trailing_zeros() as u8);
+            m &= m - 1;
+            floors[r.0 as usize] = device.rank_event_floors(r, self.rank_classes(r));
+        }
     }
 
     /// Marks the rank of global bank `g` dirty.
@@ -238,7 +250,8 @@ pub struct BaselineScheduler {
     cand: Candidates,
     /// Per-rank event floors of the candidate classes
     /// ([`DramDevice::rank_event_floors`]), one entry per rank, exact for
-    /// every rank not in `cand.dirty`.
+    /// every rank not in `cand.dirty`. Every tick leaves all of them
+    /// exact; only an enqueue between ticks dirties a rank.
     events: Vec<[Cycle; 4]>,
     drain_hi: usize,
     drain_lo: usize,
@@ -250,9 +263,9 @@ pub struct BaselineScheduler {
     /// Cached provable-no-op bound: every tick at a cycle strictly below
     /// this issues nothing and mutates nothing. Taken from `next_event`
     /// at the end of every full tick, issuing or not; cleared (0) by an
-    /// enqueue and by a refresh or quiesce tick. Queue contents and row
-    /// state are constant while it holds, so both `tick_into` and
-    /// `next_event` answer in O(1).
+    /// enqueue and by a tick that refresh ends before the issue passes.
+    /// Queue contents and row state are constant while it holds, so both
+    /// `tick_into` and `next_event` answer in O(1).
     idle_until: Cycle,
 }
 
@@ -341,13 +354,11 @@ impl BaselineScheduler {
         }
         for r in 0..self.device.geometry().ranks_per_channel() {
             let banks = self.cand.rank_mask(RankId(r));
-            if self.cand.open & banks != 0 {
-                let pre = Command::precharge_all(RankId(r));
-                if self.device.can_issue(&pre, now).is_ok() {
-                    self.device.issue(&pre, now).expect("validated precharge-all");
-                    self.cand.close(banks);
-                    return;
-                }
+            if self.cand.open & banks != 0
+                && self.device.issue(&Command::precharge_all(RankId(r)), now).is_ok()
+            {
+                self.cand.close(banks);
+                return;
             }
         }
     }
@@ -365,33 +376,23 @@ impl BaselineScheduler {
         }
     }
 
-    /// Rank `r`'s event floors, evaluated from scratch.
-    fn rank_events(&self, r: RankId) -> [Cycle; 4] {
-        self.device.rank_event_floors(r, self.cand.rank_classes(r))
-    }
-
     /// Re-evaluates the cached floors of the dirty ranks.
     fn settle_floors(&mut self) {
-        let mut m = self.cand.dirty;
-        while m != 0 {
-            let r = RankId(m.trailing_zeros() as u8);
-            m &= m - 1;
-            self.events[r.0 as usize] = self.rank_events(r);
-        }
+        self.cand.eval_dirty(&self.device, &mut self.events);
         self.cand.dirty = 0;
     }
 
     /// The FR-FCFS candidates' [`DramDevice::next_event_bound`] from
-    /// `from`: cached floors for clean ranks, fresh ones for dirty ranks.
+    /// `from`, read straight from the cached floors, which every tick
+    /// leaves settled. Only an enqueue since the last tick leaves dirty
+    /// ranks; their floors are evaluated into a scratch copy.
     fn candidate_bound(&self, from: Cycle) -> Cycle {
-        let dirty = self.cand.dirty;
-        self.device.next_event_bound(from, |r| {
-            if dirty >> r.0 & 1 != 0 {
-                self.rank_events(r)
-            } else {
-                self.events[r.0 as usize]
-            }
-        })
+        if self.cand.dirty == 0 {
+            return self.device.next_event_bound(from, &self.events);
+        }
+        let mut floors = self.events.clone();
+        self.cand.eval_dirty(&self.device, &mut floors);
+        self.device.next_event_bound(from, &floors)
     }
 
     /// [`MemoryController::next_event`] evaluated from the current state,
@@ -437,16 +438,18 @@ impl BaselineScheduler {
         next.max(now + 1)
     }
 
-    /// The FR-FCFS pick at `now`: the first of queue `drain` (`is_write`),
-    /// else of the other queue, as [`BaselineScheduler::pick`] finds it.
-    fn choose(&self, drain: bool, now: Cycle) -> Option<Pick> {
+    /// Issues the FR-FCFS pick at `now`: the first of queue `drain`
+    /// (`is_write`), else of the other queue, as
+    /// [`BaselineScheduler::pick`] finds it.
+    fn choose(&mut self, drain: bool, now: Cycle) -> Option<(Pick, IssueOutcome)> {
         self.pick(drain as usize, now).or_else(|| self.pick(!drain as usize, now))
     }
 
-    /// The oldest entry of queue `d` (`is_write`) whose next command
-    /// passes `can_issue` at `now`: a row hit's CAS first, else an ACT
-    /// on a closed bank or a PRE on a conflicting row. Never precharges
-    /// a row some pending transaction still hits (the FR-FCFS guard).
+    /// Issues the next command of the oldest entry of queue `d`
+    /// (`is_write`) that the device accepts at `now`: a row hit's CAS
+    /// first, else an ACT on a closed bank or a PRE on a conflicting row.
+    /// Never precharges a row some pending transaction still hits (the
+    /// FR-FCFS guard).
     ///
     /// The passes select ranks before they touch an entry. A rank whose
     /// cached event floor for the command class lies past `now` has no
@@ -455,10 +458,12 @@ impl BaselineScheduler {
     /// ([`DramDevice::data_bus_ranks`], one pass over the scheduled
     /// transfers). Only the entries of the remaining ranks are walked,
     /// oldest first; each is rejected by its bank's ready cycle
-    /// (`BankArrays`) with one compare, else validated in full. Every
-    /// entry skipped would fail `can_issue`, so the pick is the one a
-    /// walk of every entry in age order makes.
-    fn pick(&self, d: usize, now: Cycle) -> Option<Pick> {
+    /// (`BankArrays`) with one compare, else offered to
+    /// [`DramDevice::issue`], which validates it in full and leaves the
+    /// device unchanged when it refuses. Every entry skipped would fail
+    /// `can_issue`, so the pick is the one a walk of every entry in age
+    /// order makes, and the command it issues is validated once.
+    fn pick(&mut self, d: usize, now: Cycle) -> Option<(Pick, IssueOutcome)> {
         let (mut cas_ranks, mut row_ranks) = (0u128, 0u128);
         for (r, e) in self.events.iter().enumerate() {
             cas_ranks |= ((e[d] <= now) as u128) << r;
@@ -482,8 +487,8 @@ impl BaselineScheduler {
             } else {
                 Command::read(l.rank, l.bank, l.row, l.col)
             };
-            if self.device.can_issue(&cmd, now).is_ok() {
-                return Some(Pick { d, i, cmd });
+            if let Ok(out) = self.device.issue(&cmd, now) {
+                return Some((Pick { d, i, cmd }, out));
             }
         }
 
@@ -512,17 +517,17 @@ impl BaselineScheduler {
                 }
                 Command::precharge(l.rank, l.bank)
             };
-            if self.device.can_issue(&cmd, now).is_ok() {
-                return Some(Pick { d, i, cmd });
+            if let Ok(out) = self.device.issue(&cmd, now) {
+                return Some((Pick { d, i, cmd }, out));
             }
         }
         None
     }
 
-    /// Issues a validated pick and updates the candidate state; returns
-    /// the completion when a CAS retired its transaction.
-    fn issue_pick(&mut self, Pick { d, i, cmd }: Pick, now: Cycle) -> Option<Completion> {
-        let out = self.device.issue(&cmd, now).expect("validated pick");
+    /// Updates the candidate state for a pick the device issued with
+    /// outcome `out`; returns the completion when a CAS retired its
+    /// transaction.
+    fn apply_pick(&mut self, Pick { d, i, cmd }: Pick, out: IssueOutcome) -> Option<Completion> {
         let g = self.cand.queues[d][i].gbi as usize;
         match cmd.kind {
             CommandKind::Activate => {
@@ -554,57 +559,55 @@ impl BaselineScheduler {
         }
     }
 
-    /// One controller tick, with `choose` deciding the transaction
-    /// command from the drain mode once refresh lets transactions issue.
-    fn tick_with(
-        &mut self,
-        now: Cycle,
-        out: &mut Vec<Completion>,
-        choose: impl Fn(&Self, bool, Cycle) -> Option<Pick>,
-    ) {
+    /// The part of a tick before the issue passes. Returns the queue the
+    /// passes try first (`true` = writes), or `None` when the tick ends
+    /// here: the cached no-op bound holds, or refresh owns the cycle.
+    /// Either way the cached floors are left settled.
+    fn begin_tick(&mut self, now: Cycle) -> Option<bool> {
         // Provably-idle tick: the cached bound was a full `next_event`
         // of this exact state (every mutation since would have cleared
         // it), and that bound folded in the refresh command cycles, the
         // quiesce onset, and every FR-FCFS candidate — so nothing below
-        // could fire either.
+        // could fire either. The tick that cached it settled every rank.
         if now < self.idle_until {
-            return;
+            return None;
         }
-        // Refresh window handling (identical across policies).
+        // Refresh window handling (identical across policies). During
+        // the quiesce, CAS to already-open rows could run past the
+        // window; everything except its precharges stops.
         if let Some(cmd) = self.refresh.command_at(now) {
             self.device.issue(&cmd, now).expect("refresh must be legal after quiesce");
             self.cand.dirty |= 1 << cmd.rank.0;
-            self.idle_until = 0;
-            return;
-        }
-        if self.refresh.in_window(now) {
-            return;
-        }
-        if !self.refresh.allows_transaction(now) {
+        } else if self.refresh.allows_transaction(now) {
+            self.pump_prefetches(now);
+            self.draining = self.drain_mode();
+            return Some(self.draining || self.cand.queues[0].is_empty());
+        } else if !self.refresh.in_window(now) {
             self.quiesce_precharge(now);
-            // CAS to already-open rows could run past the window; stop
-            // everything except the precharges above. The quiesce may
-            // have touched the device, so drop any cached bound.
-            self.idle_until = 0;
-            return;
         }
-
-        self.pump_prefetches(now);
-
-        self.draining = self.drain_mode();
-        let drain = self.draining || self.cand.queues[0].is_empty();
-
+        // The refresh work may have touched the device, so drop any
+        // cached bound.
         self.settle_floors();
-        // One command per tick: the drain queue first, then
-        // opportunistically the other one.
-        if let Some(pick) = choose(self, drain, now) {
-            out.extend(self.issue_pick(pick, now));
-        }
+        self.idle_until = 0;
+        None
+    }
+
+    /// The issue passes and what follows them: at most one command, the
+    /// drain queue first, then opportunistically the other one; then the
+    /// floors settled and the no-op bound cached. Returns the command
+    /// issued.
+    fn issue_tick(&mut self, drain: bool, now: Cycle, out: &mut Vec<Completion>) -> Option<Pick> {
+        self.settle_floors();
+        let pick = self.choose(drain, now).map(|(pick, outcome)| {
+            out.extend(self.apply_pick(pick, outcome));
+            pick
+        });
         // The state this tick left stays exactly as-is until the bound
         // (or an enqueue clears it), so the ticks before it need not
         // repeat the passes — after an issue as after a quiet tick.
         self.settle_floors();
         self.idle_until = self.scan_next_event(now);
+        pick
     }
 }
 
@@ -632,7 +635,9 @@ impl MemoryController for BaselineScheduler {
     }
 
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
-        self.tick_with(now, out, Self::choose);
+        if let Some(drain) = self.begin_tick(now) {
+            self.issue_tick(drain, now, out);
+        }
     }
 
     fn next_event(&self, now: Cycle) -> Cycle {
@@ -712,6 +717,11 @@ pub fn map_local(geom: &Geometry, domain: DomainId, local: LineAddr) -> fsmc_dra
 
 #[cfg(test)]
 impl BaselineScheduler {
+    /// Rank `r`'s event floors, evaluated from scratch.
+    fn rank_events(&self, r: RankId) -> [Cycle; 4] {
+        self.device.rank_event_floors(r, self.cand.rank_classes(r))
+    }
+
     /// Rebuilds, from the device's row buffers and the queues, every
     /// piece of candidate state the scheduler keeps incrementally, and
     /// asserts it equals what the scheduler holds.
@@ -762,13 +772,14 @@ impl BaselineScheduler {
         assert_eq!(c.hit_banks, hit_banks, "hit-bank masks");
 
         // The cached floors are exact for every clean rank, and the
-        // bound the event floors give equals a full evaluation that
-        // completes every class floor of every rank on the channel,
-        // skipping none.
+        // bound the event floors give, cached or fresh, equals a full
+        // evaluation that completes every class floor of every rank on
+        // the channel, skipping none.
         let ranks = (0..geom.ranks_per_channel()).map(RankId);
         for r in ranks.clone().filter(|r| c.dirty >> r.0 & 1 == 0) {
             assert_eq!(self.events[r.0 as usize], self.rank_events(r), "rank {} event floors", r.0);
         }
+        let fresh: Vec<_> = ranks.clone().map(|r| self.rank_events(r)).collect();
         let (b, row, col) = (BankId(0), RowId(0), ColId(0));
         let last = self.device.last_issue_at().unwrap_or(0);
         for from in [last, last + 1, last + 5, last + 40] {
@@ -785,6 +796,7 @@ impl BaselineScheduler {
                 }
             }
             assert_eq!(self.candidate_bound(from), full, "candidate bound from {from}");
+            assert_eq!(self.device.next_event_bound(from, &fresh), full, "fresh bound from {from}");
         }
     }
 
@@ -830,14 +842,16 @@ impl BaselineScheduler {
     }
 
     /// Ticks at `now`, asserting that a tick that runs the issue passes
-    /// picks what [`BaselineScheduler::oracle`] picks.
+    /// issues what [`BaselineScheduler::oracle`] picks from the state
+    /// before the passes, and that every tick leaves the floors settled.
     fn tick_checked(&mut self, now: Cycle) -> Vec<Completion> {
         let mut out = Vec::new();
-        self.tick_with(now, &mut out, |mc, drain, now| {
-            let pick = mc.choose(drain, now);
-            assert_eq!(pick, mc.oracle(drain, now), "FR-FCFS pick at {now}");
-            pick
-        });
+        if let Some(drain) = self.begin_tick(now) {
+            let expected = self.oracle(drain, now);
+            let issued = self.issue_tick(drain, now, &mut out);
+            assert_eq!(issued, expected, "FR-FCFS pick at {now}");
+        }
+        assert_eq!(self.cand.dirty, 0, "dirty ranks after the tick at {now}");
         out
     }
 
@@ -1103,6 +1117,35 @@ mod tests {
         // The shortcut fires after every command; a tick that runs its
         // passes every cycle must see nothing the shortcut skipped.
         sustained_load_agrees(&[Drive::Dense]);
+    }
+
+    #[test]
+    fn next_event_after_an_enqueue_equals_the_settled_bound() {
+        // Every tick leaves the floors settled; an enqueue between ticks
+        // dirties its rank, and `next_event` then evaluates the dirty
+        // ranks into scratch. From the same state, the floors a tick
+        // settles must give the same bound.
+        for generation in DeviceGeneration::all() {
+            let arrivals = sustained_arrivals(&generation.profile().geometry);
+            let mut mc = mk_on(generation, false);
+            let (mut ai, mut checked) = (0, 0);
+            for c in 0..14_000u64 {
+                while ai < arrivals.len() && arrivals[ai].0 <= c {
+                    if mc.can_accept(arrivals[ai].1.domain) {
+                        mc.enqueue(arrivals[ai].1).unwrap();
+                    }
+                    ai += 1;
+                }
+                if mc.cand.dirty != 0 {
+                    let cold = mc.next_event(c);
+                    mc.settle_floors();
+                    assert_eq!(cold, mc.scan_next_event(c), "{generation} at {c}");
+                    checked += 1;
+                }
+                mc.tick_checked(c);
+            }
+            assert!(checked > 100, "{generation}: {checked} enqueues checked");
+        }
     }
 
     /// Arrivals whose reference run holds a pending drain flip at a

@@ -224,7 +224,9 @@ impl DramDevice {
     /// # Errors
     ///
     /// Returns the first [`Violation`] if the command is illegal; the
-    /// device state is unchanged in that case.
+    /// device state is unchanged in that case, so a scheduler may walk
+    /// its candidates calling `issue` and stop at the first `Ok`, paying
+    /// one validation per command it issues.
     pub fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, Violation> {
         self.can_issue(cmd, cycle)?;
         Ok(self.apply(cmd, cycle, false))
@@ -380,10 +382,11 @@ impl DramDevice {
 
     /// Candidate bound for event-driven schedulers: a lower bound on the
     /// first cycle `>= from` at which any command in the candidate
-    /// classes whose per-rank floors `floors` returns
-    /// ([`DramDevice::rank_event_floors`], possibly cached) could pass
-    /// [`DramDevice::can_issue`], assuming no further commands issue in
-    /// the meantime. Equivalent to taking the minimum of
+    /// classes whose per-rank floors `floors` holds (`floors[r]` is rank
+    /// `r`'s [`DramDevice::rank_event_floors`], possibly cached; one entry
+    /// per rank of the channel) could pass [`DramDevice::can_issue`],
+    /// assuming no further commands issue in the meantime. Equivalent to
+    /// taking the minimum of
     /// [`DramDevice::next_legal_at`] over one representative command per
     /// candidate bank: within a class the bank-level term is the only
     /// one that varies, and the channel completion is one shared
@@ -394,23 +397,22 @@ impl DramDevice {
     /// pays for its data-bus scan only while it lies below the best
     /// bound so far, and the scan returns `from` as soon as some term
     /// reaches it.
-    pub fn next_event_bound(&self, from: Cycle, floors: impl Fn(RankId) -> [Cycle; 4]) -> Cycle {
+    pub fn next_event_bound(&self, from: Cycle, floors: &[[Cycle; 4]]) -> Cycle {
+        debug_assert_eq!(floors.len(), self.geom.ranks_per_channel() as usize);
         let bump = |at: Cycle| if self.last_issue == Some(at) { at + 1 } else { at };
-        let ranks = (0..self.geom.ranks_per_channel()).map(RankId);
         let mut next = Cycle::MAX;
-        for r in ranks.clone() {
-            let f = floors(r);
+        for f in floors {
             next = next.min(bump(f[2].max(from))).min(bump(f[3].max(from)));
             if next <= from {
                 return from;
             }
         }
-        for r in ranks {
-            let f = floors(r);
+        for (r, f) in floors.iter().enumerate() {
             for (d, is_read) in [(0, true), (1, false)] {
                 let at = f[d].max(from);
                 if at < next {
-                    let slot = self.channel.next_data_slot_for(is_read, r, at, &self.t);
+                    let slot =
+                        self.channel.next_data_slot_for(is_read, RankId(r as u8), at, &self.t);
                     next = next.min(bump(slot));
                 }
             }

@@ -194,7 +194,8 @@ impl Geometry {
     /// The bank group `bank` belongs to: `bank % bank_groups`, so
     /// consecutive bank ids land in different groups.
     pub fn bank_group_of(&self, bank: BankId) -> u8 {
-        bank.0 % self.bank_groups
+        // The group count is a power of two, so the remainder is a mask.
+        bank.0 & (self.bank_groups - 1)
     }
     pub fn rows_per_bank(&self) -> u32 {
         self.rows_per_bank

@@ -57,8 +57,10 @@ impl RankState {
 
     /// A fresh rank with `banks` closed banks split across `bank_groups`
     /// bank groups (bank `b` belongs to group `b % bank_groups`).
+    /// `bank_groups` must be a power of two in `1..=banks`.
     pub fn with_bank_groups(banks: u8, bank_groups: u8) -> Self {
         assert!(bank_groups >= 1 && bank_groups <= banks, "bank_groups must be in 1..=banks");
+        assert!(bank_groups.is_power_of_two(), "bank_groups must be a power of two");
         RankState {
             banks: BankArrays::new(banks as usize),
             act_window: [0; 4],
@@ -76,9 +78,10 @@ impl RankState {
         }
     }
 
-    /// The bank group of `bank` in this rank.
+    /// The bank group of `bank` in this rank: `bank % bank_groups`, as a
+    /// mask because the group count is a power of two.
     fn group_of(&self, bank: usize) -> usize {
-        bank % self.bank_groups as usize
+        bank & (self.bank_groups as usize - 1)
     }
 
     /// The tCCD_L floor a CAS of the given direction to `bank` owes its
@@ -408,6 +411,13 @@ mod tests {
         // next_legal_at agrees with can_issue on both banks.
         assert_eq!(r.next_legal_at(&rd_same, &timing), 50 + timing.t_ccd_l as Cycle);
         assert_eq!(r.next_legal_at(&rd_other, &timing), 50 + timing.t_ccd as Cycle);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn bank_groups_must_be_a_power_of_two() {
+        // The group lookup masks the bank id; three groups would alias.
+        RankState::with_bank_groups(16, 3);
     }
 
     #[test]
