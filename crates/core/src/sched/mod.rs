@@ -614,6 +614,13 @@ pub trait MemoryController {
 
     /// Arms deterministic command-stream fault injection. Controllers
     /// without fault support ignore the spec (the default).
+    ///
+    /// Bound contract: the simulator keeps every fast-path tier on after
+    /// this call, so an implementation must keep
+    /// [`MemoryController::next_event`] a sound lower bound and
+    /// [`MemoryController::fast_forward`] stopping right after a
+    /// poisoning tick with faults armed (FS schedules delayed commands as
+    /// ordinary events and drops dropped ones before they become events).
     fn inject_command_faults(&mut self, _spec: CmdFaultSpec) {}
 
     /// Replaces the device's timing parameters while the *schedule* keeps
@@ -621,6 +628,12 @@ pub trait MemoryController {
     /// to model silicon that is slower than the controller believes
     /// (e.g. a stretched tRFC). No-op by default; must be called before
     /// the first tick. Controllers without fault support ignore it.
+    ///
+    /// Bound contract, as for
+    /// [`MemoryController::inject_command_faults`]: `next_event` and
+    /// `fast_forward` must stay sound on the slower device (FS acts only
+    /// at its precomputed slot, event and refresh cycles, and a command
+    /// the device refuses there surfaces as a violation at that tick).
     fn set_device_timing(&mut self, _t: TimingParams) {}
 
     /// The fixed issue cadence this controller has committed to, for

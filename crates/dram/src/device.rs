@@ -347,7 +347,9 @@ impl DramDevice {
             best
         }
         let mut out = [Cycle::MAX; 4];
-        if masks == [0; 4] {
+        // One OR, not an array compare: `masks == [0; 4]` compiles to a
+        // `bcmp` call on this hot path.
+        if masks[0] | masks[1] | masks[2] | masks[3] == 0 {
             return out;
         }
         let rank = &self.ranks[rank.0 as usize];

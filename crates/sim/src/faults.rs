@@ -187,29 +187,22 @@ impl FaultPlan {
     /// reconfiguration events, arms the command-fault injector and slows
     /// the device.
     ///
-    /// Each fault switches off only the fast-path tiers it breaks.
-    /// Delayed or dropped commands and stretched refresh violate the
-    /// controller's `next_event` contract; they reach the controller
-    /// through [`System::controller_mut`], which turns off the
-    /// controller-side tiers (skipped spans and their tick elision, FS
-    /// fast-forward), so the controller ticks every cycle. The core-side
-    /// tiers (carrying stalled and computing cores in bulk, parking them)
-    /// read only core state and stay on.
-    /// The shared arbiter and timing perturbations act on the
-    /// configuration before the build, corrupted traces fail at
-    /// construction, and reconfiguration runs inside `System::step` with
-    /// skips clamped at its promotion and adoption cycles: plans made of
-    /// these keep the whole fast path.
+    /// No fault switches off a fast-path tier. Delayed or dropped
+    /// commands and stretched refresh reach the controller through
+    /// [`System::arm_faults`]: the controller's `next_event` bound stays
+    /// sound under them, and a health-checked run's skipped spans stop
+    /// right after a tick that poisons the controller or latches a
+    /// monitor breach, so errors surface at the per-cycle cycle. The
+    /// shared arbiter and timing perturbations act on the configuration
+    /// before the build, corrupted traces fail at construction, and
+    /// reconfiguration runs inside `System::step` with skips clamped at
+    /// its promotion and adoption cycles.
     pub fn arm(&self, sys: &mut System) {
         for (at, ev) in self.reconfig_events() {
             sys.schedule_reconfig(at, ev);
         }
-        if let Some(spec) = self.cmd_fault_spec() {
-            sys.controller_mut().inject_command_faults(spec);
-        }
-        if let Some(t) = self.device_timing(&sys.config().timing) {
-            sys.controller_mut().set_device_timing(t);
-        }
+        let device_timing = self.device_timing(&sys.config().timing);
+        sys.arm_faults(self.cmd_fault_spec(), device_timing);
     }
 
     /// Applies every [`FaultKind::PerturbTiming`] to `t` (the configured

@@ -168,6 +168,11 @@ impl InvariantMonitor {
         }
     }
 
+    /// Whether a breach is latched, without clearing it.
+    pub fn has_breach(&self) -> bool {
+        self.breach.is_some()
+    }
+
     /// The latched first breach, if any, clearing it.
     pub fn take_breach(&mut self) -> Option<(Cycle, MonitorFinding)> {
         self.breach.take()

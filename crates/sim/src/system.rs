@@ -11,14 +11,15 @@ use fsmc_core::sched::fs::FsScheduler;
 use fsmc_core::sched::sharded::ShardedController;
 use fsmc_core::sched::tp::TpScheduler;
 use fsmc_core::sched::{
-    Completion, MemoryController, ReconfigEvent, SchedEvent, SchedulerKind, SlotGrantKind,
+    CmdFaultSpec, Completion, MemoryController, ReconfigEvent, SchedEvent, SchedulerKind,
+    SlotGrantKind,
 };
 use fsmc_core::txn::{Transaction, TxnId, TxnKind};
 use fsmc_cpu::trace::TraceSource;
 use fsmc_cpu::{CoreIdle, MshrFile, MshrOutcome, OooCore, PrefetchBuffer, SubmitResult};
 use fsmc_dram::command::TimedCommand;
 use fsmc_dram::geometry::LineAddr;
-use fsmc_dram::{CommandKind, ObsCommand};
+use fsmc_dram::{CommandKind, ObsCommand, TimingParams};
 use fsmc_energy::{EnergyModel, PowerParams};
 use fsmc_obs::{
     CmdClass, LaneLayout, LanePartition, MetricsCollector, MetricsReport, SlotKind, TraceEvent,
@@ -83,7 +84,8 @@ pub struct CoreCounters {
     pub stalled: u64,
     /// Carried as refused re-offers to a full queue
     /// ([`OooCore::skip_rejected`]): inside [`System::step`] after the
-    /// cycle's tick, or inside skipped spans that end at the next tick.
+    /// cycle's tick, or inside skipped spans across every tick that
+    /// leaves the queue full.
     pub rejected: u64,
 }
 
@@ -117,8 +119,11 @@ enum Crossing {
     /// queue is full after the last tick: only a tick dequeues, so it
     /// stays full until the next real tick and every offer before it is
     /// refused with no effect outside the core. Never parked: it has no
-    /// wake cycle of its own, and the O(1) `can_accept` test once per
-    /// DRAM cycle is its wake-up.
+    /// wake cycle of its own. A stepped cycle tests `can_accept` once
+    /// after its tick; a skipped span carries the core across every
+    /// tick after which its queue is still full, and the first tick
+    /// after which the queue accepts ends the span with that cycle's
+    /// cores stepped.
     Rejected,
     /// May read its trace or submit: stepped cycle by cycle.
     Stepped,
@@ -210,17 +215,21 @@ pub struct System {
     was_degraded: bool,
     /// The controller-side fast-path tiers: skipped spans, the tick
     /// elision inside them and FS `fast_forward`, all of which trust the
-    /// controller's `next_event` bound. Cleared by
-    /// [`System::disable_fastpath`], by `FSMC_NO_FASTPATH=1`, and by any
-    /// [`System::controller_mut`] access (external mutation may
-    /// invalidate that bound). Never set without `carry_cores`.
+    /// controller's `next_event` bound. Cleared only by
+    /// [`System::disable_fastpath`] and `FSMC_NO_FASTPATH=1`: armed
+    /// faults keep it ([`System::arm_faults`]). Never set without
+    /// `carry_cores`.
     fastpath: bool,
     /// The core-side fast-path tiers: carrying a stalled or computing
-    /// core across a DRAM cycle in bulk, and parking it until it wakes,
-    /// with or without the controller-side tiers. They read only core
-    /// state, so a mutated controller keeps them; cleared by
+    /// core across a DRAM cycle in bulk, and parking it until it wakes.
+    /// They read only core state; cleared by
     /// [`System::disable_fastpath`] and `FSMC_NO_FASTPATH=1`.
     carry_cores: bool,
+    /// Whether [`System::arm_faults`] armed a command or device-timing
+    /// fault. A health-checked span then stops right after a tick that
+    /// poisons the controller or latches a monitor breach, and the run
+    /// loop checks health there.
+    faults_armed: bool,
     /// Reusable per-step completion buffer (hot path, no allocation).
     completion_buf: Vec<Completion>,
     /// Per-core scratch: is core `i` stepped through this DRAM cycle's
@@ -237,10 +246,14 @@ pub struct System {
     /// that frees the queue is its wake-up, and no core state predicts
     /// it.
     parked: Vec<Option<Parked>>,
+    /// The domains of the cores riding the current skipped span as
+    /// refused ([`Crossing::Rejected`]), filled by
+    /// [`System::skip_ahead`]. After every tick of the span their
+    /// queues are tested; the first that accepts ends it.
+    riders: Vec<DomainId>,
     /// Cached [`MemoryController::next_event`] bound, rescanned after
     /// every quiet tick on the fast path: ticks strictly before this
-    /// cycle are provable no-ops. A skipped span elides them and ends
-    /// no later than it when a refused core waits on the queue. Every
+    /// cycle are provable no-ops, and a skipped span elides them. Every
     /// `enqueue` lowers it by the policy's
     /// [`MemoryController::enqueue_event_hint`] for the new transaction
     /// (conservative default: re-tick next cycle).
@@ -432,9 +445,11 @@ impl System {
             was_degraded,
             fastpath: !crate::env::no_fastpath(),
             carry_cores: !crate::env::no_fastpath(),
+            faults_armed: false,
             completion_buf: Vec::new(),
             core_active: vec![true; cfg.cores as usize],
             parked: vec![None; cfg.cores as usize],
+            riders: Vec::new(),
             mc_next_tick: 0,
             fp_skipped: 0,
             fp_elided: 0,
@@ -486,20 +501,32 @@ impl System {
         self.mc.as_ref()
     }
 
-    /// Mutable controller access, e.g. to arm fault injection
-    /// ([`MemoryController::inject_command_faults`]) or model slow
-    /// silicon ([`MemoryController::set_device_timing`]) before a run.
+    /// Arms fault injection before a run: `commands` goes to the
+    /// controller's command-fault injector
+    /// ([`MemoryController::inject_command_faults`]) and `device_timing`
+    /// models silicon slower than the schedule
+    /// ([`MemoryController::set_device_timing`]).
     ///
-    /// Also disables the controller-side fast-path tiers (skipped spans
-    /// and their tick elision, FS fast-forward): an externally mutated
-    /// controller (delayed commands, stretched refresh, swapped device
-    /// timing) may no longer honour the [`MemoryController::next_event`]
-    /// lower-bound contract, so the controller ticks every cycle. The
-    /// core-side tiers stay: carrying a stalled or computing core across
-    /// a cycle, or parking it until it wakes, reads only core state.
-    pub fn controller_mut(&mut self) -> &mut dyn MemoryController {
-        self.fastpath = false;
-        self.mc.as_mut()
+    /// Every fast-path tier stays on: both hooks keep the controller's
+    /// [`MemoryController::next_event`] bound and `fast_forward` sound
+    /// (their contract). With a fault armed, a skipped span of a
+    /// health-checked run stops right after a tick that poisons the
+    /// controller or latches a monitor breach, and the run loop checks
+    /// health there, so every error ends the run at the cycle
+    /// per-cycle stepping ends it.
+    pub fn arm_faults(
+        &mut self,
+        commands: Option<CmdFaultSpec>,
+        device_timing: Option<TimingParams>,
+    ) {
+        if let Some(spec) = commands {
+            self.mc.inject_command_faults(spec);
+            self.faults_armed = true;
+        }
+        if let Some(t) = device_timing {
+            self.mc.set_device_timing(t);
+            self.faults_armed = true;
+        }
     }
 
     /// Forces per-cycle stepping for the rest of this system's life: the
@@ -512,7 +539,9 @@ impl System {
     }
 
     /// Whether event-driven time skipping (the controller-side tiers) is
-    /// still armed.
+    /// on: true unless [`System::disable_fastpath`] ran or
+    /// `FSMC_NO_FASTPATH=1` was set at construction. Armed faults do not
+    /// change it.
     pub fn fastpath_enabled(&self) -> bool {
         self.fastpath
     }
@@ -866,6 +895,15 @@ impl System {
         self.completion_buf.clear();
         self.mc.tick_into(c, &mut self.completion_buf);
         self.settle_tick(c);
+        self.step_cores(c, park);
+    }
+
+    /// Steps 3 and 4 of [`System::advance`] for cycle `c`, whose tick
+    /// has settled: the cores' CPU sub-cycles, then the monitor's
+    /// wall-clock poll; `dram_cycle` moves to `c + 1`. A skipped span
+    /// that a refused core's freed queue ends runs its last cycle's
+    /// cores through here too ([`System::run_span`]).
+    fn step_cores(&mut self, c: u64, park: bool) {
         // 3. CPU cycles. Cores provably stalled for the whole DRAM cycle
         // (full ROB, nothing delivered above, head not retirable before
         // the cycle ends) are bulk-charged, and cores whose compute
@@ -930,7 +968,7 @@ impl System {
         }
         // 4. Wall-clock invariants, after the cores have submitted.
         self.monitor_cycle(c);
-        self.dram_cycle += 1;
+        self.dram_cycle = c + 1;
     }
 
     /// Settles the controller tick at `c` (a `tick_into`, or the last
@@ -995,13 +1033,14 @@ impl System {
     /// * each other core's next contact with the memory system — a core
     ///   blocked on memory imposes no bound, a core draining a
     ///   fixed-latency instruction into a full ROB wakes at its retire
-    ///   cycle, a computing core bounds the span at its
-    ///   [`OooCore::compute_floor`], and a core whose refused offer
-    ///   meets a full queue bounds it at the controller's next real
-    ///   tick (`mc_next_tick`), the earliest the queue can shrink. Any
-    ///   other core vetoes the skip: its next cycle may read the trace
-    ///   or submit. So does a refused core under `retire_cap`, whose
-    ///   retirements in the span no compute floor bounds;
+    ///   cycle, and a computing core bounds the span at its
+    ///   [`OooCore::compute_floor`]. A core whose refused offer meets a
+    ///   full queue imposes no bound here: it rides the span as one of
+    ///   the `riders`, and [`System::run_span`] ends the span at the
+    ///   first tick after which its queue accepts. Any other core
+    ///   vetoes the skip: its next cycle may read the trace or submit.
+    ///   So does a refused core under `retire_cap`, whose retirements
+    ///   in the span no compute floor bounds;
     /// * the next reconfiguration promotion or adoption, both of which
     ///   happen in `step`;
     /// * the monitor's next wall-clock deadline poll (a skipped poll
@@ -1009,16 +1048,22 @@ impl System {
     /// * the watchdog's trigger point, so a starved run still aborts at
     ///   the exact per-cycle-identical cycle.
     ///
-    /// The span loop may end it earlier still, at the first cycle a
-    /// completion it produces could be observed. No core submits inside
-    /// the span and nothing is delivered to one, so the controller never
-    /// sees a core, and each core's stall charges or compute cycles
-    /// reproduce per-cycle statistics bit for bit
-    /// ([`OooCore::skip_stalled`], [`OooCore::advance_compute`]).
+    /// The span loop may end it earlier still: at the first cycle a
+    /// completion it produces could be observed, at a tick that frees a
+    /// rider's queue or delivers at once (that cycle's cores are then
+    /// stepped), and,
+    /// with faults armed in a health-checked run, right after a tick
+    /// that poisons the controller or latches a monitor breach. No core
+    /// submits inside the skipped cycles and nothing is delivered to
+    /// one, so the controller never sees a core, and each core's stall
+    /// charges, compute cycles or refusals reproduce per-cycle
+    /// statistics bit for bit ([`OooCore::skip_stalled`],
+    /// [`OooCore::advance_compute`], [`OooCore::skip_rejected`]).
     fn skip_ahead(&mut self, limit: u64, health_checked: bool, retire_cap: Option<(usize, u64)>) {
         if !self.fastpath {
             return;
         }
+        self.riders.clear();
 
         let now = self.dram_cycle;
         debug_assert!(now > 0, "skip_ahead runs only after a step");
@@ -1053,14 +1098,10 @@ impl System {
                 CoreIdle::WakeAt(retire_at) if retire_at / ratio > now => retire_at,
                 _ => {
                     let Some(floor) = core.compute_floor(now_cpu) else {
-                        // The span must not run a real tick: a tick that
-                        // freed the queue would let the core submit in
-                        // that cycle's own sub-cycles, which the span
-                        // carries it across.
                         if refused_until_tick(core, self.mc.as_ref(), i)
                             && retire_cap.is_none_or(|(c, _)| c != i)
                         {
-                            target = target.min(self.mc_next_tick);
+                            self.riders.push(DomainId(i as u8));
                             continue;
                         }
                         return;
@@ -1094,7 +1135,7 @@ impl System {
         if target <= now {
             return;
         }
-        self.run_span(target);
+        self.run_span(target, health_checked);
         if health_checked && self.txn_meta.is_empty() {
             // health_check would have restarted the stall clock at every
             // skipped cycle; land it where per-cycle stepping would.
@@ -1116,18 +1157,32 @@ impl System {
     /// are staged with the same sequence numbers, and the command tap
     /// drains after every real tick.
     ///
+    /// Refused cores ride the span ([`System::skip_ahead`]): after each
+    /// tick their queues are tested, and the first tick at `c` after
+    /// which one accepts ends the span there, as does a tick that
+    /// delivers a completion at once: the cores are carried to `c`, the
+    /// tick settles, and cycle `c`'s cores are stepped as
+    /// [`System::advance`] steps them. With faults armed in a health-checked run
+    /// (`health_checked`), the span stops right after a tick that
+    /// poisons the controller or latches a monitor breach; the run loop
+    /// checks health there.
+    ///
     /// When no consumer of the command tap is armed (command log,
-    /// monitor, tracing, metrics), a tick is first offered to the
-    /// controller's own [`MemoryController::fast_forward`]: a supporting
-    /// controller (the pure-FS family) replays its event loop in one
-    /// call — stopping right after the first completion-producing tick,
+    /// monitor, tracing, metrics) and no refused core rides, a tick is
+    /// first offered to the controller's own
+    /// [`MemoryController::fast_forward`]: a supporting controller (the
+    /// pure-FS family) replays its event loop in one call — stopping
+    /// right after the first completion-producing or poisoning tick,
     /// which is then settled like any other — while the default
-    /// declines and the tick runs here.
-    fn run_span(&mut self, mut until: u64) {
+    /// declines and the tick runs here. A rider forbids it: a slot
+    /// decision can dequeue from the rider's queue without completing
+    /// anything, which `fast_forward` does not stop at.
+    fn run_span(&mut self, mut until: u64, health_checked: bool) {
         let start = self.dram_cycle;
         let mut c = start;
         let mut ticked = false;
-        let opaque = !self.tap_on();
+        let opaque = !self.tap_on() && self.riders.is_empty();
+        let stop_on_fault = health_checked && self.faults_armed;
         while c < until {
             if c < self.mc_next_tick {
                 let to = self.mc_next_tick.min(until);
@@ -1135,7 +1190,7 @@ impl System {
                 c = to;
                 continue;
             }
-            ticked = true;
+            let from = c;
             let buf = &mut self.completion_buf;
             buf.clear();
             let r = if opaque { self.mc.fast_forward(c, until, buf) } else { c };
@@ -1143,6 +1198,7 @@ impl System {
                 // Clean hop to the span end: every tick in the span ran
                 // (or was provably a no-op) without completing anything.
                 c = until;
+                ticked = true;
                 break;
             }
             if r > c {
@@ -1152,16 +1208,59 @@ impl System {
             } else {
                 self.mc.tick_into(c, buf);
             }
+            if self.ends_span_stepped(c) {
+                self.end_span_stepped(start, c, ticked || c > from, health_checked);
+                return;
+            }
+            ticked = true;
             until = until.min(self.settle_tick(c));
             self.monitor_cycle(c);
             c += 1;
+            if stop_on_fault
+                && (self.mc.fault().is_some()
+                    || self.monitor.as_ref().is_some_and(InvariantMonitor::has_breach))
+            {
+                break;
+            }
         }
-        self.advance_cores(start, c);
-        self.fp_skipped += c - start;
-        self.dram_cycle = c;
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent::FastPath { from: start, to: c, batched: ticked });
+        self.close_span(start, c, ticked);
+    }
+
+    /// Whether the tick at `c`, whose completions wait unsettled in
+    /// `completion_buf`, ends the span with cycle `c` stepped: a core
+    /// can act in that cycle's sub-cycles, because the tick delivers a
+    /// completion at once or a rider's queue accepts after it.
+    fn ends_span_stepped(&self, c: u64) -> bool {
+        self.completion_buf.iter().any(|done| done.finish <= c)
+            || self.riders.iter().any(|&d| self.mc.can_accept(d))
+    }
+
+    /// Carries every unparked core across the skipped cycles
+    /// `start..end` and records the span.
+    fn close_span(&mut self, start: u64, end: u64, ticked: bool) {
+        self.advance_cores(start, end);
+        self.fp_skipped += end - start;
+        self.dram_cycle = end;
+        if end > start {
+            if let Some(t) = &mut self.trace {
+                t.push(TraceEvent::FastPath { from: start, to: end, batched: ticked });
+            }
         }
+    }
+
+    /// Ends a span at the tick at `c` that lets a core act in cycle `c`
+    /// ([`System::ends_span_stepped`]): the cores are carried across
+    /// `start..c` before the tick settles (a delivery at `c` must not
+    /// reach a core early), then cycle `c` finishes as
+    /// [`System::advance`] finishes it. The watchdog clock restarts at
+    /// `c` if the run's health check would have restarted it there.
+    fn end_span_stepped(&mut self, start: u64, c: u64, ticked: bool, health_checked: bool) {
+        self.close_span(start, c, ticked);
+        if health_checked && self.txn_meta.is_empty() {
+            self.last_progress = c;
+        }
+        self.settle_tick(c);
+        self.step_cores(c, true);
     }
 
     /// Carries core `i`, if parked, to the start of DRAM cycle `c` (no
@@ -1185,8 +1284,8 @@ impl System {
     /// `from..to`. Cores that cannot act before the span ends (detached,
     /// blocked on memory, or waking after it) are bulk-charged as
     /// stalled; a core refused by a full queue is refused throughout
-    /// ([`OooCore::skip_rejected`]) — [`System::skip_ahead`] ended the
-    /// span before the next real tick; the rest run their CPU cycles
+    /// ([`OooCore::skip_rejected`]) — it rode the span, whose every
+    /// tick before `to` left its queue full; the rest run their CPU cycles
     /// with no memory system attached ([`OooCore::advance_compute`]),
     /// the span ending at each such core's compute floor. Parked cores
     /// are left alone: the span ended no later than their wake, and
@@ -1203,8 +1302,8 @@ impl System {
                 Crossing::Stalled
             } else if core.rejected_offer() {
                 debug_assert!(
-                    refused_until_tick(core, self.mc.as_ref(), i),
-                    "core {i} refused by a free queue"
+                    self.riders.contains(&DomainId(i as u8)),
+                    "core {i} carried as refused but not refused at every tick of the span"
                 );
                 Crossing::Rejected
             } else {
@@ -1431,6 +1530,14 @@ impl System {
                 }
             }
             self.skip_ahead(end, health, None);
+            if health && self.faults_armed {
+                // A span stops right after a poisoning or breaching
+                // tick; check there, as per-cycle stepping would.
+                run = self.health_check();
+                if run.is_err() {
+                    break;
+                }
+            }
         }
         self.unpark_all(self.dram_cycle);
         run
@@ -1586,6 +1693,9 @@ impl System {
                 // boundary can fall inside it.
                 let left = next_target - self.cores[core_idx].stats().instructions_retired;
                 self.skip_ahead(hard_stop, health, Some((core_idx, left)));
+                if health && self.faults_armed {
+                    self.health_check()?;
+                }
             }
         }
         Ok(boundaries)
@@ -1767,6 +1877,104 @@ mod tests {
         assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.run_cycles(end)));
         let c = fast.core_counters();
         assert_eq!(c.stepped + c.computed + c.stalled + c.rejected, 8 * ratio * end, "{c:?}");
+    }
+
+    /// A controller with one-entry queues that every tick runs
+    /// (`next_event` stays `now + 1`) but only every `period`-th drains,
+    /// completing each drained transaction `latency` cycles later (0:
+    /// delivered at the draining tick itself).
+    struct Gate {
+        device: fsmc_dram::DramDevice,
+        stats: fsmc_core::sched::McStats,
+        queues: Vec<Option<Transaction>>,
+        period: u64,
+        latency: u64,
+    }
+
+    impl MemoryController for Gate {
+        fn can_accept(&self, domain: DomainId) -> bool {
+            self.queues[domain.0 as usize].is_none()
+        }
+
+        fn enqueue(&mut self, txn: Transaction) -> Result<(), fsmc_core::queues::QueueFull> {
+            let slot = &mut self.queues[txn.domain.0 as usize];
+            if slot.is_some() {
+                return Err(fsmc_core::queues::QueueFull { domain: txn.domain });
+            }
+            *slot = Some(txn);
+            Ok(())
+        }
+
+        fn tick_into(&mut self, now: u64, out: &mut Vec<Completion>) {
+            if now.is_multiple_of(self.period) {
+                for txn in self.queues.iter_mut().filter_map(Option::take) {
+                    out.push(Completion { txn, finish: now + self.latency });
+                }
+            }
+        }
+
+        fn device(&self) -> &fsmc_dram::DramDevice {
+            &self.device
+        }
+
+        fn finish(&mut self, _now: u64) {}
+
+        fn stats(&self) -> &fsmc_core::sched::McStats {
+            &self.stats
+        }
+
+        fn kind(&self) -> SchedulerKind {
+            SchedulerKind::Baseline
+        }
+    }
+
+    /// Core 0 streams reads into its [`Gate`] queue and is refused
+    /// between drains; the other cores idle. The refused core rides
+    /// every span through the ticks that keep its queue full (none is
+    /// elided), and each span ends at a draining tick, whose cycle is
+    /// stepped, or at a staged completion — also when the draining tick
+    /// delivers at once. Everything equals per-cycle stepping.
+    #[test]
+    fn refused_cores_ride_ticks_and_leave_at_the_freeing_tick() {
+        use fsmc_cpu::trace::{MemOp, TraceOp, VecTrace};
+        use fsmc_workload::IdleTrace;
+        let cfg = SystemConfig::paper_default(SchedulerKind::Baseline);
+        let (period, end) = (40, 4_000);
+        for latency in [0, 3] {
+            let build = || {
+                let reads = (0..2_000).map(|k| TraceOp::with_mem(2, MemOp::read(k * 131)));
+                let mut traces: Vec<Box<dyn TraceSource>> =
+                    vec![Box::new(VecTrace::new(reads.collect()))];
+                traces.extend((1..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+                let gate = Gate {
+                    device: fsmc_dram::DramDevice::new(cfg.geometry, cfg.timing),
+                    stats: fsmc_core::sched::McStats::new(cfg.cores as usize),
+                    queues: vec![None; cfg.cores as usize],
+                    period,
+                    latency,
+                };
+                System::with_controller(&cfg, traces, Box::new(gate))
+            };
+            let (mut fast, mut slow) = (build(), build());
+            slow.disable_fastpath();
+            fast.enable_tracing();
+            let (sf, ss) = (fast.run_cycles(end), slow.run_cycles(end));
+            assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "latency {latency}");
+            assert_eq!(fast.core_stats(0), slow.core_stats(0), "latency {latency}");
+            let (skipped, elided) = fast.fastpath_counters();
+            assert_eq!(elided, 0, "latency {latency}: every tick of the gate runs");
+            assert!(skipped * 2 > end, "latency {latency}: only {skipped} cycles skipped");
+            assert!(fast.core_counters().rejected > 0, "latency {latency}: no refusal carried");
+            let mut freed = 0;
+            for ev in fast.take_trace() {
+                if let TraceEvent::FastPath { to, .. } = ev {
+                    let at = to % period;
+                    assert!(at == 0 || at == latency, "latency {latency}: span ends at {to}");
+                    freed += (at == 0 && to < end) as u32;
+                }
+            }
+            assert!(freed > 10, "latency {latency}: {freed} spans ended at a freeing tick");
+        }
     }
 
     #[test]

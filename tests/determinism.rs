@@ -220,9 +220,9 @@ fn fast_path_preserves_execution_profiles_across_churn() {
     }
 }
 
-/// `FSMC_NO_FASTPATH=1` is the escape hatch; mutable controller access
-/// and the faults that use it turn off the controller-side tiers, and
-/// every faulted run still equals per-cycle stepping.
+/// `FSMC_NO_FASTPATH=1` is the escape hatch; armed faults keep every
+/// fast-path tier on, and every faulted run still equals per-cycle
+/// stepping with most cycles in skipped spans.
 #[test]
 fn fast_path_disarms_on_env_mutation_and_faults() {
     let cfg = SystemConfig::paper_default(K::FsRankPartitioned);
@@ -234,8 +234,9 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
 
     let mut sys = System::from_mix(&cfg, &mix, 1);
     assert!(sys.fastpath_enabled(), "fast path is the default");
-    let _ = sys.controller_mut();
-    assert!(!sys.fastpath_enabled(), "controller mutation must disarm the fast path");
+    let plan = FaultPlan::parse_spec(9, "delay(50,5,1)+stretch-refresh(2)").expect("valid spec");
+    plan.arm(&mut sys);
+    assert!(sys.fastpath_enabled(), "armed faults keep the fast path");
 
     // A faulted job stays deterministic.
     let plan = FaultPlan::parse_spec(9, "delay(50,5,1)").expect("valid spec");
@@ -244,9 +245,8 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
     let b = job.run();
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "faulted runs must be reproducible");
 
-    // Faults switch off only the tiers they break. Configuration-only
-    // faults keep the whole fast path; a fault that mutates the
-    // controller keeps the core-side carrying.
+    // No fault switches off a tier: configuration-only faults act
+    // before the build, controller faults keep the `next_event` bound.
     for spec in ["shared-arbiter()", "perturb(twtr,1)", "delay(50,5,1)"] {
         let plan = FaultPlan::parse_spec(9, spec).expect("valid spec");
         let mut cfg = SystemConfig::paper_default(K::FsRankPartitioned);
@@ -258,14 +258,57 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
             plan.arm(sys);
             sys.observe(0);
         }
-        let controller_faulted = spec.starts_with("delay");
-        assert_eq!(fast.fastpath_enabled(), !controller_faulted, "{spec}: controller-side tiers");
+        assert!(fast.fastpath_enabled(), "{spec}: controller-side tiers");
         let (sf, ss) = (fast.try_run_cycles(6_000), slow.try_run_cycles(6_000));
         assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{spec}: stats diverge");
         assert_eq!(fast.take_observations(), slow.take_observations(), "{spec}: observations");
         assert_elided_within_spans(&fast, spec);
         let counts = fast.core_counters();
         assert!(counts.computed > 0, "{spec}: no core carried as computing: {counts:?}");
+        let skipped = fast.fastpath_counters().0;
+        assert!(skipped * 2 > 6_000, "{spec}: spans cover only {skipped} of 6000 cycles");
+    }
+}
+
+/// Faults that end a health-checked leak-harness run inside what would
+/// be a skipped span: the span stops right after the poisoning or
+/// breaching tick (the watchdog already bounds it), so the run ends
+/// with the same error at the same cycle as per-cycle stepping, with
+/// the monitor off and on. The cycle each run ends at is pinned: a
+/// stretched refresh poisons FS-BP, dropped reads wake the watchdog,
+/// and delayed commands breach the monitor's cadence check while the
+/// controller alone only degrades.
+#[test]
+fn faults_end_runs_at_the_per_cycle_cycle() {
+    let cases = [
+        ("stretch-refresh(40)", K::FsBankPartitioned, [12_482, 12_482]),
+        ("drop(3,0)", K::FsRankPartitioned, [21_882, 21_882]),
+        ("delay(50,5,1)", K::FsRankPartitioned, [25_000, 349]),
+        ("delay(20,7,0)", K::FsRankPartitioned, [25_000, 1_298]),
+    ];
+    for (spec, kind, ends) in cases {
+        for (monitor, end) in [false, true].into_iter().zip(ends) {
+            let plan = FaultPlan::parse_spec(9, spec).expect("valid spec");
+            let mut cfg = SystemConfig::paper_default(kind);
+            cfg.monitor = monitor;
+            plan.configure(&mut cfg);
+            let build = || {
+                let (sender, _) = Protocol::Intensity.build(&default_secret());
+                let mut sys = covert_system(&cfg, sender).expect("a feasible configuration");
+                plan.arm(&mut sys);
+                sys
+            };
+            let (mut fast, mut slow) = (build(), build());
+            slow.disable_fastpath();
+            let (rf, rs) = (fast.try_run_cycles(25_000), slow.try_run_cycles(25_000));
+            let what = format!("{spec} on {kind}, monitor {monitor}");
+            assert_eq!(format!("{rf:?}"), format!("{rs:?}"), "{what}: results diverge");
+            assert_eq!(slow.dram_cycle(), end, "{what}: per-cycle run ended elsewhere");
+            assert_eq!(rs.is_ok(), end == 25_000, "{what}: {rs:?}");
+            assert_eq!(fast.dram_cycle(), end, "{what}: ended at another cycle");
+            assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", slow.stats()), "{what}");
+            assert!(fast.fastpath_counters().0 > 0, "{what}: no span was skipped");
+        }
     }
 }
 
@@ -304,13 +347,24 @@ fn leak_windows_match(spec: &str) -> System {
     fast
 }
 
-/// With delayed commands the controller ticks every cycle, while the
-/// idle cores stay parked in compute spans and the probe, refused by its
-/// full queue, is carried across each cycle after its tick.
+/// At least three quarters of a leak harness run's cycles lie in
+/// skipped spans: the refused probe rides them, and so do the parked
+/// idle cores.
+fn assert_spans_cover_most_cycles(sys: &System, spec: &str) {
+    let (skipped, cycles) = (sys.fastpath_counters().0, sys.dram_cycle());
+    assert!(skipped * 4 >= cycles * 3, "{spec}: spans cover only {skipped} of {cycles} cycles");
+}
+
+/// With delayed commands armed the controller-side tiers stay on: the
+/// idle cores stay parked in compute spans, and the probe, refused by
+/// its full queue, rides the spans across every tick that keeps the
+/// queue full.
 #[test]
 fn faulted_leak_windows_match_per_cycle_stepping() {
     let fast = leak_windows_match("delay(64,2,16)");
-    assert!(!fast.fastpath_enabled(), "a delay fault turns off the controller-side tiers");
+    assert!(fast.fastpath_enabled(), "a delay fault keeps the controller-side tiers");
+    assert_spans_cover_most_cycles(&fast, "delay(64,2,16)");
+
     let counts = fast.core_counters();
     assert!(counts.computed > counts.stepped, "idle cores should compute in spans: {counts:?}");
     assert!(counts.rejected > 0, "the probe's refused offers should be carried: {counts:?}");
@@ -326,6 +380,7 @@ fn clean_leak_windows_match_per_cycle_stepping() {
     let counts = fast.core_counters();
     assert!(counts.rejected > counts.stepped, "refusals should be carried: {counts:?}");
     assert!(fast.fastpath_counters().0 > 0, "no span was skipped");
+    assert_spans_cover_most_cycles(&fast, "perturb(twtr,1)");
     let idle = 6 * fast.config().timing.cpu_ratio as u64 * fast.dram_cycle();
     assert!(counts.computed * 100 >= idle * 99, "idle cores should compute in spans: {counts:?}");
 }
