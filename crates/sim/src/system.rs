@@ -1051,9 +1051,9 @@ impl System {
     /// The span loop may end it earlier still: at the first cycle a
     /// completion it produces could be observed, at a tick that frees a
     /// rider's queue or delivers at once (that cycle's cores are then
-    /// stepped), and,
-    /// with faults armed in a health-checked run, right after a tick
-    /// that poisons the controller or latches a monitor breach. No core
+    /// stepped), and, with faults armed in a health-checked run, right
+    /// after a tick that poisons the controller or latches a monitor
+    /// breach. No core
     /// submits inside the skipped cycles and nothing is delivered to
     /// one, so the controller never sees a core, and each core's stall
     /// charges, compute cycles or refusals reproduce per-cycle
@@ -1162,10 +1162,10 @@ impl System {
     /// which one accepts ends the span there, as does a tick that
     /// delivers a completion at once: the cores are carried to `c`, the
     /// tick settles, and cycle `c`'s cores are stepped as
-    /// [`System::advance`] steps them. With faults armed in a health-checked run
-    /// (`health_checked`), the span stops right after a tick that
-    /// poisons the controller or latches a monitor breach; the run loop
-    /// checks health there.
+    /// [`System::advance`] steps them. With faults armed in a
+    /// health-checked run (`health_checked`), the span stops right
+    /// after a tick that poisons the controller or latches a monitor
+    /// breach; the run loop checks health there.
     ///
     /// When no consumer of the command tap is armed (command log,
     /// monitor, tracing, metrics) and no refused core rides, a tick is
@@ -1285,8 +1285,8 @@ impl System {
     /// blocked on memory, or waking after it) are bulk-charged as
     /// stalled; a core refused by a full queue is refused throughout
     /// ([`OooCore::skip_rejected`]) — it rode the span, whose every
-    /// tick before `to` left its queue full; the rest run their CPU cycles
-    /// with no memory system attached ([`OooCore::advance_compute`]),
+    /// tick before `to` left its queue full; the rest run their CPU
+    /// cycles with no memory system attached ([`OooCore::advance_compute`]),
     /// the span ending at each such core's compute floor. Parked cores
     /// are left alone: the span ended no later than their wake, and
     /// they keep their `from_cpu` until they are carried in one call.
@@ -1879,36 +1879,61 @@ mod tests {
         assert_eq!(c.stepped + c.computed + c.stalled + c.rejected, 8 * ratio * end, "{c:?}");
     }
 
-    /// A controller with one-entry queues that every tick runs
+    /// A controller with `depth`-entry queues that every tick runs
     /// (`next_event` stays `now + 1`) but only every `period`-th drains,
-    /// completing each drained transaction `latency` cycles later (0:
-    /// delivered at the draining tick itself).
+    /// completing each drained write, and each read unless `drop_reads`,
+    /// `latency` cycles later (0: delivered at the draining tick itself).
     struct Gate {
         device: fsmc_dram::DramDevice,
         stats: fsmc_core::sched::McStats,
-        queues: Vec<Option<Transaction>>,
+        queues: Vec<Vec<Transaction>>,
+        depth: usize,
         period: u64,
         latency: u64,
+        drop_reads: bool,
+    }
+
+    impl Gate {
+        fn system(cfg: &SystemConfig, core0: Vec<fsmc_cpu::trace::TraceOp>, gate: Gate) -> System {
+            use fsmc_cpu::trace::VecTrace;
+            use fsmc_workload::IdleTrace;
+            let mut traces: Vec<Box<dyn TraceSource>> = vec![Box::new(VecTrace::new(core0))];
+            traces.extend((1..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+            System::with_controller(cfg, traces, Box::new(gate))
+        }
+
+        fn new(cfg: &SystemConfig, depth: usize, latency: u64, drop_reads: bool) -> Gate {
+            Gate {
+                device: fsmc_dram::DramDevice::new(cfg.geometry, cfg.timing),
+                stats: fsmc_core::sched::McStats::new(cfg.cores as usize),
+                queues: vec![Vec::new(); cfg.cores as usize],
+                depth,
+                period: 40,
+                latency,
+                drop_reads,
+            }
+        }
     }
 
     impl MemoryController for Gate {
         fn can_accept(&self, domain: DomainId) -> bool {
-            self.queues[domain.0 as usize].is_none()
+            self.queues[domain.0 as usize].len() < self.depth
         }
 
         fn enqueue(&mut self, txn: Transaction) -> Result<(), fsmc_core::queues::QueueFull> {
-            let slot = &mut self.queues[txn.domain.0 as usize];
-            if slot.is_some() {
+            if !self.can_accept(txn.domain) {
                 return Err(fsmc_core::queues::QueueFull { domain: txn.domain });
             }
-            *slot = Some(txn);
+            self.queues[txn.domain.0 as usize].push(txn);
             Ok(())
         }
 
         fn tick_into(&mut self, now: u64, out: &mut Vec<Completion>) {
             if now.is_multiple_of(self.period) {
-                for txn in self.queues.iter_mut().filter_map(Option::take) {
-                    out.push(Completion { txn, finish: now + self.latency });
+                for txn in self.queues.iter_mut().flat_map(|q| q.drain(..)) {
+                    if txn.is_write || !self.drop_reads {
+                        out.push(Completion { txn, finish: now + self.latency });
+                    }
                 }
             }
         }
@@ -1928,53 +1953,74 @@ mod tests {
         }
     }
 
-    /// Core 0 streams reads into its [`Gate`] queue and is refused
-    /// between drains; the other cores idle. The refused core rides
-    /// every span through the ticks that keep its queue full (none is
-    /// elided), and each span ends at a draining tick, whose cycle is
-    /// stepped, or at a staged completion — also when the draining tick
-    /// delivers at once. Everything equals per-cycle stepping.
+    /// Core 0 streams reads into its [`Gate`] queue while the other
+    /// cores idle. With a one-entry queue it is refused between drains:
+    /// it rides every span through the ticks that keep its queue full
+    /// (none is elided), and each span ends at a draining tick, whose
+    /// cycle is stepped, or at a staged completion; also when the
+    /// draining tick delivers at once. With a deep queue and long
+    /// compute gaps the core blocks on memory instead, and a draining
+    /// tick that delivers at once ends the span the same way. Everything
+    /// equals per-cycle stepping.
     #[test]
     fn refused_cores_ride_ticks_and_leave_at_the_freeing_tick() {
-        use fsmc_cpu::trace::{MemOp, TraceOp, VecTrace};
-        use fsmc_workload::IdleTrace;
+        use fsmc_cpu::trace::{MemOp, TraceOp};
         let cfg = SystemConfig::paper_default(SchedulerKind::Baseline);
-        let (period, end) = (40, 4_000);
-        for latency in [0, 3] {
+        let end = 4_000;
+        for (depth, nonmem, latency) in [(1, 2, 0), (1, 2, 3), (64, 60, 0)] {
+            let what = format!("depth {depth}, latency {latency}");
             let build = || {
-                let reads = (0..2_000).map(|k| TraceOp::with_mem(2, MemOp::read(k * 131)));
-                let mut traces: Vec<Box<dyn TraceSource>> =
-                    vec![Box::new(VecTrace::new(reads.collect()))];
-                traces.extend((1..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
-                let gate = Gate {
-                    device: fsmc_dram::DramDevice::new(cfg.geometry, cfg.timing),
-                    stats: fsmc_core::sched::McStats::new(cfg.cores as usize),
-                    queues: vec![None; cfg.cores as usize],
-                    period,
-                    latency,
-                };
-                System::with_controller(&cfg, traces, Box::new(gate))
+                let reads = (0..2_000).map(|k| TraceOp::with_mem(nonmem, MemOp::read(k * 131)));
+                Gate::system(&cfg, reads.collect(), Gate::new(&cfg, depth, latency, false))
             };
             let (mut fast, mut slow) = (build(), build());
             slow.disable_fastpath();
             fast.enable_tracing();
             let (sf, ss) = (fast.run_cycles(end), slow.run_cycles(end));
-            assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "latency {latency}");
-            assert_eq!(fast.core_stats(0), slow.core_stats(0), "latency {latency}");
+            assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{what}");
+            assert_eq!(fast.core_stats(0), slow.core_stats(0), "{what}");
             let (skipped, elided) = fast.fastpath_counters();
-            assert_eq!(elided, 0, "latency {latency}: every tick of the gate runs");
-            assert!(skipped * 2 > end, "latency {latency}: only {skipped} cycles skipped");
-            assert!(fast.core_counters().rejected > 0, "latency {latency}: no refusal carried");
+            assert_eq!(elided, 0, "{what}: every tick of the gate runs");
+            assert!(skipped * 2 > end, "{what}: only {skipped} cycles skipped");
+            let rejected = fast.core_counters().rejected;
+            assert_eq!(rejected > 0, depth == 1, "{what}: {rejected} refused sub-cycles carried");
             let mut freed = 0;
             for ev in fast.take_trace() {
                 if let TraceEvent::FastPath { to, .. } = ev {
-                    let at = to % period;
-                    assert!(at == 0 || at == latency, "latency {latency}: span ends at {to}");
+                    // A computing core bounds spans at its compute floor.
+                    let at = to % 40;
+                    assert!(depth > 1 || at == 0 || at == latency, "{what}: span ends at {to}");
                     freed += (at == 0 && to < end) as u32;
                 }
             }
-            assert!(freed > 10, "latency {latency}: {freed} spans ended at a freeing tick");
+            assert!(freed > 10, "{what}: {freed} spans ended at a freeing tick");
         }
+    }
+
+    /// The watchdog clock across a span that a freed queue ends: core 0
+    /// streams writes (never outstanding reads) through a one-entry
+    /// [`Gate`] queue, riding spans between drains, then offers a read
+    /// the gate never completes, at the freeing tick that ends a span.
+    /// The watchdog must fire at the cycle per-cycle stepping fires it,
+    /// which restarted the clock at every idle cycle up to that tick.
+    #[test]
+    fn watchdog_fires_on_time_after_a_span_ends_at_a_freeing_tick() {
+        use fsmc_cpu::trace::{MemOp, TraceOp};
+        let mut cfg = SystemConfig::paper_default(SchedulerKind::Baseline);
+        cfg.watchdog_cycles = 1_000;
+        let build = || {
+            let mut ops: Vec<TraceOp> =
+                (0..100).map(|k| TraceOp::with_mem(2, MemOp::write(k * 131))).collect();
+            ops.push(TraceOp::with_mem(2, MemOp::read(7)));
+            Gate::system(&cfg, ops, Gate::new(&cfg, 1, 3, true))
+        };
+        let (mut fast, mut slow) = (build(), build());
+        slow.disable_fastpath();
+        let (rf, rs) = (fast.try_run_cycles(20_000), slow.try_run_cycles(20_000));
+        assert!(matches!(rs, Err(FsmcError::Watchdog(_))), "{rs:?}");
+        assert_eq!(format!("{rf:?}"), format!("{rs:?}"));
+        assert_eq!(fast.dram_cycle(), slow.dram_cycle());
+        assert!(fast.core_counters().rejected > 0, "{:?}", fast.core_counters());
     }
 
     #[test]
