@@ -364,15 +364,14 @@ fn faulted_leak_windows_match_per_cycle_stepping() {
     let fast = leak_windows_match("delay(64,2,16)");
     assert!(fast.fastpath_enabled(), "a delay fault keeps the controller-side tiers");
     assert_spans_cover_most_cycles(&fast, "delay(64,2,16)");
-
     let counts = fast.core_counters();
     assert!(counts.computed > counts.stepped, "idle cores should compute in spans: {counts:?}");
     assert!(counts.rejected > 0, "the probe's refused offers should be carried: {counts:?}");
 }
 
-/// The clean twin: with the controller-side tiers on, the refused probe
-/// no longer vetoes a skipped span; it bounds it at the next real tick
-/// and rides it, and so do the six idle cores, parked in compute spans.
+/// The clean twin: the refused probe rides skipped spans across every
+/// tick that keeps its queue full, and so do the six idle cores, parked
+/// in compute spans.
 #[test]
 fn clean_leak_windows_match_per_cycle_stepping() {
     let fast = leak_windows_match("perturb(twtr,1)");
