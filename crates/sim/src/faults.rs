@@ -195,8 +195,8 @@ impl FaultPlan {
     /// monitor breach, so errors surface at the per-cycle cycle. The
     /// shared arbiter and timing perturbations act on the configuration
     /// before the build, corrupted traces fail at construction, and
-    /// reconfiguration runs inside `System::step` with skips clamped at
-    /// its promotion and adoption cycles.
+    /// reconfiguration runs at the top of a stepped cycle, with skipped
+    /// spans clamped at its promotion and adoption cycles.
     pub fn arm(&self, sys: &mut System) {
         for (at, ev) in self.reconfig_events() {
             sys.schedule_reconfig(at, ev);

@@ -74,41 +74,21 @@ struct PendingReconfig {
 /// four always add up to `cores * cpu_ratio * dram_cycle`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreCounters {
-    /// Executed one by one inside [`System::step`].
+    /// Executed one by one in stepped DRAM cycles.
     pub stepped: u64,
-    /// Run as compute spans ([`OooCore::advance_compute`]), inside
-    /// skipped spans or for computing cores inside [`System::step`].
+    /// Run as compute spans ([`OooCore::advance_compute`]), in stepped
+    /// cycles or skipped spans.
     pub computed: u64,
     /// Bulk-charged as stall-only ([`OooCore::skip_stalled`]), detached
     /// cores included.
     pub stalled: u64,
     /// Carried as refused re-offers to a full queue
-    /// ([`OooCore::skip_rejected`]): inside [`System::step`] after the
-    /// cycle's tick, or inside skipped spans across every tick that
-    /// leaves the queue full.
+    /// ([`OooCore::skip_rejected`]): in a stepped cycle after its tick,
+    /// or in skipped spans across every tick that leaves the queue full.
     pub rejected: u64,
 }
 
-/// Whether `core` provably stalls through every CPU cycle before
-/// `end_cpu`: full ROB behind a read, or behind a head that retires no
-/// earlier than `end_cpu`.
-fn stalled_until(core: &OooCore, end_cpu: u64) -> bool {
-    match core.idle_until() {
-        CoreIdle::Active => false,
-        CoreIdle::BlockedOnMemory => true,
-        CoreIdle::WakeAt(wake) => wake >= end_cpu,
-    }
-}
-
-/// Whether core `i` is refused in every CPU cycle before the next real
-/// tick: its last offer was refused and its domain's queue is full now.
-/// Only a tick (or a reconfiguration adoption) can free a queue, so read
-/// after a tick this holds until the next one.
-fn refused_until_tick(core: &OooCore, mc: &dyn MemoryController, i: usize) -> bool {
-    core.rejected_offer() && !mc.can_accept(DomainId(i as u8))
-}
-
-/// How a core crosses a span of CPU cycles.
+/// How a core crosses a stepped cycle or a skipped span ([`crossing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Crossing {
     /// Stall-only throughout (or detached): bulk-charged.
@@ -127,6 +107,51 @@ enum Crossing {
     Rejected,
     /// May read its trace or submit: stepped cycle by cycle.
     Stepped,
+}
+
+/// Decides how core `i` crosses the CPU cycles from `start_cpu` on,
+/// where `end_cpu` ends the first DRAM cycle they lie in, and returns
+/// the CPU cycle the crossing lasts until (`u64::MAX` for ever, 0 when
+/// the core has no wake of its own). In order: a detached core, or one
+/// blocked on memory, is stalled for ever; one whose ROB head retires
+/// at or after `end_cpu` is stalled until then; one whose compute floor
+/// lies at or after `end_cpu` computes until it; one whose refused offer
+/// meets a full queue is refused; the rest are stepped.
+///
+/// A stepped cycle ([`System::step_cores`]) steps or parks each core by
+/// it, and a skipped span ([`System::skip_ahead`]) bounds itself by it
+/// and carries each core by the same decision
+/// ([`System::advance_cores`]). That decision holds at the span's end:
+/// the span ends no later than each stalled core's wake and each
+/// computing core's floor, no core is touched inside it, and a refused
+/// core has no compute floor (a refusal leaves no non-memory
+/// instruction ahead of the refused operation).
+///
+/// Forced inline: it sits in both hot loops, and left a call it
+/// measured about 1% slower on the secure-policy figures.
+#[inline(always)]
+fn crossing(
+    core: &OooCore,
+    attached: bool,
+    mc: &dyn MemoryController,
+    i: usize,
+    start_cpu: u64,
+    end_cpu: u64,
+) -> (Crossing, u64) {
+    if !attached {
+        return (Crossing::Stalled, u64::MAX);
+    }
+    match core.idle_until() {
+        CoreIdle::BlockedOnMemory => (Crossing::Stalled, u64::MAX),
+        CoreIdle::WakeAt(at) if at >= end_cpu => (Crossing::Stalled, at),
+        _ => match core.compute_floor(start_cpu) {
+            Some(floor) if floor >= end_cpu => (Crossing::Computing, floor),
+            _ if core.rejected_offer() && !mc.can_accept(DomainId(i as u8)) => {
+                (Crossing::Rejected, 0)
+            }
+            _ => (Crossing::Stepped, 0),
+        },
+    }
 }
 
 /// A core the run loop leaves untouched until DRAM cycle `wake`: it
@@ -159,6 +184,17 @@ fn carry(core: &mut OooCore, how: Crossing, from: u64, to: u64, counts: &mut Cor
             counts.rejected += span;
         }
         Crossing::Stepped => counts.stepped += span,
+    }
+}
+
+/// Feeds one observability event to whichever of the metrics collector
+/// and the trace sink is armed, in that order.
+fn emit(metrics: &mut Option<MetricsCollector>, trace: &mut Option<TraceSink>, ev: TraceEvent) {
+    if let Some(m) = metrics {
+        m.on_event(&ev);
+    }
+    if let Some(t) = trace {
+        t.push(ev);
     }
 }
 
@@ -213,18 +249,14 @@ pub struct System {
     /// Degradation state at the last drain, to detect schedule swaps and
     /// re-arm the monitor's cadence spec.
     was_degraded: bool,
-    /// The controller-side fast-path tiers: skipped spans, the tick
-    /// elision inside them and FS `fast_forward`, all of which trust the
-    /// controller's `next_event` bound. Cleared only by
-    /// [`System::disable_fastpath`] and `FSMC_NO_FASTPATH=1`: armed
-    /// faults keep it ([`System::arm_faults`]). Never set without
-    /// `carry_cores`.
+    /// The fast path: skipped spans, the tick elision inside them and
+    /// FS `fast_forward`, which trust the controller's `next_event`
+    /// bound, and carrying a core that cannot act across a stepped cycle
+    /// in bulk or parking it until it wakes, which read only core state.
+    /// Cleared only by [`System::disable_fastpath`] and
+    /// `FSMC_NO_FASTPATH=1`: armed faults keep it
+    /// ([`System::arm_faults`]).
     fastpath: bool,
-    /// The core-side fast-path tiers: carrying a stalled or computing
-    /// core across a DRAM cycle in bulk, and parking it until it wakes.
-    /// They read only core state; cleared by
-    /// [`System::disable_fastpath`] and `FSMC_NO_FASTPATH=1`.
-    carry_cores: bool,
     /// Whether [`System::arm_faults`] armed a command or device-timing
     /// fault. A health-checked span then stops right after a tick that
     /// poisons the controller or latches a monitor breach, and the run
@@ -232,10 +264,11 @@ pub struct System {
     faults_armed: bool,
     /// Reusable per-step completion buffer (hot path, no allocation).
     completion_buf: Vec<Completion>,
-    /// Per-core scratch: is core `i` stepped through this DRAM cycle's
-    /// CPU sub-cycles, or already carried across them (bulk-charged as
-    /// stalled, or run as a compute span) or parked?
-    core_active: Vec<bool>,
+    /// Per-core scratch: how core `i` crosses the current stepped cycle
+    /// or skipped span ([`crossing`]), or its `Parked::how` while
+    /// parked. Only [`Crossing::Stepped`] cores run sub-cycle by
+    /// sub-cycle.
+    crossings: Vec<Crossing>,
     /// Cores the current run loop has parked until their wake cycle. A
     /// skipped span never ends after a parked core's wake and leaves the
     /// core untouched, so a core parks once per idle stretch however
@@ -277,14 +310,14 @@ pub struct System {
     tap_buf: Vec<ObsCommand>,
     /// Reusable drain buffer for scheduler slot/degradation events.
     obs_sched_buf: Vec<SchedEvent>,
-    /// Is core `i` an active tenant? Distinct from the per-step
-    /// `core_active` scratch: a detached core (left, killed by a dead
-    /// rank, or not yet joined) is bulk-charged as stalled every cycle
-    /// and never vetoes a skip, while its domain's slots carry dummies.
+    /// Is core `i` an active tenant? A detached core (left, killed by a
+    /// dead rank, or not yet joined) is bulk-charged as stalled every
+    /// cycle and never vetoes a skip, while its domain's slots carry
+    /// dummies.
     attached: Vec<bool>,
     /// Scheduled reconfiguration events, sorted by fire cycle (stable
-    /// for same-cycle events). [`System::step`] promotes due events into
-    /// `pending_reconfig`.
+    /// for same-cycle events). Every stepped cycle ([`System::advance`])
+    /// promotes due events into `pending_reconfig`.
     reconfig_queue: Vec<(u64, ReconfigEvent)>,
     /// The reconfiguration currently quiescing toward its boundary.
     pending_reconfig: Option<PendingReconfig>,
@@ -444,10 +477,9 @@ impl System {
             command_log: Vec::new(),
             was_degraded,
             fastpath: !crate::env::no_fastpath(),
-            carry_cores: !crate::env::no_fastpath(),
             faults_armed: false,
             completion_buf: Vec::new(),
-            core_active: vec![true; cfg.cores as usize],
+            crossings: vec![Crossing::Stepped; cfg.cores as usize],
             parked: vec![None; cfg.cores as usize],
             riders: Vec::new(),
             mc_next_tick: 0,
@@ -535,13 +567,12 @@ impl System {
     /// either way, only wall-clock time changes.
     pub fn disable_fastpath(&mut self) {
         self.fastpath = false;
-        self.carry_cores = false;
     }
 
-    /// Whether event-driven time skipping (the controller-side tiers) is
-    /// on: true unless [`System::disable_fastpath`] ran or
-    /// `FSMC_NO_FASTPATH=1` was set at construction. Armed faults do not
-    /// change it.
+    /// Whether the fast path (event-driven time skipping and carrying
+    /// idle cores in bulk) is on: true unless
+    /// [`System::disable_fastpath`] ran or `FSMC_NO_FASTPATH=1` was set
+    /// at construction. Armed faults do not change it.
     pub fn fastpath_enabled(&self) -> bool {
         self.fastpath
     }
@@ -590,8 +621,9 @@ impl System {
     }
 
     /// Promotes due events into the pending reconfiguration and adopts
-    /// it once the boundary arrives. Runs at the top of [`System::step`],
-    /// so adoption lands *before* the boundary cycle's controller tick.
+    /// it once the boundary arrives. Runs at the top of
+    /// [`System::advance`], so adoption lands *before* the boundary
+    /// cycle's controller tick.
     fn process_reconfig(&mut self, c: u64) {
         while let Some(&(at, ev)) = self.reconfig_queue.first() {
             if at > c {
@@ -829,13 +861,7 @@ impl System {
         }
         if self.obs_on() {
             for oc in &cmds {
-                let ev = Self::obs_command_event(oc);
-                if let Some(m) = &mut self.obs_metrics {
-                    m.on_event(&ev);
-                }
-                if let Some(t) = &mut self.trace {
-                    t.push(ev);
-                }
+                emit(&mut self.obs_metrics, &mut self.trace, Self::obs_command_event(oc));
             }
         }
         self.tap_buf = cmds;
@@ -844,32 +870,16 @@ impl System {
             evs.clear();
             self.mc.take_sched_events_into(&mut evs);
             for se in &evs {
-                let ev = Self::obs_sched_event(se);
-                if let Some(m) = &mut self.obs_metrics {
-                    m.on_event(&ev);
-                }
-                if let Some(t) = &mut self.trace {
-                    t.push(ev);
-                }
+                emit(&mut self.obs_metrics, &mut self.trace, Self::obs_sched_event(se));
             }
             self.obs_sched_buf = evs;
         }
     }
 
-    /// Advances one DRAM bus cycle (and the corresponding CPU cycles);
-    /// every core is carried to the end of the cycle when it returns.
-    pub fn step(&mut self) {
-        self.advance(false);
-    }
-
-    /// [`System::step`] for the run loops: with `park`, a core that
-    /// cannot act for at least two cycles is parked until it can
-    /// instead of being carried across this one. Parking needs only the
-    /// core-side tiers: a skipped span ([`System::skip_ahead`]) ends no
-    /// later than a parked core's wake and rides over the core, so it
-    /// stays parked until it wakes or a reader needs it. `step` never
-    /// parks, since every core must be carried when it returns.
-    fn advance(&mut self, park: bool) {
+    /// Steps one DRAM bus cycle and its CPU sub-cycles, in the run loop
+    /// ([`System::run_loop`]): reconfiguration, due deliveries, the
+    /// controller tick, then the cores ([`System::step_cores`]).
+    fn advance(&mut self) {
         let c = self.dram_cycle;
         // 0. Reconfiguration protocol: promote due events, adopt at the
         // boundary. A single branch on the common (no reconfig) path.
@@ -895,7 +905,7 @@ impl System {
         self.completion_buf.clear();
         self.mc.tick_into(c, &mut self.completion_buf);
         self.settle_tick(c);
-        self.step_cores(c, park);
+        self.step_cores(c);
     }
 
     /// Steps 3 and 4 of [`System::advance`] for cycle `c`, whose tick
@@ -903,60 +913,39 @@ impl System {
     /// wall-clock poll; `dram_cycle` moves to `c + 1`. A skipped span
     /// that a refused core's freed queue ends runs its last cycle's
     /// cores through here too ([`System::run_span`]).
-    fn step_cores(&mut self, c: u64, park: bool) {
-        // 3. CPU cycles. Cores provably stalled for the whole DRAM cycle
-        // (full ROB, nothing delivered above, head not retirable before
-        // the cycle ends) are bulk-charged, and cores whose compute
-        // floor lies past it run it as a compute span: neither can
-        // submit. A core whose refused offer meets a queue that is full
-        // after this cycle's tick and deliveries is refused in every
-        // sub-cycle (they only enqueue), so it is carried too. Only the
-        // rest need stepping sub-cycle by sub-cycle, interleaved in core
-        // order as their submits must be. A stalled or computing core
-        // that stays so until its wake cycle (its head's retire cycle,
-        // its compute floor, or a delivery) is parked: skipped by
-        // stepped cycles and skipped spans alike until then, and carried
-        // in one call when it wakes.
+    fn step_cores(&mut self, c: u64) {
+        // 3. CPU cycles. On the fast path each core crosses the cycle as
+        // [`crossing`] decides, after this cycle's tick and deliveries:
+        // only stepped cores run sub-cycle by sub-cycle, interleaved in
+        // core order as their submits must be; the rest are carried. A
+        // stalled or computing core that stays so until a later cycle
+        // is parked: skipped by stepped cycles and skipped spans alike
+        // until then, and carried in one call when it wakes.
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let (start_cpu, end_cpu) = (c * ratio, (c + 1) * ratio);
-        let carry_cores = self.carry_cores;
-        let park = park && carry_cores;
+        let fastpath = self.fastpath;
         let mut any_stepped = false;
         for (i, core) in self.cores.iter_mut().enumerate() {
             if let Some(p) = self.parked[i] {
                 if c < p.wake {
-                    self.core_active[i] = false;
+                    self.crossings[i] = p.how;
                     continue;
                 }
                 carry(core, p.how, p.from_cpu, start_cpu, &mut self.core_counts);
                 self.parked[i] = None;
             }
-            // The CPU cycle the crossing lasts until; the DRAM cycle it
-            // wakes in is divided out only for a core that parks.
-            let (how, until_cpu) = if !self.attached[i] {
-                (Crossing::Stalled, u64::MAX)
-            } else if !carry_cores {
-                (Crossing::Stepped, 0)
+            let attached = self.attached[i];
+            let (how, until_cpu) = if fastpath || !attached {
+                crossing(core, attached, self.mc.as_ref(), i, start_cpu, end_cpu)
             } else {
-                match core.idle_until() {
-                    CoreIdle::BlockedOnMemory => (Crossing::Stalled, u64::MAX),
-                    CoreIdle::WakeAt(at) if at >= end_cpu => (Crossing::Stalled, at),
-                    _ => match core.compute_floor(start_cpu) {
-                        Some(floor) if floor >= end_cpu => (Crossing::Computing, floor),
-                        _ if refused_until_tick(core, self.mc.as_ref(), i) => {
-                            (Crossing::Rejected, 0)
-                        }
-                        _ => (Crossing::Stepped, 0),
-                    },
-                }
+                (Crossing::Stepped, 0)
             };
-            if park && until_cpu >= end_cpu + ratio {
+            self.crossings[i] = how;
+            if fastpath && until_cpu >= end_cpu + ratio {
                 let wake = until_cpu / ratio;
                 self.parked[i] = Some(Parked { how, from_cpu: start_cpu, wake });
-                self.core_active[i] = false;
                 continue;
             }
-            self.core_active[i] = how == Crossing::Stepped;
             any_stepped |= how == Crossing::Stepped;
             carry(core, how, start_cpu, end_cpu, &mut self.core_counts);
         }
@@ -973,7 +962,7 @@ impl System {
 
     /// Settles the controller tick at `c` (a `tick_into`, or the last
     /// tick of a `fast_forward` that stopped at `c + 1`; its completions
-    /// wait in `completion_buf`) for both [`System::step`] and
+    /// wait in `completion_buf`) for both [`System::advance`] and
     /// [`System::run_span`]: on the fast path a quiet tick rescans
     /// [`MemoryController::next_event`] into `mc_next_tick` (an issuing
     /// tick leaves the bound at or before `c`, so the next tick runs);
@@ -1014,15 +1003,16 @@ impl System {
     /// Event-driven time skipping: moves `dram_cycle` forward over a
     /// span in which *no core touches the memory system*, running the
     /// controller alone ([`System::run_span`]) and then carrying each
-    /// unparked core across the span on its own
-    /// ([`System::advance_cores`]).
+    /// unparked core across the span as [`crossing`] decided at its
+    /// start ([`System::advance_cores`]).
     ///
-    /// Called after [`System::step`]; `limit` is the run loop's own
-    /// bound (never skip past the end of the run), `health_checked`
-    /// says whether the caller runs [`System::health_check`] per step
-    /// (and therefore whether the watchdog clock is live), and
-    /// `retire_cap` — `(core, n)` — keeps that core from retiring `n`
-    /// more instructions inside the span (a profile's next bucket).
+    /// Called after a stepped cycle ([`System::advance`]); `limit` is the
+    /// run loop's own bound (never skip past the end of the run),
+    /// `health_checked` says whether the caller runs
+    /// [`System::health_check`] per step (and therefore whether the
+    /// watchdog clock is live), and `retire_cap` — `(core, n)` — keeps
+    /// that core from retiring `n` more instructions inside the span (a
+    /// profile's next bucket).
     ///
     /// The span ends at the minimum of every bound on core activity:
     ///
@@ -1030,19 +1020,17 @@ impl System {
     /// * each parked core's wake cycle; the span rides over a parked
     ///   core without reading its state, which is stale until the core
     ///   is carried;
-    /// * each other core's next contact with the memory system — a core
-    ///   blocked on memory imposes no bound, a core draining a
-    ///   fixed-latency instruction into a full ROB wakes at its retire
-    ///   cycle, and a computing core bounds the span at its
-    ///   [`OooCore::compute_floor`]. A core whose refused offer meets a
-    ///   full queue imposes no bound here: it rides the span as one of
-    ///   the `riders`, and [`System::run_span`] ends the span at the
-    ///   first tick after which its queue accepts. Any other core
-    ///   vetoes the skip: its next cycle may read the trace or submit.
-    ///   So does a refused core under `retire_cap`, whose retirements
-    ///   in the span no compute floor bounds;
+    /// * each other core's [`crossing`]: a stalled core bounds the span
+    ///   at its wake (a core blocked on memory or detached at none), a
+    ///   computing core at its [`OooCore::compute_floor`]. A refused
+    ///   core imposes no bound here: it rides the span as one of the
+    ///   `riders`, and [`System::run_span`] ends the span at the first
+    ///   tick after which its queue accepts. A stepped core vetoes the
+    ///   skip: its next cycle may read the trace or submit. So does a
+    ///   refused core under `retire_cap`, whose retirements in the span
+    ///   no compute floor bounds;
     /// * the next reconfiguration promotion or adoption, both of which
-    ///   happen in `step`;
+    ///   happen in a stepped cycle;
     /// * the monitor's next wall-clock deadline poll (a skipped poll
     ///   would latch a breach at a different cycle);
     /// * the watchdog's trigger point, so a starved run still aborts at
@@ -1053,11 +1041,10 @@ impl System {
     /// rider's queue or delivers at once (that cycle's cores are then
     /// stepped), and, with faults armed in a health-checked run, right
     /// after a tick that poisons the controller or latches a monitor
-    /// breach. No core
-    /// submits inside the skipped cycles and nothing is delivered to
-    /// one, so the controller never sees a core, and each core's stall
-    /// charges, compute cycles or refusals reproduce per-cycle
-    /// statistics bit for bit ([`OooCore::skip_stalled`],
+    /// breach. No core submits inside the skipped cycles and nothing is
+    /// delivered to one, so the controller never sees a core, and each
+    /// core's stall charges, compute cycles or refusals reproduce
+    /// per-cycle statistics bit for bit ([`OooCore::skip_stalled`],
     /// [`OooCore::advance_compute`], [`OooCore::skip_rejected`]).
     fn skip_ahead(&mut self, limit: u64, health_checked: bool, retire_cap: Option<(usize, u64)>) {
         if !self.fastpath {
@@ -1070,7 +1057,7 @@ impl System {
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let mut target = limit;
         // A skipped span must not cross a reconfiguration point: event
-        // promotion and boundary adoption happen in `step`.
+        // promotion and boundary adoption happen in a stepped cycle.
         if let Some(&(at, _)) = self.reconfig_queue.first() {
             target = target.min(at);
         }
@@ -1080,42 +1067,28 @@ impl System {
         if target <= now {
             return;
         }
-        // Cheapest veto next: an attached core that may read its trace
-        // or submit next cycle ends the attempt before anything else is
-        // paid for. Detached cores are bulk-charged like stalled ones
-        // and never veto.
+        // Cheapest veto next: a core that may read its trace or submit
+        // next cycle ends the attempt before anything else is paid for.
         let now_cpu = now * ratio;
         for (i, core) in self.cores.iter().enumerate() {
             if let Some(p) = self.parked[i] {
                 target = target.min(p.wake);
                 continue;
             }
-            if !self.attached[i] {
-                continue;
-            }
-            let wake = match core.idle_until() {
-                CoreIdle::BlockedOnMemory => continue,
-                CoreIdle::WakeAt(retire_at) if retire_at / ratio > now => retire_at,
-                _ => {
-                    let Some(floor) = core.compute_floor(now_cpu) else {
-                        if refused_until_tick(core, self.mc.as_ref(), i)
-                            && retire_cap.is_none_or(|(c, _)| c != i)
-                        {
-                            self.riders.push(DomainId(i as u8));
-                            continue;
-                        }
-                        return;
-                    };
-                    if let Some((_, left)) = retire_cap.filter(|&(c, _)| c == i) {
-                        // At most `width` retires per CPU cycle: stop the
-                        // span before the capped core could reach `left`.
-                        let per_cycle = ratio * self.cfg.core.width as u64;
-                        target = target.min(now + (left - 1) / per_cycle);
-                    }
-                    floor
+            let (how, until_cpu) =
+                crossing(core, self.attached[i], self.mc.as_ref(), i, now_cpu, now_cpu + ratio);
+            match (how, retire_cap.filter(|&(c, _)| c == i)) {
+                (Crossing::Stepped, _) | (Crossing::Rejected, Some(_)) => return,
+                (Crossing::Rejected, None) => self.riders.push(DomainId(i as u8)),
+                (Crossing::Computing, Some((_, left))) => {
+                    // At most `width` retires per CPU cycle: stop the
+                    // span before the capped core could reach `left`.
+                    let per_cycle = ratio * self.cfg.core.width as u64;
+                    target = target.min(now + (left - 1) / per_cycle).min(until_cpu / ratio);
                 }
-            };
-            target = target.min(wake / ratio);
+                _ => target = target.min(until_cpu / ratio),
+            }
+            self.crossings[i] = how;
         }
         if target <= now {
             return;
@@ -1260,7 +1233,7 @@ impl System {
             self.last_progress = c;
         }
         self.settle_tick(c);
-        self.step_cores(c, true);
+        self.step_cores(c);
     }
 
     /// Carries core `i`, if parked, to the start of DRAM cycle `c` (no
@@ -1281,15 +1254,10 @@ impl System {
     }
 
     /// Carries every unparked core across the skipped DRAM cycles
-    /// `from..to`. Cores that cannot act before the span ends (detached,
-    /// blocked on memory, or waking after it) are bulk-charged as
-    /// stalled; a core refused by a full queue is refused throughout
-    /// ([`OooCore::skip_rejected`]) — it rode the span, whose every
-    /// tick before `to` left its queue full; the rest run their CPU
-    /// cycles with no memory system attached ([`OooCore::advance_compute`]),
-    /// the span ending at each such core's compute floor. Parked cores
-    /// are left alone: the span ended no later than their wake, and
-    /// they keep their `from_cpu` until they are carried in one call.
+    /// `from..to` as the span decided at its start
+    /// ([`System::skip_ahead`]). Parked cores are left alone: the span
+    /// ended no later than their wake, and they keep their `from_cpu`
+    /// until they are carried in one call.
     fn advance_cores(&mut self, from: u64, to: u64) {
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let (from_cpu, to_cpu) = (from * ratio, to * ratio);
@@ -1298,18 +1266,7 @@ impl System {
                 debug_assert!(p.wake >= to, "core {i} parked until {} inside span to {to}", p.wake);
                 continue;
             }
-            let how = if !self.attached[i] || stalled_until(core, to_cpu) {
-                Crossing::Stalled
-            } else if core.rejected_offer() {
-                debug_assert!(
-                    self.riders.contains(&DomainId(i as u8)),
-                    "core {i} carried as refused but not refused at every tick of the span"
-                );
-                Crossing::Rejected
-            } else {
-                Crossing::Computing
-            };
-            carry(core, how, from_cpu, to_cpu, &mut self.core_counts);
+            carry(core, self.crossings[i], from_cpu, to_cpu, &mut self.core_counts);
         }
     }
 
@@ -1369,12 +1326,7 @@ impl System {
                         finish: completion.finish,
                         domain: txn.domain.0,
                     };
-                    if let Some(m) = &mut self.obs_metrics {
-                        m.on_event(&ev);
-                    }
-                    if let Some(t) = &mut self.trace {
-                        t.push(ev);
-                    }
+                    emit(&mut self.obs_metrics, &mut self.trace, ev);
                 }
                 if let Some(pos) = self.txn_meta.iter().position(|&(id, _, _)| id == txn.id) {
                     let (_, core, local) = self.txn_meta.swap_remove(pos);
@@ -1412,7 +1364,7 @@ impl System {
             policy,
             pending_writes,
             forwarded_reads,
-            core_active,
+            crossings,
             mc_next_tick,
             trace,
             obs_metrics,
@@ -1421,7 +1373,7 @@ impl System {
         let obs_on = trace.is_some() || obs_metrics.is_some();
         let geom = cfg.geometry;
         for (i, core) in cores.iter_mut().enumerate() {
-            if !core_active[i] {
+            if crossings[i] != Crossing::Stepped {
                 continue;
             }
             let domain = DomainId(i as u8);
@@ -1451,12 +1403,7 @@ impl System {
                             is_write: true,
                             queue_depth: txn_meta.len() as u32,
                         };
-                        if let Some(m) = obs_metrics.as_mut() {
-                            m.on_event(&ev);
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.push(ev);
-                        }
+                        emit(obs_metrics, trace, ev);
                     }
                     return SubmitResult::Accepted { tag };
                 }
@@ -1494,12 +1441,7 @@ impl System {
                                 is_write: false,
                                 queue_depth: txn_meta.len() as u32,
                             };
-                            if let Some(m) = obs_metrics.as_mut() {
-                                m.on_event(&ev);
-                            }
-                            if let Some(t) = trace.as_mut() {
-                                t.push(ev);
-                            }
+                            emit(obs_metrics, trace, ev);
                         }
                         SubmitResult::Accepted { tag }
                     }
@@ -1511,34 +1453,38 @@ impl System {
     /// Runs for `cycles` DRAM cycles.
     pub fn run_cycles(&mut self, cycles: u64) -> SystemStats {
         let end = self.dram_cycle + cycles;
-        self.run_to(end, false).expect("a run without health checks cannot fail");
+        self.run_loop(end, false, |_| Some(None)).expect("a run without health checks cannot fail");
         self.stats()
     }
 
-    /// The loop of [`System::run_cycles`] and [`System::try_run_cycles`]:
-    /// steps with parking and skips ahead until `end`, running
-    /// [`System::health_check`] after every step when `health` is set.
-    /// Parked cores are carried to the cycle reached on every exit.
-    fn run_to(&mut self, end: u64, health: bool) -> Result<(), FsmcError> {
-        let mut run = Ok(());
-        while self.dram_cycle < end {
-            self.advance(true);
-            if health {
-                run = self.health_check();
-                if run.is_err() {
-                    break;
+    /// The one run loop: steps a cycle ([`System::advance`]), runs
+    /// [`System::health_check`] when `health` is set, asks `next` whether
+    /// to go on, and skips ahead ([`System::skip_ahead`]) no further than
+    /// `end`. `next` returns `None` once the run is done, else the
+    /// span's retire cap. With faults armed, health is checked again
+    /// after the span, which stops right after a poisoning or breaching
+    /// tick, as per-cycle stepping would. Parked cores are carried to
+    /// the cycle reached on every exit.
+    fn run_loop(
+        &mut self,
+        end: u64,
+        health: bool,
+        mut next: impl FnMut(&mut Self) -> Option<Option<(usize, u64)>>,
+    ) -> Result<(), FsmcError> {
+        let run = (|| -> Result<(), FsmcError> {
+            while self.dram_cycle < end {
+                self.advance();
+                if health {
+                    self.health_check()?;
+                }
+                let Some(retire_cap) = next(self) else { break };
+                self.skip_ahead(end, health, retire_cap);
+                if health && self.faults_armed {
+                    self.health_check()?;
                 }
             }
-            self.skip_ahead(end, health, None);
-            if health && self.faults_armed {
-                // A span stops right after a poisoning or breaching
-                // tick; check there, as per-cycle stepping would.
-                run = self.health_check();
-                if run.is_err() {
-                    break;
-                }
-            }
-        }
+            Ok(())
+        })();
         self.unpark_all(self.dram_cycle);
         run
     }
@@ -1556,7 +1502,7 @@ impl System {
     /// rank, bank and oldest outstanding read.
     pub fn try_run_cycles(&mut self, cycles: u64) -> Result<SystemStats, FsmcError> {
         let end = self.dram_cycle + cycles;
-        self.run_to(end, true)?;
+        self.run_loop(end, true, |_| Some(None))?;
         Ok(self.stats())
     }
 
@@ -1616,11 +1562,9 @@ impl System {
     /// termination criterion), bounded by `max_cycles`.
     pub fn run_reads(&mut self, reads: u64) -> SystemStats {
         let max_cycles = self.dram_cycle + 400 * reads + 100_000;
-        while self.reads_completed < reads && self.dram_cycle < max_cycles {
-            self.advance(true);
-            if self.reads_completed < reads {
-                self.skip_ahead(max_cycles, false, None);
-            }
+        if self.reads_completed < reads {
+            self.run_loop(max_cycles, false, |s| (s.reads_completed < reads).then_some(None))
+                .expect("a run without health checks cannot fail");
         }
         self.stats()
     }
@@ -1650,8 +1594,11 @@ impl System {
         self.profile(core_idx, bucket_instrs, buckets, true)
     }
 
-    /// The body of [`System::run_profile`] and [`System::try_run_profile`];
-    /// `health` runs [`System::health_check`] after every step.
+    /// The body of [`System::run_profile`] and [`System::try_run_profile`]:
+    /// after every stepped cycle the profiled core is carried and its
+    /// crossed bucket boundaries recorded, and the next span is capped
+    /// short of its next boundary, since a span may run the core through
+    /// compute cycles.
     fn profile(
         &mut self,
         core_idx: usize,
@@ -1659,45 +1606,21 @@ impl System {
         buckets: usize,
         health: bool,
     ) -> Result<Vec<u64>, FsmcError> {
-        let run = self.profile_loop(core_idx, bucket_instrs, buckets, health);
-        self.unpark_all(self.dram_cycle);
-        run
-    }
-
-    /// The loop of [`System::profile`]; it may leave cores parked.
-    fn profile_loop(
-        &mut self,
-        core_idx: usize,
-        bucket_instrs: u64,
-        buckets: usize,
-        health: bool,
-    ) -> Result<Vec<u64>, FsmcError> {
         let mut boundaries = Vec::with_capacity(buckets);
+        if buckets == 0 {
+            return Ok(boundaries);
+        }
         let mut next_target = bucket_instrs;
-        let hard_stop = self.dram_cycle + 80_000_000;
-        while boundaries.len() < buckets && self.dram_cycle < hard_stop {
-            self.advance(true);
-            if health {
-                self.health_check()?;
-            }
-            self.unpark(core_idx, self.dram_cycle);
-            while boundaries.len() < buckets
-                && self.cores[core_idx].stats().instructions_retired >= next_target
-            {
-                boundaries.push(self.dram_cycle * self.cfg.timing.cpu_ratio as u64);
+        let end = self.dram_cycle + 80_000_000;
+        self.run_loop(end, health, |s| {
+            s.unpark(core_idx, s.dram_cycle);
+            let retired = s.cores[core_idx].stats().instructions_retired;
+            while boundaries.len() < buckets && retired >= next_target {
+                boundaries.push(s.dram_cycle * s.cfg.timing.cpu_ratio as u64);
                 next_target += bucket_instrs;
             }
-            if boundaries.len() < buckets {
-                // A skip may run the profiled core through compute
-                // cycles, so cap the span short of its next bucket: no
-                // boundary can fall inside it.
-                let left = next_target - self.cores[core_idx].stats().instructions_retired;
-                self.skip_ahead(hard_stop, health, Some((core_idx, left)));
-                if health && self.faults_armed {
-                    self.health_check()?;
-                }
-            }
-        }
+            (boundaries.len() < buckets).then(|| Some((core_idx, next_target - retired)))
+        })?;
         Ok(boundaries)
     }
 
@@ -1853,7 +1776,7 @@ mod tests {
         let (ratio, end) = (cfg.timing.cpu_ratio as u64, 20_000);
         let (mut steps, mut spans) = (0, 0);
         while fast.dram_cycle < end {
-            fast.advance(true);
+            fast.advance();
             steps += 1;
             let earliest = fast.parked.iter().flatten().map(|p| p.wake).min();
             let before = fast.dram_cycle;
