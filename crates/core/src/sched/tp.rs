@@ -171,8 +171,7 @@ impl TpScheduler {
                 (true, true) => Command::write_ap(rank, bank, row, col),
                 (false, true) => Command::read_ap(rank, bank, row, col),
             };
-            if self.device.can_issue(&cas, now).is_ok() {
-                let out = self.device.issue(&cas, now).expect("validated CAS");
+            if let Ok(out) = self.device.issue(&cas, now) {
                 self.in_flight.remove(i);
                 if p.issued_act {
                     self.stats.row_misses += 1;
@@ -286,8 +285,7 @@ impl TpScheduler {
             }
             if self.device.open_row(txn.loc.rank, txn.loc.bank).is_none() {
                 let act = Command::activate(txn.loc.rank, txn.loc.bank, txn.loc.row);
-                if self.device.can_issue(&act, now).is_ok() {
-                    self.device.issue(&act, now).expect("validated activate");
+                if self.device.issue(&act, now).is_ok() {
                     return true;
                 }
             }
@@ -305,8 +303,7 @@ impl TpScheduler {
                 .any(|b| self.device.open_row(RankId(r), BankId(b)).is_some());
             if any_open {
                 let pre = Command::precharge_all(RankId(r));
-                if self.device.can_issue(&pre, now).is_ok() {
-                    self.device.issue(&pre, now).expect("validated precharge-all");
+                if self.device.issue(&pre, now).is_ok() {
                     return;
                 }
             }
