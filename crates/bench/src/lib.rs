@@ -1,8 +1,8 @@
 //! # fsmc-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! Criterion microbenchmarks (see `benches/`). This library holds the
-//! shared experiment plumbing: run-length configuration, the engine-
+//! One binary per table/figure of the paper (see `src/bin/`); the
+//! simulator's performance is measured by the separate `fsmc-perf`
+//! package instead. This library holds the shared experiment plumbing: run-length configuration, the engine-
 //! driven workload suite sweep, and plain-text/CSV table printing.
 //!
 //! Every binary accepts its run length from the `FSMC_CYCLES` environment
