@@ -127,8 +127,8 @@ enum Crossing {
 /// core has no compute floor (a refusal leaves no non-memory
 /// instruction ahead of the refused operation).
 ///
-/// Forced inline: it sits in both hot loops, and left a call it
-/// measured about 1% slower on the secure-policy figures.
+/// Forced inline: it sits in both hot loops, and left a call the
+/// secure-policy figures measured 1–2% slower.
 #[inline(always)]
 fn crossing(
     core: &OooCore,
@@ -1619,6 +1619,8 @@ impl System {
                 boundaries.push(s.dram_cycle * s.cfg.timing.cpu_ratio as u64);
                 next_target += bucket_instrs;
             }
+            // Lazy: once the buckets are full, `next_target` may lie
+            // below `retired`.
             (boundaries.len() < buckets).then(|| Some((core_idx, next_target - retired)))
         })?;
         Ok(boundaries)
